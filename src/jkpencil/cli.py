@@ -37,16 +37,8 @@ from .liealg import (
     validate_lie_algebra,
 )
 from .linalg import rank
-from .pencil import (
-    INFINITY,
-    SkewPencil,
-    characteristic_polynomial,
-    core_subspace,
-    isotropy_certificate,
-    jk_invariants,
-    pencil_rank,
-)
-from .poisson import eigenvalue_lemma_check, involution_check
+from .pencil import INFINITY, SkewPencil, _KernelStream, _PencilAnalysis
+from .poisson import _eigenvalue_lemma, _involution
 from .unipoly import UniPoly
 
 DEFAULT_SEED = 1729
@@ -241,14 +233,16 @@ def cmd_pencil_analyze(path: str, seed: int) -> dict:
         raw = fh.read()
     doc = json.loads(raw.decode("utf-8"))
     pencil = load_pencil_document(doc)
-    r = pencil_rank(pencil)
-    inv = jk_invariants(pencil, seed=seed)
-    core = core_subspace(pencil, seed=seed)
-    cert = isotropy_certificate(pencil, seed=seed)
+    analysis = _PencilAnalysis(pencil)
+    r = analysis.rank
+    stream = _KernelStream(pencil, r, seed)
+    inv = analysis.invariants(stream)
+    core = stream.core()
+    cert = stream.isotropy()
     if not cert.passed:
         raise InternalConsistencyError(f"isotropy certificate failed: {cert.violation}")
     try:
-        char = _charpoly_dict(characteristic_polynomial(pencil))
+        char = _charpoly_dict(analysis.char_poly)
     except InfiniteEigenvalueError as exc:
         char = {
             "status": "INFINITE_EIGENVALUE",
@@ -267,7 +261,7 @@ def cmd_pencil_analyze(path: str, seed: int) -> dict:
         "dimension": pencil.n,
         "pencil_rank": r,
         "corank": pencil.n - r,
-        "rank_b": rank(pencil.b),
+        "rank_b": analysis.rank_b,
         "conventions": {
             "eigenvalues": "roots of the characteristic polynomial of A - lambda*B",
             "degenerate_members": "A + lambda*B drops rank exactly at lambda = -(root)",
@@ -376,39 +370,37 @@ def cmd_lie_analyze(
 
     involution_certs = []
     eigen_certs = []
-    if ftilde.frozen_regular:
-        spec = ftilde.pencil_spec
-        for rep in ftilde.points:
-            cert = involution_check(spec.pencil, rep.point, seed=seed)
-            if not cert.passed:
-                raise InternalConsistencyError(
-                    f"involution certificate failed at {_vec(rep.point)}: {cert.violation}"
-                )
-            involution_certs.append(
-                {
-                    "point": _vec(cert.point),
-                    "family_size": cert.family_size,
-                    "kernel_samples": _vec(cert.kernel_samples),
-                    "pairings": cert.pairings,
-                    "passed": cert.passed,
-                }
+    for pa in ftilde.analyses:
+        cert = _involution(pa, None, seed)
+        if not cert.passed:
+            raise InternalConsistencyError(
+                f"involution certificate failed at {_vec(pa.point)}: {cert.violation}"
             )
-            ev = eigenvalue_lemma_check(spec.pencil, rep.point, seed=seed)
-            eigen_certs.append(
-                {
-                    "point": _vec(ev.point),
-                    "status": ev.status,
-                    "checks": [
-                        {
-                            "root": str(c.root),
-                            "multiplicity": c.multiplicity,
-                            "status": c.status,
-                            "gradient": None if c.gradient is None else _vec(c.gradient),
-                        }
-                        for c in ev.checks
-                    ],
-                }
-            )
+        involution_certs.append(
+            {
+                "point": _vec(cert.point),
+                "family_size": cert.family_size,
+                "kernel_samples": _vec(cert.kernel_samples),
+                "pairings": cert.pairings,
+                "passed": cert.passed,
+            }
+        )
+        ev = _eigenvalue_lemma(pa)
+        eigen_certs.append(
+            {
+                "point": _vec(ev.point),
+                "status": ev.status,
+                "checks": [
+                    {
+                        "root": str(c.root),
+                        "multiplicity": c.multiplicity,
+                        "status": c.status,
+                        "gradient": None if c.gradient is None else _vec(c.gradient),
+                    }
+                    for c in ev.checks
+                ],
+            }
+        )
 
     return {
         "schema_version": 1,

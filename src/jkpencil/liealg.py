@@ -18,17 +18,21 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import InternalConsistencyError, ValidationError
 from .linalg import Matrix, Vector, fraction_free_rank, rank, vector
 from .multipoly import MultiPoly, multi_gcd_list, normalize_content
-from .pencil import JKInvariants, SkewPencil, jk_invariants, pencil_rank
+from .pencil import JKInvariants, SkewPencil, _PencilAnalysis, jk_invariants
 from .poisson import (
     COMPLETE,
     INCOMPLETE,
     INDETERMINATE,
     CompletenessReport,
+    PointAnalysis,
     PolyPoissonPencil,
+    _completeness,
+    _point_analysis,
+    _require_generic,
+    _sample_generic,
     compatibility_check,
-    completeness_check,
+    generic_char_poly,
     jacobi_check,
-    sample_generic_point,
 )
 from .unipoly import _as_fraction
 
@@ -200,9 +204,8 @@ def jk_invariants_generic(g: LieAlgebra, samples: int = 7, seed: int = 0) -> Gen
         x0 = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim))
         a0 = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim))
         sp = SkewPencil(g.frozen_matrix(x0), g.frozen_matrix(a0))
-        r = pencil_rank(sp)
         inv = jk_invariants(sp, seed=rng.randrange(1 << 30))
-        results.append((r, inv, (x0, a0)))
+        results.append((inv.rank, inv, (x0, a0)))
     max_rank = max(r for r, _, _ in results)
     top = [(inv, pt) for r, inv, pt in results if r == max_rank]
     shapes = {inv.shape() for inv, _ in top}
@@ -252,8 +255,6 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
 
 
 def _assert_semiinvariant_identity(g: LieAlgebra, p_g: MultiPoly, r: int, seed: int):
-    from .pencil import characteristic_polynomial
-
     rng = random.Random(seed + 7)
     done = 0
     attempts = 0
@@ -268,12 +269,11 @@ def _assert_semiinvariant_identity(g: LieAlgebra, p_g: MultiPoly, r: int, seed: 
         frozen = g.frozen_matrix(a0)
         if rank(frozen) != r:
             continue
-        sp = SkewPencil(g.frozen_matrix(x0), frozen)
-        if pencil_rank(sp) != r:
+        analysis = _PencilAnalysis(SkewPencil(g.frozen_matrix(x0), frozen))
+        if analysis.rank != r:
             continue
         restricted = p_g.eval_on_line(x0, tuple(-v for v in a0))
-        char = characteristic_polynomial(sp)
-        if restricted.monic() != char.poly:
+        if restricted.monic() != analysis.char_poly.poly:
             raise InternalConsistencyError(
                 f"semi-invariant identity fails at x={x0}, a={a0}"
             )
@@ -308,6 +308,7 @@ class FTildeReport:
     witnesses: tuple[str, ...]
     warnings: tuple[str, ...]
     pencil_spec: Optional[LiePencilSpec] = None
+    analyses: tuple[PointAnalysis, ...] = ()
 
 
 def ftilde_completeness(
@@ -336,15 +337,19 @@ def ftilde_completeness(
             warnings=spec.warnings,
             pencil_spec=spec,
         )
-    if explicit_points is not None:
-        sample_at = [vector(p) for p in explicit_points]
+    pencil = spec.pencil
+    gcp = generic_char_poly(pencil, seed)
+    # Sampled points are all chosen before the first is analysed; explicit
+    # points are checked for genericity one at a time, as they are analysed.
+    if explicit_points is None:
+        checked = [_sample_generic(pencil, seed + 31 * i) for i in range(points)]
     else:
-        sample_at = [
-            sample_generic_point(spec.pencil, seed=seed + 31 * i) for i in range(points)
-        ]
+        checked = ((x0, _require_generic(pencil, gcp, x0)) for x0 in map(vector, explicit_points))
+    analyses = []
     reports = []
-    for x0 in sample_at:
-        reports.append(completeness_check(spec.pencil, x0, seed=seed))
+    for x0, analysis in checked:
+        analyses.append(_point_analysis(analysis, gcp, x0, seed))
+        reports.append(_completeness(analyses[-1], gcp))
     verdicts = {r.verdict for r in reports}
     warnings = spec.warnings
     if len(verdicts) == 1:
@@ -365,6 +370,7 @@ def ftilde_completeness(
         witnesses=tuple(witnesses),
         warnings=warnings,
         pencil_spec=spec,
+        analyses=tuple(analyses),
     )
 
 

@@ -4,6 +4,10 @@ Rational matrices are tuples of tuples of Fraction.  Subspaces carry
 reduced-row-echelon bases, so equal spans compare equal and all reported
 bases are deterministic.  Rank over polynomial fraction fields uses
 one-step fraction-free (Bareiss) elimination with first-nonzero pivoting.
+Memoized Pfaffians of principal minors serve the generic (multivariate)
+characteristic polynomial and the semi-invariant; for constant pencils
+the characteristic polynomial comes from the Smith form, and the
+Pfaffian-gcd route is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import SingularMatrixError, ValidationError
-from .unipoly import UniPoly, _as_fraction
+from .errors import ValidationError
+from .unipoly import _as_fraction
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -30,26 +34,8 @@ def matrix(rows: Sequence[Sequence]) -> Matrix:
     return out
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((Fraction(0),) * cols for _ in range(rows))
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(m: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(x * c for x in row) for row in m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -111,15 +97,6 @@ def rank(m: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(m)[1])
 
 
-def mat_inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in red[:n])
-
-
 def reduce_against_rref(basis: Sequence[Vector], v: Sequence[Fraction]) -> list[Fraction]:
     """Residual of v after eliminating the pivots of an RREF row basis."""
     out = list(v)
@@ -157,10 +134,6 @@ class Subspace:
     def zero(cls, ambient: int) -> "Subspace":
         return cls(ambient, ())
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, identity_matrix(ambient))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -168,9 +141,6 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         residual = reduce_against_rref(self.basis, vector(v))
         return all(x == 0 for x in residual)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -195,31 +165,6 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> Subspace:
             v[pc] = -red[r][fc]
         vecs.append(v)
     return Subspace.from_vectors(ncols, vecs)
-
-
-# -- characteristic polynomial over Q ------------------------------------
-
-
-def charpoly_rational(m: Matrix) -> UniPoly:
-    """det(lambda*I - M) via the Faddeev-LeVerrier recursion, monic."""
-    n = len(m)
-    coeffs = [Fraction(1)]  # c_0 = 1 for lambda^n
-    work = identity_matrix(n)
-    for k in range(1, n + 1):
-        work = mat_mul(m, work)
-        ck = -sum(work[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        work = mat_add(work, mat_scale(identity_matrix(n), ck))
-    return UniPoly(list(reversed(coeffs)))
-
-
-def determinant(m: Matrix) -> Fraction:
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    cp = charpoly_rational(m)
-    det = cp.coefficient(0)
-    return det if n % 2 == 0 else -det
 
 
 # -- fraction-free elimination over polynomial rings ---------------------

@@ -1,10 +1,17 @@
 """Constant pencils of skew-symmetric bilinear forms over Q.
 
 Analyzes the one-parameter family A + lambda*B: rank, regular values,
-the characteristic polynomial (gcd of Pfaffians of principal minors of
-A - lambda*B), the core subspace (sum of kernels of regular members),
-and the full block invariants (Kronecker parameters plus Jordan
-half-sizes grouped by eigenvalue).
+the characteristic polynomial, the core subspace (sum of kernels of
+regular members), and the full block invariants (Kronecker parameters
+plus Jordan half-sizes grouped by eigenvalue).
+
+One analysis computes each quantity once: the pencil rank by
+fraction-free elimination, the Smith invariant factors d_1 | ... | d_r
+of A - lambda*B (the characteristic polynomial is d_2*d_4*...*d_r, and
+the Jordan data are read from their elementary divisors), and one
+stream of regular values per seed with the kernel of each member.  The
+gcd of the principal r x r Pfaffians is the second route to the
+characteristic polynomial; it lives in the test suite as an oracle.
 
 Sign conventions.  Eigenvalues are the roots of the characteristic
 polynomial of A - lambda*B; the member A + lambda0*B drops rank exactly
@@ -18,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -30,29 +37,19 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    PfaffianCache,
     Subspace,
-    bilinear,
-    charpoly_rational,
     congruence,
     fraction_free_rank,
     is_skew,
     kernel_basis,
-    mat_inverse,
     mat_mul,
     matrix,
-    pfaffian,
     rank,
     subspace_sum,
+    transpose,
 )
-from .unipoly import (
-    UniPoly,
-    coprime_refine,
-    poly_gcd,
-    rational_roots,
-    split_rational_linear_factors,
-    squarefree_decompose,
-)
+from .smith import smith_normal_form
+from .unipoly import UniPoly, rational_roots, refined_factors, squarefree_decompose
 
 
 class _InfinityType:
@@ -272,88 +269,75 @@ class RegularValueSampler:
         raise InternalConsistencyError("failed to sample a regular value in 50 draws")
 
 
-# -- characteristic polynomial -------------------------------------------
+# -- one analysis per pencil ----------------------------------------------
 
 
-def characteristic_polynomial(p: SkewPencil) -> CharPoly:
-    """Monic gcd of the Pfaffians of all principal r x r minors of
-    A - lambda*B, where r is the pencil rank.
+class _KernelStream:
+    """Regular values drawn from one seed, each with the kernel of its member.
 
-    Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
-    eigenvalues finite; raises InfiniteEigenvalueError otherwise, in
-    which case the caller must reparametrize (jk_invariants does).
+    Values are drawn on first use and kept, so the Kronecker increments,
+    the core, the reparametrization value and the isotropy family read
+    from one stream see the same values in the same order.
     """
-    r = pencil_rank(p)
-    if rank(p.b) < r:
-        raise InfiniteEigenvalueError(
-            f"rank(B) = {rank(p.b)} < pencil rank {r}: infinite eigenvalues present"
+
+    def __init__(self, p: SkewPencil, r: int, seed: int):
+        self.p = p
+        self._sampler = RegularValueSampler(p, random.Random(seed), r=r)
+        self._draws: list[tuple[Fraction, Subspace]] = []
+        self._sums: list[Subspace] = []
+
+    def draw(self, t: int) -> tuple[Fraction, Subspace]:
+        """Value t (from 0) and the kernel of A + value*B."""
+        while len(self._draws) <= t:
+            mu = self._sampler.draw()
+            self._draws.append((mu, kernel_basis(self.p.member(mu))))
+        return self._draws[t]
+
+    def kernel_sum(self, t: int) -> Subspace:
+        """Sum of the kernels of values 0..t."""
+        while len(self._sums) <= t:
+            prev = self._sums[-1] if self._sums else Subspace.zero(self.p.n)
+            self._sums.append(subspace_sum(prev, self.draw(len(self._sums))[1]))
+        return self._sums[t]
+
+    def stable_count(self, extra: int = 0) -> int:
+        """Number of values after which the kernel sum has kept its
+        dimension for 2 + extra values in a row."""
+        stable = dim = t = 0
+        while stable < 2 + extra:
+            grown = self.kernel_sum(t).dim
+            stable = stable + 1 if grown == dim else 0
+            dim = grown
+            t += 1
+        return t
+
+    def core(self) -> Subspace:
+        return self.kernel_sum(self.stable_count() - 1)
+
+    def isotropy(self, extra: int = 2) -> "IsotropyCertificate":
+        family = [v for t in range(self.stable_count(extra)) for v in self.draw(t)[1].basis]
+        pairings, violation = _pairings(family, self.p.a, self.p.b)
+        return IsotropyCertificate(len(family), pairings, violation is None, violation)
+
+
+def _invariant_factors(lam_matrix: list[list[UniPoly]], r: int) -> list[UniPoly]:
+    """d_2, d_4, ..., d_r for the nonzero Smith invariant factors d_1 | ... | d_r
+    of a skew lambda-matrix of rank r, which come in equal pairs."""
+    factors = [f for f in smith_normal_form(lam_matrix) if not f.is_zero]
+    if len(factors) != r:
+        raise InternalConsistencyError(f"Smith form rank {len(factors)} != pencil rank {r}")
+    if factors[0::2] != factors[1::2]:
+        raise PairingViolationError(
+            "Smith invariant factors are not equal in pairs: "
+            + ", ".join(str(f) for f in factors)
         )
-    return CharPoly.from_poly(_pfaffian_gcd(p, r))
+    return factors[1::2]
 
 
-def _pfaffian_gcd(p: SkewPencil, r: int) -> UniPoly:
-    if r == 0:
-        return UniPoly.one()
-    m = p.lambda_matrix(sign=-1)
-    cache = PfaffianCache(m, UniPoly.zero(), UniPoly.one())
-    g = UniPoly.zero()
-    for subset in combinations(range(p.n), r):
-        pf = cache.pfaffian(subset)
-        if pf.is_zero:
-            continue
-        g = poly_gcd(g, pf)
-        if g.degree == 0:
-            break  # gcd can only shrink; a unit gcd is final
-    if g.is_zero:
-        raise InternalConsistencyError(
-            "all principal Pfaffians vanished at the claimed pencil rank"
-        )
-    return g.monic()
-
-
-def recursion_charpoly_check(p: SkewPencil) -> bool:
-    """Whether det(B^-1 A - lambda*I) equals +/- p_L(lambda)^2."""
-    n = p.n
-    if rank(p.b) < n:
-        raise SingularMatrixError("recursion operator needs an invertible B")
-    recursion = mat_mul(mat_inverse(p.b), p.a)
-    lhs = charpoly_rational(recursion)  # det(lambda*I - P); n is even
-    rhs = characteristic_polynomial(p).poly
-    square = rhs * rhs
-    return lhs == square or lhs == -square
-
-
-# -- core subspace --------------------------------------------------------
-
-
-def core_subspace(p: SkewPencil, seed: int = 0) -> Subspace:
-    """Sum of kernels of regular members, stabilized twice.
-
-    Adds Ker(A + mu*B) at fresh random regular values mu until the
-    dimension is unchanged for two consecutive steps.
-    """
-    core, _ = _core_with_kernels(p, random.Random(seed))
-    return core
-
-
-def _core_with_kernels(
-    p: SkewPencil, rng: random.Random, extra: int = 0
-) -> tuple[Subspace, list[tuple[Fraction, Subspace]]]:
-    sampler = RegularValueSampler(p, rng)
-    core = Subspace.zero(p.n)
-    kernels: list[tuple[Fraction, Subspace]] = []
-    stable = 0
-    while stable < 2 + extra:
-        mu = sampler.draw()
-        ker = kernel_basis(p.member(mu))
-        kernels.append((mu, ker))
-        grown = subspace_sum(core, ker)
-        stable = stable + 1 if grown.dim == core.dim else 0
-        core = grown
-    return core, kernels
-
-
-# -- Jordan-Kronecker invariants ------------------------------------------
+def _jordan_groups(halves: list[UniPoly]) -> list[tuple[UniPoly, tuple[int, ...]]]:
+    """Eigenvalue groups from d_2, d_4, ..., d_r: the exponent of a factor
+    q in d_2i is the half-size of one Jordan block of q, or 0."""
+    return [(q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves)]
 
 
 def _mobius_pullback(desc: UniPoly, mu0: Fraction):
@@ -380,101 +364,114 @@ def _mobius_pullback(desc: UniPoly, mu0: Fraction):
     return acc.monic()
 
 
-def _jordan_groups_from_smith(
-    lam_matrix: list[list[UniPoly]], expected_rank: int
-) -> list[tuple[UniPoly, tuple[int, ...]]]:
-    from .smith import smith_normal_form
+class _PencilAnalysis:
+    """The rank, rank(B) and Smith invariant factors of one pencil, each
+    computed once; the characteristic polynomial and the Jordan data are
+    both read from the same factors."""
 
-    factors = smith_normal_form(lam_matrix)
-    nonzero = [f for f in factors if not f.is_zero]
-    if len(nonzero) != expected_rank:
-        raise InternalConsistencyError(
-            f"Smith form rank {len(nonzero)} != pencil rank {expected_rank}"
-        )
-    parts: list[UniPoly] = []
-    for f in nonzero:
-        if f.degree >= 1:
-            parts.extend(part for part, _ in squarefree_decompose(f))
-    refined: list[UniPoly] = []
-    for q in coprime_refine(parts):
-        refined.extend(split_rational_linear_factors(q))
-    refined = sorted(set(refined), key=UniPoly.sort_key)
-    groups = []
-    for q in refined:
-        exponents = []
-        for f in nonzero:
-            e = 0
-            g = f
-            while g.degree >= q.degree and (g % q).is_zero:
-                g = g.exact_div(q)
-                e += 1
-            if e:
-                exponents.append(e)
-        counts: dict[int, int] = {}
-        for e in exponents:
-            counts[e] = counts.get(e, 0) + 1
-        half_sizes = []
-        for value, cnt in sorted(counts.items()):
-            if cnt % 2 != 0:
-                raise PairingViolationError(
-                    f"elementary divisor {q}^{value} occurs {cnt} times (odd)"
-                )
-            half_sizes.extend([value] * (cnt // 2))
-        groups.append((q, tuple(half_sizes)))
-    return groups
+    def __init__(self, p: SkewPencil):
+        self.p = p
+        self.rank = pencil_rank(p)
+        self.rank_b = rank(p.b)
+
+    @cached_property
+    def _halves(self) -> list[UniPoly]:
+        return _invariant_factors(self.p.lambda_matrix(sign=-1), self.rank)
+
+    @cached_property
+    def char_poly(self) -> CharPoly:
+        """Monic d_2*d_4*...*d_r of A - lambda*B, which equals the gcd of
+        the Pfaffians of all principal r x r minors.
+
+        Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
+        eigenvalues finite; raises InfiniteEigenvalueError otherwise.
+        """
+        if self.rank_b < self.rank:
+            raise InfiniteEigenvalueError(
+                f"rank(B) = {self.rank_b} < pencil rank {self.rank}: infinite eigenvalues present"
+            )
+        poly = UniPoly.one()
+        for e in self._halves:
+            poly = poly * e
+        return CharPoly.from_poly(poly)
+
+    def invariants(self, stream: _KernelStream) -> JKInvariants:
+        """Jordan data from the invariant factors (reparametrized when B is
+        irregular), Kronecker parameters from the kernel-sum growth
+        sequence of the stream."""
+        n = self.p.n
+        r = self.rank
+        corank = n - r
+
+        # Kronecker parameters: s_t - s_{t-1} = #{i : k_i >= t}.
+        increments: list[int] = []
+        dim = 0
+        if corank > 0:
+            while True:
+                grown = stream.kernel_sum(len(increments)).dim
+                c = grown - dim
+                dim = grown
+                if c == 0:
+                    break
+                increments.append(c)
+        if any(b > a for a, b in zip(increments, increments[1:])):
+            raise InternalConsistencyError("kernel growth sequence not monotone")
+        if increments and increments[0] != corank:
+            raise InternalConsistencyError("first kernel increment != corank")
+        kronecker: list[int] = []
+        for t, c in enumerate(increments):
+            following = increments[t + 1] if t + 1 < len(increments) else 0
+            kronecker.extend([t + 1] * (c - following))
+
+        # Jordan data, reparametrizing into a regular-B pencil if needed;
+        # mu0 is the value drawn after the growth sequence ended.
+        mu0: Optional[Fraction] = None
+        if self.rank_b == r:
+            groups = _jordan_groups(self._halves)
+        else:
+            mu0 = stream.draw(len(increments) + 1 if corank > 0 else 0)[0]
+            regularized = SkewPencil(self.p.a, self.p.member(mu0))
+            raw = _jordan_groups(_invariant_factors(regularized.lambda_matrix(sign=-1), r))
+            groups = [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]
+
+        invariants = JKInvariants.from_blocks(kronecker, groups, reparametrization=mu0)
+        if invariants.n != n:
+            raise InternalConsistencyError(
+                f"block dimensions sum to {invariants.n}, expected {n}"
+            )
+        if invariants.core_dim != dim:
+            raise InternalConsistencyError(
+                f"Kronecker core dimension {invariants.core_dim} != kernel-sum dimension {dim}"
+            )
+        return invariants
+
+
+def characteristic_polynomial(p: SkewPencil) -> CharPoly:
+    """Monic characteristic polynomial of A - lambda*B, read from its Smith
+    invariant factors.
+
+    Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
+    eigenvalues finite; raises InfiniteEigenvalueError otherwise, in
+    which case the caller must reparametrize (jk_invariants does).
+    """
+    return _PencilAnalysis(p).char_poly
+
+
+def core_subspace(p: SkewPencil, seed: int = 0) -> Subspace:
+    """Sum of kernels of regular members, stabilized twice.
+
+    Adds Ker(A + mu*B) at fresh random regular values mu until the
+    dimension is unchanged for two consecutive steps.
+    """
+    return _KernelStream(p, pencil_rank(p), seed).core()
 
 
 def jk_invariants(p: SkewPencil, seed: int = 0) -> JKInvariants:
     """Full block invariants: Jordan data from the Smith normal form of
     A - lambda*B (reparametrized when B is irregular), Kronecker
     parameters from the kernel-sum growth sequence at regular values."""
-    n = p.n
-    r = pencil_rank(p)
-    corank = n - r
-    rng = random.Random(seed)
-    sampler = RegularValueSampler(p, rng, r=r)
-
-    # Kronecker parameters: s_t - s_{t-1} = #{i : k_i >= t}.
-    increments: list[int] = []
-    core = Subspace.zero(n)
-    if corank > 0:
-        while True:
-            mu = sampler.draw()
-            grown = subspace_sum(core, kernel_basis(p.member(mu)))
-            c = grown.dim - core.dim
-            core = grown
-            if c == 0:
-                break
-            increments.append(c)
-    if any(b > a for a, b in zip(increments, increments[1:])):
-        raise InternalConsistencyError("kernel growth sequence not monotone")
-    if increments and increments[0] != corank:
-        raise InternalConsistencyError("first kernel increment != corank")
-    kronecker: list[int] = []
-    for t, c in enumerate(increments):
-        following = increments[t + 1] if t + 1 < len(increments) else 0
-        kronecker.extend([t + 1] * (c - following))
-
-    # Jordan data, reparametrizing into a regular-B pencil if needed.
-    mu0: Optional[Fraction] = None
-    if rank(p.b) == r:
-        groups = _jordan_groups_from_smith(p.lambda_matrix(sign=-1), r)
-    else:
-        mu0 = sampler.draw()
-        regularized = SkewPencil(p.a, p.member(mu0))
-        raw = _jordan_groups_from_smith(regularized.lambda_matrix(sign=-1), r)
-        groups = [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]
-
-    invariants = JKInvariants.from_blocks(kronecker, groups, reparametrization=mu0)
-    if invariants.n != n:
-        raise InternalConsistencyError(
-            f"block dimensions sum to {invariants.n}, expected {n}"
-        )
-    if invariants.core_dim != core.dim:
-        raise InternalConsistencyError(
-            f"Kronecker core dimension {invariants.core_dim} != kernel-sum dimension {core.dim}"
-        )
-    return invariants
+    analysis = _PencilAnalysis(p)
+    return analysis.invariants(_KernelStream(p, analysis.rank, seed))
 
 
 # -- canonical pencils and congruence -------------------------------------
@@ -597,18 +594,28 @@ class IsotropyCertificate:
     violation: Optional[tuple[int, int, str]] = None
 
 
+def _pairings(family, a: Matrix, b: Matrix) -> tuple[int, Optional[tuple[int, int, str]]]:
+    """Scans u_i^T A u_j, then u_i^T B u_j, over i <= j for the first nonzero
+    pairing; returns the pairings made and that (i, j, form) or None.
+    The Gram matrices of the family under A and B are formed once."""
+    if not family:
+        return 0, None
+    rows = tuple(family)
+    grams = [
+        (name, mat_mul(rows, mat_mul(form, transpose(rows))))
+        for name, form in (("A", a), ("B", b))
+    ]
+    pairings = 0
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            for name, gram in grams:
+                pairings += 1
+                if gram[i][j] != 0:
+                    return pairings, (i, j, name)
+    return pairings, None
+
+
 def isotropy_certificate(p: SkewPencil, extra: int = 2, seed: int = 0) -> IsotropyCertificate:
     """Checks that K + sum of sampled regular kernels is isotropic for A
     and for B: every pairing u^T A v and u^T B v is exactly zero."""
-    _, kernels = _core_with_kernels(p, random.Random(seed), extra=extra)
-    family: list = []
-    for _, ker in kernels:
-        family.extend(ker.basis)
-    pairings = 0
-    for i in range(len(family)):
-        for j in range(i, len(family)):
-            for name, form in (("A", p.a), ("B", p.b)):
-                pairings += 1
-                if bilinear(family[i], form, family[j]) != 0:
-                    return IsotropyCertificate(len(family), pairings, False, (i, j, name))
-    return IsotropyCertificate(len(family), pairings, True)
+    return _KernelStream(p, pencil_rank(p), seed).isotropy(extra)

@@ -29,10 +29,7 @@ from .linalg import (
     PfaffianCache,
     Subspace,
     Vector,
-    bilinear,
     fraction_free_rank,
-    kernel_basis,
-    rank,
     subspace_sum,
     vector,
 )
@@ -47,14 +44,12 @@ from .multipoly import (
 from .pencil import (
     CharPoly,
     JKInvariants,
-    RegularValueSampler,
     SkewPencil,
-    characteristic_polynomial,
-    core_subspace,
-    jk_invariants,
-    pencil_rank,
+    _KernelStream,
+    _pairings,
+    _PencilAnalysis,
 )
-from .unipoly import UniPoly, rational_roots
+from .unipoly import UniPoly, refined_factors
 
 COMPLETE = "COMPLETE"
 INCOMPLETE = "INCOMPLETE"
@@ -315,12 +310,12 @@ def _degree_certificate(
         if attempts > 80:
             raise InternalConsistencyError("could not certify the generic degree")
         x0 = _random_point(p.n, rng)
-        sp = evaluate_at(p, x0)
-        if pencil_rank(sp) != gcp.rank or rank(sp.b) != gcp.rank:
+        analysis = _PencilAnalysis(evaluate_at(p, x0))
+        if analysis.rank != gcp.rank or analysis.rank_b != gcp.rank:
             continue
         if gcp.denominator.evaluate(x0) == 0:
             continue
-        pointwise = characteristic_polynomial(sp)
+        pointwise = analysis.char_poly
         if pointwise.degree > gcp.degree:
             jumps += 1
             if jumps >= 10:
@@ -368,15 +363,17 @@ class PointAnalysis:
         return self.extended.dim
 
 
-def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector):
-    sp = evaluate_at(p, x0)
-    r0 = pencil_rank(sp)
+def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector) -> _PencilAnalysis:
+    """Analysis of the pencil at x0, after checking that x0 is generic:
+    rank, rank(B), denominator and char degree as at a generic point."""
+    analysis = _PencilAnalysis(evaluate_at(p, x0))
+    r0 = analysis.rank
     if r0 != gcp.rank:
         raise NonGenericPointError(
             f"rank {r0} at the point differs from generic rank {gcp.rank}",
             {"point": x0, "rank": r0, "generic_rank": gcp.rank},
         )
-    if rank(sp.b) != gcp.rank:
+    if analysis.rank_b != gcp.rank:
         raise NonGenericPointError(
             "rank(B) drops at the point (infinite eigenvalue pointwise)",
             {"point": x0},
@@ -385,7 +382,7 @@ def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector):
         raise DenominatorVanishesError(
             "characteristic denominator vanishes at the point", {"point": x0}
         )
-    pointwise = characteristic_polynomial(sp)
+    pointwise = analysis.char_poly
     if pointwise.degree != gcp.degree:
         raise NonGenericPointError(
             f"char degree {pointwise.degree} at the point differs from generic {gcp.degree}",
@@ -395,29 +392,37 @@ def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector):
         raise InternalConsistencyError(
             "pointwise characteristic polynomial disagrees with the generic gcd"
         )
-    return sp, pointwise
+    return analysis
 
 
-def extended_core(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> PointAnalysis:
-    """Core plus the span of the coefficient gradients at a generic point."""
-    x0 = vector(x0)
-    gcp = generic_char_poly(p, seed)
-    sp, pointwise = _require_generic(p, gcp, x0)
-    invariants = jk_invariants(sp, seed=seed)
-    core = core_subspace(sp, seed=seed + 1)
+def _point_analysis(
+    analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector, seed: int
+) -> PointAnalysis:
+    """Invariants (stream seed), core (stream seed + 1) and extended core
+    at a point that passed _require_generic."""
+    sp = analysis.p
+    invariants = analysis.invariants(_KernelStream(sp, analysis.rank, seed))
+    core = _KernelStream(sp, analysis.rank, seed + 1).core()
     grads = tuple(gcp.gradients_at(x0))
-    extended = subspace_sum(core, Subspace.from_vectors(p.n, grads))
+    extended = subspace_sum(core, Subspace.from_vectors(sp.n, grads))
     if extended.dim > core.dim + gcp.degree:
         raise InternalConsistencyError("extended core exceeds the dimension bound")
     return PointAnalysis(
         point=x0,
         pencil_at_point=sp,
         invariants=invariants,
-        char_at_point=pointwise,
+        char_at_point=analysis.char_poly,
         core=core,
         gradients=grads,
         extended=extended,
     )
+
+
+def extended_core(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> PointAnalysis:
+    """Core plus the span of the coefficient gradients at a generic point."""
+    x0 = vector(x0)
+    gcp = generic_char_poly(p, seed)
+    return _point_analysis(_require_generic(p, gcp, x0), gcp, x0, seed)
 
 
 @dataclass(frozen=True)
@@ -443,26 +448,6 @@ class CompletenessReport:
     distinct_eigenvalues: bool
     factor_tests: tuple[FactorEscape, ...]
     witnesses: tuple[str, ...]
-
-
-def _pointwise_factors(char: CharPoly) -> list[tuple[UniPoly, int]]:
-    """Irreducible-over-Q refinement of the pointwise characteristic
-    polynomial with multiplicities (opaque nonlinear factors possible)."""
-    from .unipoly import coprime_refine, split_rational_linear_factors
-
-    parts = [part for part, _ in char.squarefree_parts]
-    refined = []
-    for q in coprime_refine(parts):
-        refined.extend(split_rational_linear_factors(q))
-    out = []
-    for q in sorted(set(refined), key=UniPoly.sort_key):
-        mult = 0
-        g = char.poly
-        while g.degree >= q.degree and (g % q).is_zero:
-            g = g.exact_div(q)
-            mult += 1
-        out.append((q, mult))
-    return out
 
 
 def _factor_escapes(factor: UniPoly, gradients, core: Subspace) -> bool:
@@ -497,8 +482,11 @@ def completeness_check(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> Com
     must agree; a mismatch aborts with InternalConsistencyError.
     """
     pa = extended_core(p, x0, seed=seed)
-    gcp = generic_char_poly(p, seed)
-    n = p.n
+    return _completeness(pa, generic_char_poly(p, seed))
+
+
+def _completeness(pa: PointAnalysis, gcp: GenericCharPoly) -> CompletenessReport:
+    n = gcp.nvars
     target = n - gcp.rank // 2
     verdict_dim = COMPLETE if pa.extended.dim == target else INCOMPLETE
 
@@ -519,7 +507,7 @@ def completeness_check(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> Com
     factor_tests = []
     witnesses = []
     all_escape = True
-    for q, mult in _pointwise_factors(pa.char_at_point):
+    for q, (mult,) in refined_factors([pa.char_at_point.poly]):
         if mult > 1:
             factor_tests.append(FactorEscape(q, mult, None))
             witnesses.append(f"repeated eigenvalue factor ({q.to_string('lambda')})^{mult}")
@@ -587,32 +575,20 @@ def involution_check(
     the largest Kronecker block) and the coefficient gradients dp_i(x0).
     Every pairing under A(x0) and under B(x0) must be exactly zero.
     """
-    x0 = vector(x0)
-    gcp = generic_char_poly(p, seed)
-    sp, _ = _require_generic(p, gcp, x0)
-    invariants = jk_invariants(sp, seed=seed)
+    return _involution(extended_core(p, x0, seed=seed), samples, seed)
+
+
+def _involution(pa: PointAnalysis, samples: int | None, seed: int) -> InvolutionCertificate:
+    sp = pa.pencil_at_point
     if samples is None:
-        biggest = max(invariants.kronecker, default=0)
-        samples = biggest + 2
-    rng = random.Random(seed + 17)
-    sampler = RegularValueSampler(sp, rng, r=gcp.rank)
-    family: list[Vector] = []
-    mus = []
-    for _ in range(samples):
-        mu = sampler.draw()
-        mus.append(mu)
-        family.extend(kernel_basis(sp.member(mu)).basis)
-    family.extend(gcp.gradients_at(x0))
-    pairings = 0
-    for i in range(len(family)):
-        for j in range(i, len(family)):
-            for name, form in (("A", sp.a), ("B", sp.b)):
-                pairings += 1
-                if bilinear(family[i], form, family[j]) != 0:
-                    return InvolutionCertificate(
-                        x0, len(family), tuple(mus), pairings, False, (i, j, name)
-                    )
-    return InvolutionCertificate(x0, len(family), tuple(mus), pairings, True)
+        samples = max(pa.invariants.kronecker, default=0) + 2
+    stream = _KernelStream(sp, pa.invariants.rank, seed + 17)
+    draws = [stream.draw(t) for t in range(samples)]
+    family = [v for _, ker in draws for v in ker.basis] + list(pa.gradients)
+    pairings, violation = _pairings(family, sp.a, sp.b)
+    return InvolutionCertificate(
+        pa.point, len(family), tuple(mu for mu, _ in draws), pairings, violation is None, violation
+    )
 
 
 @dataclass(frozen=True)
@@ -638,46 +614,52 @@ def eigenvalue_lemma_check(
     Simple rational roots only: dlambda = -grad_x p / d_lambda p by
     implicit differentiation; multiple roots are reported as skipped.
     """
-    x0 = vector(x0)
-    gcp = generic_char_poly(p, seed)
-    sp, pointwise = _require_generic(p, gcp, x0)
-    roots = rational_roots(pointwise.poly) if pointwise.degree > 0 else []
-    if not roots:
-        return EigenvalueLemmaCertificate(x0, "NO_RATIONAL_ROOT", ())
-    grads = gcp.gradients_at(x0)
+    return _eigenvalue_lemma(extended_core(p, x0, seed=seed))
+
+
+def _eigenvalue_lemma(pa: PointAnalysis) -> EigenvalueLemmaCertificate:
+    pointwise = pa.char_at_point
+    if not pointwise.rational_roots:
+        return EigenvalueLemmaCertificate(pa.point, "NO_RATIONAL_ROOT", ())
+    n = pa.pencil_at_point.n
     deriv = pointwise.poly.derivative()
     checks = []
     all_pass = True
-    for root, mult in roots:
+    for root, mult in pointwise.rational_roots:
         if mult > 1:
             checks.append(EigenvalueRootCheck(root, mult, "MULTIPLE_ROOT"))
             continue
         slope = deriv(root)
         grad_lambda = tuple(
-            -sum(g[col] * root**i for i, g in enumerate(grads)) / slope
-            for col in range(p.n)
+            -sum(g[col] * root**i for i, g in enumerate(pa.gradients)) / slope
+            for col in range(n)
         )
-        member = sp.member(-root)  # A - root*B
-        image = [sum(row[c] * grad_lambda[c] for c in range(p.n)) for row in member]
+        member = pa.pencil_at_point.member(-root)  # A - root*B
+        image = [sum(row[c] * grad_lambda[c] for c in range(n)) for row in member]
         ok = all(v == 0 for v in image)
         checks.append(
             EigenvalueRootCheck(root, mult, "PASS" if ok else "FAIL", grad_lambda)
         )
         all_pass = all_pass and ok
-    return EigenvalueLemmaCertificate(x0, "PASS" if all_pass else "FAIL", tuple(checks))
+    return EigenvalueLemmaCertificate(pa.point, "PASS" if all_pass else "FAIL", tuple(checks))
 
 
 def sample_generic_point(
     p: PolyPoissonPencil, seed: int = 0, attempts: int = 50
 ) -> Vector:
     """A random small-integer point passing all genericity checks."""
+    return _sample_generic(p, seed, attempts)[0]
+
+
+def _sample_generic(
+    p: PolyPoissonPencil, seed: int, attempts: int = 50
+) -> tuple[Vector, _PencilAnalysis]:
     gcp = generic_char_poly(p, seed)
     rng = random.Random(seed + 101)
     for _ in range(attempts):
         x0 = _random_point(p.n, rng)
         try:
-            _require_generic(p, gcp, x0)
+            return x0, _require_generic(p, gcp, x0)
         except NonGenericPointError:
             continue
-        return x0
     raise NonGenericPointError(f"no generic point found in {attempts} attempts")

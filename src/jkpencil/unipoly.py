@@ -442,3 +442,31 @@ def split_rational_linear_factors(f: UniPoly) -> list[UniPoly]:
         out.append(rest)
     out.sort(key=UniPoly.sort_key)
     return out
+
+
+def refined_factors(polys: Sequence[UniPoly]) -> list[tuple[UniPoly, tuple[int, ...]]]:
+    """Common factor basis of nonzero polynomials, with multiplicities.
+
+    The squarefree parts of all inputs are refined to a gcd-free basis and
+    their rational linear factors split off.  Returns the basis sorted by
+    sort_key, each factor with its multiplicity in every input (in input
+    order, zeros included).  Nonlinear factors may be reducible over Q.
+    """
+    parts: list[UniPoly] = []
+    for f in polys:
+        if f.degree >= 1:
+            parts.extend(part for part, _ in squarefree_decompose(f))
+    refined: list[UniPoly] = []
+    for q in coprime_refine(parts):
+        refined.extend(split_rational_linear_factors(q))
+    out = []
+    for q in sorted(set(refined), key=UniPoly.sort_key):
+        mults = []
+        for f in polys:
+            e = 0
+            while f.degree >= q.degree and (f % q).is_zero:
+                f = f.exact_div(q)
+                e += 1
+            mults.append(e)
+        out.append((q, tuple(mults)))
+    return out

@@ -2,17 +2,22 @@
 
 The oracles here are deliberately independent of the library's
 algorithms: Pfaffians by perfect-matching enumeration, determinants by
-permutation expansion, gcds from known linear factorizations.
+permutation expansion, gcds from known linear factorizations, the
+characteristic polynomial of a pencil as a gcd of principal Pfaffians
+(the library reads it from the Smith form), and the recursion-operator
+identity through a Faddeev-LeVerrier characteristic polynomial.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
-from jkpencil.pencil import INFINITY, JKInvariants
-from jkpencil.unipoly import UniPoly
+from jkpencil.errors import InternalConsistencyError, SingularMatrixError
+from jkpencil.linalg import Matrix, PfaffianCache, mat_mul, rank, rref
+from jkpencil.pencil import INFINITY, JKInvariants, SkewPencil, characteristic_polynomial, pencil_rank
+from jkpencil.unipoly import UniPoly, poly_gcd
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -135,3 +140,76 @@ def random_jk_spec(
         for eig, sizes in groups.items()
     ]
     return JKInvariants.from_blocks(kron, jordan)
+
+
+# -- second routes to library quantities -----------------------------------
+
+
+def pfaffian_gcd(p: SkewPencil) -> UniPoly:
+    """Monic gcd of the Pfaffians of all principal r x r minors of
+    A - lambda*B, r the pencil rank: the characteristic polynomial by the
+    Pfaffian route (B regular assumed)."""
+    r = pencil_rank(p)
+    if r == 0:
+        return UniPoly.one()
+    cache = PfaffianCache(p.lambda_matrix(sign=-1), UniPoly.zero(), UniPoly.one())
+    g = UniPoly.zero()
+    for subset in combinations(range(p.n), r):
+        pf = cache.pfaffian(subset)
+        if pf.is_zero:
+            continue
+        g = poly_gcd(g, pf)
+        if g.degree == 0:
+            break  # gcd can only shrink; a unit gcd is final
+    if g.is_zero:
+        raise InternalConsistencyError(
+            "all principal Pfaffians vanished at the claimed pencil rank"
+        )
+    return g.monic()
+
+
+def _identity(n: int) -> Matrix:
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+
+
+def charpoly_rational(m: Matrix) -> UniPoly:
+    """det(lambda*I - M) via the Faddeev-LeVerrier recursion, monic."""
+    n = len(m)
+    coeffs = [Fraction(1)]  # c_0 = 1 for lambda^n
+    work = _identity(n)
+    for k in range(1, n + 1):
+        work = mat_mul(m, work)
+        ck = -sum(work[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        work = tuple(
+            tuple(x + (ck if i == j else 0) for j, x in enumerate(row))
+            for i, row in enumerate(work)
+        )
+    return UniPoly(list(reversed(coeffs)))
+
+
+def determinant(m: Matrix) -> Fraction:
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    det = charpoly_rational(m).coefficient(0)
+    return det if n % 2 == 0 else -det
+
+
+def mat_inverse(m: Matrix) -> Matrix:
+    n = len(m)
+    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
+    red, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in red[:n])
+
+
+def recursion_charpoly_check(p: SkewPencil) -> bool:
+    """Whether det(B^-1 A - lambda*I) equals +/- p_L(lambda)^2."""
+    if rank(p.b) < p.n:
+        raise SingularMatrixError("recursion operator needs an invertible B")
+    recursion = mat_mul(mat_inverse(p.b), p.a)
+    lhs = charpoly_rational(recursion)  # det(lambda*I - P); n is even
+    square = characteristic_polynomial(p).poly ** 2
+    return lhs == square or lhs == -square

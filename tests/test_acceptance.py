@@ -38,7 +38,6 @@ from jkpencil.pencil import (
     jk_invariants,
     pencil_rank,
     random_unimodular,
-    recursion_charpoly_check,
 )
 from jkpencil.poisson import (
     COMPLETE,
@@ -51,7 +50,7 @@ from jkpencil.poisson import (
 from jkpencil.unipoly import UniPoly
 
 import conftest
-from conftest import random_jk_spec
+from conftest import pfaffian_gcd, random_jk_spec, recursion_charpoly_check
 
 SUITE_SEED = 20240
 SUITE_SIZE = 200
@@ -135,12 +134,14 @@ def test_criterion_2_charpoly_dual_algorithm(roundtrip_suite):
             assert group.descriptor is not INFINITY
             for half in group.half_sizes:
                 recon = recon * group.descriptor**half
-        assert cp.poly == recon.monic(), f"mismatch on spec {spec}"
+        oracle = pfaffian_gcd(target)
+        assert oracle == cp.poly == recon.monic(), f"mismatch on spec {spec}"
         checked += 1
     _verdict(
         2,
         checked == len(instances),
-        f"Pfaffian-gcd equals Smith-form reconstruction on {checked} instances",
+        f"Pfaffian-gcd oracle equals the Smith-form characteristic polynomial "
+        f"and the Jordan reconstruction on {checked} instances",
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 from jkpencil import cli
 from jkpencil.pencil import (
@@ -271,3 +272,89 @@ def test_different_seed_still_same_invariants(capsys, tmp_path):
         outs.append(json.loads(out))
     assert outs[0]["jk_invariants"]["jordan"] == outs[1]["jk_invariants"]["jordan"]
     assert outs[0]["jk_invariants"]["kronecker"] == outs[1]["jk_invariants"]["kronecker"]
+
+
+# -- work done once per analysis ---------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def record_calls(monkeypatch, name, modules, unless=lambda: False):
+    """Wraps `name` wherever one of `modules` binds it; returns the list of
+    positional-argument tuples of the calls made while `unless()` is false."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        if not unless():
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_pencil_analyze_computes_the_pencil_rank_once(capsys, monkeypatch):
+    import jkpencil.linalg
+    import jkpencil.pencil
+
+    modules = [jkpencil.linalg, jkpencil.pencil]
+    documents = sorted(GOLDEN.glob("*.pencil.json"))
+    assert len(documents) == 5
+    for document in documents:
+        calls = record_calls(monkeypatch, "fraction_free_rank", modules)
+        code, _, _ = run(capsys, ["pencil", "analyze", str(document), "--format", "json"])
+        assert code == 0
+        assert len(calls) == 1, document.name
+        monkeypatch.undo()
+
+
+def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
+    """The pointwise char poly and Jordan data are read from one Smith
+    form, and the pencil rank is computed once, per evaluation point.
+
+    The degree certificate inside generic_char_poly draws random points
+    of its own, which may hit an evaluation point; its work is not counted.
+    """
+    import jkpencil.liealg
+    import jkpencil.linalg
+    import jkpencil.pencil
+    import jkpencil.poisson
+    import jkpencil.smith
+    from jkpencil.liealg import get_algebra, lie_pencil
+
+    inside = []
+    original_gcp = jkpencil.poisson.generic_char_poly
+
+    def generic_char_poly(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_gcp(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for module in (jkpencil.poisson, jkpencil.liealg):
+        if getattr(module, "generic_char_poly", None) is original_gcp:
+            monkeypatch.setattr(module, "generic_char_poly", generic_char_poly)
+    smith_calls = record_calls(
+        monkeypatch, "smith_normal_form", [jkpencil.smith, jkpencil.pencil], unless=lambda: bool(inside)
+    )
+    rank_calls = record_calls(
+        monkeypatch,
+        "fraction_free_rank",
+        [jkpencil.linalg, jkpencil.pencil, jkpencil.poisson],
+        unless=lambda: bool(inside),
+    )
+    document = GOLDEN / "heisenberg3.lie.json"
+    code, out, _ = run(capsys, ["lie", "analyze", str(document), "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    pencil = lie_pencil(get_algebra("heisenberg3"), report["frozen_point"]["a"]).pencil
+    points = [p["point"] for p in report["ftilde"]["points"]]
+    assert len(points) == 2
+    for x0 in points:
+        at_point = jkpencil.poisson.evaluate_at(pencil, x0)
+        assert sum(args[0] == at_point.lambda_matrix(sign=-1) for args in smith_calls) == 1
+        assert sum(args[0] == at_point.lambda_matrix() for args in rank_calls) == 1

@@ -6,11 +6,8 @@ import pytest
 from jkpencil.errors import SingularMatrixError, ValidationError
 from jkpencil.linalg import (
     Subspace,
-    charpoly_rational,
-    determinant,
     fraction_free_rank,
     kernel_basis,
-    mat_inverse,
     mat_mul,
     matrix,
     pfaffian,
@@ -20,7 +17,7 @@ from jkpencil.linalg import (
 from jkpencil.multipoly import MultiPoly
 from jkpencil.unipoly import UniPoly
 
-from conftest import naive_det, naive_pfaffian
+from conftest import charpoly_rational, determinant, mat_inverse, naive_det, naive_pfaffian
 
 
 def frac_rows(rows):

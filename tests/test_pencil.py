@@ -24,11 +24,10 @@ from jkpencil.pencil import (
     jk_invariants,
     pencil_rank,
     random_unimodular,
-    recursion_charpoly_check,
 )
 from jkpencil.unipoly import UniPoly
 
-from conftest import naive_pfaffian, random_jk_spec
+from conftest import naive_pfaffian, random_jk_spec, recursion_charpoly_check
 
 
 def jordan(lam0, half):
@@ -352,11 +351,11 @@ def test_pairing_violation_guard():
     # unpaired elementary divisors can only come from non-skew input or
     # an arithmetic bug; the extraction refuses loudly
     from jkpencil.errors import PairingViolationError
-    from jkpencil.pencil import _jordan_groups_from_smith
+    from jkpencil.pencil import _invariant_factors
 
     cooked = [[UniPoly.linear(2), UniPoly.zero()], [UniPoly.zero(), UniPoly.one()]]
     with pytest.raises(PairingViolationError):
-        _jordan_groups_from_smith(cooked, 2)
+        _invariant_factors(cooked, 2)
 
 
 def test_isotropy_of_core_plus_kernels():
