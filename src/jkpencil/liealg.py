@@ -30,9 +30,7 @@ from .poisson import (
     _point_analysis,
     _require_generic,
     _sample_generic,
-    compatibility_check,
     generic_char_poly,
-    jacobi_check,
 )
 from .unipoly import _as_fraction
 
@@ -63,6 +61,7 @@ class LieAlgebra:
         self.dim = dim
         self.name = name
         self.table = table
+        self._generic_rank: Optional[int] = None
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant with antisymmetry in (i, j)."""
@@ -97,7 +96,10 @@ class LieAlgebra:
         return tuple(tuple(r) for r in rows)
 
     def generic_rank(self) -> int:
-        return fraction_free_rank(self.poisson_matrix())
+        """Rank of A(x) over Q(x), computed on the first call and kept."""
+        if self._generic_rank is None:
+            self._generic_rank = fraction_free_rank(self.poisson_matrix())
+        return self._generic_rank
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"
@@ -113,26 +115,28 @@ class LieValidation(NamedTuple):
 
 
 def validate_lie_algebra(g: LieAlgebra) -> LieValidation:
-    """Exact Jacobi identity over all index quadruples, cross-checked
-    against jacobi_check on the Lie-Poisson matrix."""
-    witness = None
+    """Exact Jacobi identity of the structure constants.
+
+    For each i < j < k the Jacobiator [[e_i,e_j],e_k] + cyclic is formed
+    once from the bracket table.  The witness is the 1-based (i, j, k, l)
+    of the lexicographically first failing triple and the smallest index l
+    of a nonzero component of its Jacobiator.
+    """
+    brackets = dict(g.table)
+    for (i, j), coeffs in g.table.items():
+        brackets[(j, i)] = {k: -c for k, c in coeffs.items()}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             for k in range(j + 1, g.dim):
-                for l in range(g.dim):
-                    total = Fraction(0)
-                    for m in range(g.dim):
-                        total += g.c(i, j, m) * g.c(m, k, l)
-                        total += g.c(j, k, m) * g.c(m, i, l)
-                        total += g.c(k, i, m) * g.c(m, j, l)
-                    if total != 0 and witness is None:
-                        witness = (i + 1, j + 1, k + 1, l + 1)
-    linear_ok = bool(jacobi_check(g.poisson_matrix()))
-    if linear_ok != (witness is None):
-        raise InternalConsistencyError(
-            "structure-constant Jacobi check and jacobi_check disagree"
-        )
-    return LieValidation(witness is None, witness)
+                total: dict[int, Fraction] = {}
+                for p, q, s in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c_pq in brackets.get((p, q), {}).items():
+                        for l, c_ms in brackets.get((m, s), {}).items():
+                            total[l] = total.get(l, 0) + c_pq * c_ms
+                nonzero = [l for l, v in total.items() if v != 0]
+                if nonzero:
+                    return LieValidation(False, (i + 1, j + 1, k + 1, min(nonzero) + 1))
+    return LieValidation(True, None)
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,11 @@ class LiePencilSpec:
 
 
 def lie_pencil(g: LieAlgebra, a: Sequence) -> LiePencilSpec:
-    """Builds the pencil (A(x), A(a)); compatibility is asserted.
+    """Builds the pencil (A(x), A(a)) of a Lie algebra g.
 
+    g must satisfy the Jacobi identity (validate_lie_algebra); the pencil
+    is then compatible without a further check: A(x) is Lie-Poisson,
+    B = A(a) is constant, and A(x) + A(a) = A(x + a) is Lie-Poisson too.
     An irregular frozen point (rank A(a) below the generic rank) is
     recorded as a warning: the analysis may proceed but the completeness
     theorems do not apply there.
@@ -159,16 +166,13 @@ def lie_pencil(g: LieAlgebra, a: Sequence) -> LiePencilSpec:
     frozen = g.frozen_matrix(a)
     b_rows = [[MultiPoly.constant(n, frozen[i][j]) for j in range(n)] for i in range(n)]
     pencil = PolyPoissonPencil(a_rows, b_rows)
-    if not compatibility_check(pencil):
-        raise InternalConsistencyError(
-            "Lie-Poisson pencil failed the compatibility check"
-        )
     generic = g.generic_rank()
-    regular = rank(frozen) == generic
+    frozen_rank = rank(frozen)
+    regular = frozen_rank == generic
     warnings = ()
     if not regular:
         warnings = (
-            f"IRREGULAR_FROZEN_POINT: rank A(a) = {rank(frozen)} < generic rank {generic}",
+            f"IRREGULAR_FROZEN_POINT: rank A(a) = {frozen_rank} < generic rank {generic}",
         )
     return LiePencilSpec(g, a, pencil, regular, warnings)
 
@@ -198,6 +202,8 @@ def jk_invariants_generic(g: LieAlgebra, samples: int = 7, seed: int = 0) -> Gen
     shape (Kronecker multiset plus degree-expanded half-size multisets);
     an unstable report is not fatal, the caller may raise `samples`.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     results = []
     for _ in range(samples):
@@ -342,7 +348,7 @@ def ftilde_completeness(
     # Sampled points are all chosen before the first is analysed; explicit
     # points are checked for genericity one at a time, as they are analysed.
     if explicit_points is None:
-        checked = [_sample_generic(pencil, seed + 31 * i) for i in range(points)]
+        checked = [_sample_generic(pencil, gcp, seed + 31 * i) for i in range(points)]
     else:
         checked = ((x0, _require_generic(pencil, gcp, x0)) for x0 in map(vector, explicit_points))
     analyses = []

@@ -116,9 +116,10 @@ class PolyPoissonPencil:
     """Pair of compatible skew polynomial matrices A(x), B(x).
 
     Skew-symmetry is validated on construction; the Jacobi identity for
-    A, B and A+B is checked by compatibility_check, which lie_pencil
-    asserts for the Lie-algebra constructions.  Instances are immutable
-    and cache the generic characteristic polynomial per seed.
+    A, B and A+B is checked by compatibility_check on request (lie_pencil
+    needs no check: a valid structure table makes its pencil compatible).
+    Instances are immutable and cache the generic characteristic
+    polynomial per seed.
     """
 
     def __init__(self, a_rows, b_rows):
@@ -195,7 +196,6 @@ class GenericCharPoly:
     degree: int
     numerators: tuple[MultiPoly, ...]
     denominator: MultiPoly
-    certificate_points: tuple[Vector, ...]
 
     def denominator_at(self, x0: Sequence) -> Fraction:
         return self.denominator.evaluate(vector(x0))
@@ -280,17 +280,8 @@ def generic_char_poly(p: PolyPoissonPencil, seed: int = 0) -> GenericCharPoly:
         degree=degree,
         numerators=numerators,
         denominator=denominator,
-        certificate_points=(),
     )
-    points = _degree_certificate(p, gcp, random.Random(seed))
-    gcp = GenericCharPoly(
-        nvars=p.n,
-        rank=r,
-        degree=degree,
-        numerators=numerators,
-        denominator=denominator,
-        certificate_points=tuple(points),
-    )
+    _degree_certificate(p, gcp, random.Random(seed))
     p._gcp_cache[seed] = gcp
     return gcp
 
@@ -299,13 +290,11 @@ def _random_point(n: int, rng: random.Random) -> Vector:
     return tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
 
 
-def _degree_certificate(
-    p: PolyPoissonPencil, gcp: GenericCharPoly, rng: random.Random
-) -> list[Vector]:
-    points = []
+def _degree_certificate(p: PolyPoissonPencil, gcp: GenericCharPoly, rng: random.Random):
+    certified = 0
     jumps = 0
     attempts = 0
-    while len(points) < 3:
+    while certified < 3:
         attempts += 1
         if attempts > 80:
             raise InternalConsistencyError("could not certify the generic degree")
@@ -328,8 +317,7 @@ def _degree_certificate(
             raise InternalConsistencyError(
                 "pointwise characteristic polynomial disagrees with the generic gcd"
             )
-        points.append(x0)
-    return points
+        certified += 1
 
 
 def coefficient_gradients(
@@ -648,13 +636,14 @@ def sample_generic_point(
     p: PolyPoissonPencil, seed: int = 0, attempts: int = 50
 ) -> Vector:
     """A random small-integer point passing all genericity checks."""
-    return _sample_generic(p, seed, attempts)[0]
+    return _sample_generic(p, generic_char_poly(p, seed), seed, attempts)[0]
 
 
 def _sample_generic(
-    p: PolyPoissonPencil, seed: int, attempts: int = 50
+    p: PolyPoissonPencil, gcp: GenericCharPoly, seed: int, attempts: int = 50
 ) -> tuple[Vector, _PencilAnalysis]:
-    gcp = generic_char_poly(p, seed)
+    """A point drawn by Random(seed + 101) that passes _require_generic
+    against gcp, with its analysis."""
     rng = random.Random(seed + 101)
     for _ in range(attempts):
         x0 = _random_point(p.n, rng)

@@ -358,3 +358,48 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         assert sum(args[0] == at_point.lambda_matrix(sign=-1) for args in smith_calls) == 1
         assert sum(args[0] == at_point.lambda_matrix() for args in rank_calls) == 1
+
+
+def test_lie_analyze_computes_each_lie_quantity_once(capsys, monkeypatch):
+    """One Jacobi check (on the structure constants, not on the Poisson
+    matrices), one generic rank of the Lie-Poisson matrix and one generic
+    characteristic polynomial per analysis."""
+    import jkpencil.liealg
+    import jkpencil.linalg
+    import jkpencil.pencil
+    import jkpencil.poisson
+    from jkpencil.liealg import get_algebra
+
+    modules = [jkpencil.poisson, jkpencil.liealg]
+    jacobi_calls = record_calls(monkeypatch, "jacobi_check", modules)
+    compatibility_calls = record_calls(monkeypatch, "compatibility_check", modules)
+    gcp_calls = record_calls(monkeypatch, "generic_char_poly", modules)
+    rank_calls = record_calls(
+        monkeypatch, "fraction_free_rank", [jkpencil.linalg, jkpencil.liealg, jkpencil.pencil, jkpencil.poisson]
+    )
+    generic_rank_calls = []
+    original_generic_rank = jkpencil.poisson.PolyPoissonPencil.generic_rank
+
+    def generic_rank(self):
+        generic_rank_calls.append(self)
+        return original_generic_rank(self)
+
+    monkeypatch.setattr(jkpencil.poisson.PolyPoissonPencil, "generic_rank", generic_rank)
+    code, _, _ = run(capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json"), "--format", "json"])
+    assert code == 0
+    assert len(jacobi_calls) == 0
+    assert len(compatibility_calls) == 0
+    assert len(gcp_calls) == 1
+    assert len(generic_rank_calls) == 1
+    lie_poisson = get_algebra("heisenberg3").poisson_matrix()
+    assert sum(args[0] == lie_poisson for args in rank_calls) == 1
+
+
+def test_lie_analyze_samples_below_one_exit_2(capsys):
+    for samples in ("0", "-3"):
+        code, out, err = run(
+            capsys, ["lie", "analyze", str(GOLDEN / "aff1.lie.json"), "--samples", samples]
+        )
+        assert code == 2, samples
+        assert out == ""
+        assert f"samples must be at least 1, got {samples}" in err
