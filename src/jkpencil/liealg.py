@@ -17,20 +17,23 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .linalg import Matrix, Vector, fraction_free_rank, rank, vector
-from .multipoly import MultiPoly, multi_gcd_list, normalize_content
-from .pencil import JKInvariants, SkewPencil, _PencilAnalysis, jk_invariants
+from .multipoly import MultiPoly
+from .pencil import JKInvariants, SkewPencil, jk_invariants
 from .poisson import (
     COMPLETE,
     INCOMPLETE,
     INDETERMINATE,
     CompletenessReport,
+    GenericCharPoly,
     PointAnalysis,
     PolyPoissonPencil,
+    _certify,
     _completeness,
+    _pfaffian_gcd,
     _point_analysis,
+    _random_point,
     _require_generic,
     _sample_generic,
-    generic_char_poly,
 )
 from .unipoly import _as_fraction
 
@@ -62,6 +65,7 @@ class LieAlgebra:
         self.name = name
         self.table = table
         self._generic_rank: Optional[int] = None
+        self._semiinvariant: Optional[MultiPoly] = None
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant with antisymmetry in (i, j)."""
@@ -230,60 +234,49 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
     """Gcd of the Pfaffians of all principal r x r minors of A(x).
 
     Normalized to content 1 with positive lexicographically-leading
-    coefficient.  The defining identity is asserted at three random
-    pairs with regular a: with eigenvalues read from A - lambda*B, the
-    pencil characteristic polynomial at (x, a) equals the monic
+    coefficient.  Computed on the first call and kept on g; that call
+    certifies the defining identity with poisson._certify at pairs (x, a)
+    drawn by Random(seed + 7): with eigenvalues read from A - lambda*B,
+    the pencil characteristic polynomial at (x, a) equals the monic
     normalization of p_g restricted to the line x - lambda*a.
     """
-    from itertools import combinations
-
-    from .linalg import PfaffianCache
-
-    n = g.dim
+    if g._semiinvariant is not None:
+        return g._semiinvariant
     r = g.generic_rank()
-    if r == 0:
-        result = MultiPoly.one(n)
-    else:
-        rows = g.poisson_matrix()
-        cache = PfaffianCache(rows, MultiPoly.zero(n), MultiPoly.one(n))
-        pfaffians = []
-        for subset in combinations(range(n), r):
-            pf = cache.pfaffian(subset)
-            if not pf.is_zero:
-                pfaffians.append(pf)
-        if not pfaffians:
-            raise InternalConsistencyError(
-                "all principal Pfaffians vanished at the generic rank"
-            )
-        result = normalize_content(multi_gcd_list(pfaffians, n))
-    _assert_semiinvariant_identity(g, result, r, seed)
+    result = _pfaffian_gcd(g.poisson_matrix(), r)
+    _certify(_pairs(g, result, random.Random(seed + 7)), r, result.total_degree())
+    g._semiinvariant = result
     return result
 
 
-def _assert_semiinvariant_identity(g: LieAlgebra, p_g: MultiPoly, r: int, seed: int):
-    rng = random.Random(seed + 7)
-    done = 0
-    attempts = 0
-    while done < 3:
-        attempts += 1
-        if attempts > 60:
-            raise InternalConsistencyError(
-                "could not find regular sample pairs for the semi-invariant identity"
-            )
-        x0 = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim))
-        a0 = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim))
-        frozen = g.frozen_matrix(a0)
-        if rank(frozen) != r:
-            continue
-        analysis = _PencilAnalysis(SkewPencil(g.frozen_matrix(x0), frozen))
-        if analysis.rank != r:
-            continue
-        restricted = p_g.eval_on_line(x0, tuple(-v for v in a0))
-        if restricted.monic() != analysis.char_poly.poly:
-            raise InternalConsistencyError(
-                f"semi-invariant identity fails at x={x0}, a={a0}"
-            )
-        done += 1
+def _pairs(g: LieAlgebra, p_g: MultiPoly, rng: random.Random):
+    """Random pairs (x, a) for _certify, with monic p_g(x - lambda*a)."""
+    while True:
+        x0 = _random_point(g.dim, rng)
+        a0 = _random_point(g.dim, rng)
+        expected = p_g.eval_on_line(x0, tuple(-v for v in a0)).monic()
+        yield (x0, a0), SkewPencil(g.frozen_matrix(x0), g.frozen_matrix(a0)), expected
+
+
+def _lie_char_poly(g: LieAlgebra, a: Vector, seed: int) -> GenericCharPoly:
+    """Generic characteristic polynomial of the pencil (A(x), A(a)), read
+    off the fundamental semi-invariant: A(x) - lambda*A(a) = A(x - lambda*a),
+    so p(lambda) = monic(p_g(x - lambda*a)).
+
+    By Taylor's formula the lambda^k coefficient of p_g(x - lambda*a) is
+    (-1)^k/k! (a.grad)^k p_g.  Every principal r-Pfaffian of the linear
+    A(x) is homogeneous of degree r/2, so their gcd p_g is homogeneous of
+    some degree d, and the lambda^d coefficient is the constant
+    (-1)^d p_g(a), the denominator.  It is nonzero at a regular a: some
+    principal r-Pfaffian of A(a) is nonzero, and p_g divides it.
+    """
+    p_g = fundamental_semiinvariant(g, seed)
+    coeffs = [p_g]
+    for k in range(1, p_g.total_degree() + 1):
+        along_a = (coeffs[-1].derivative(i).scale(c) for i, c in enumerate(a) if c)
+        coeffs.append(sum(along_a, MultiPoly.zero(g.dim)).scale(Fraction(-1, k)))
+    degree = len(coeffs) - 1
+    return GenericCharPoly(g.dim, g.generic_rank(), degree, tuple(coeffs[:-1]), coeffs[-1])
 
 
 def fa_completeness(
@@ -344,7 +337,7 @@ def ftilde_completeness(
             pencil_spec=spec,
         )
     pencil = spec.pencil
-    gcp = generic_char_poly(pencil, seed)
+    gcp = _lie_char_poly(g, spec.frozen_point, seed)
     # Sampled points are all chosen before the first is analysed; explicit
     # points are checked for genericity one at a time, as they are analysed.
     if explicit_points is None:

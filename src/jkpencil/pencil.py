@@ -424,12 +424,14 @@ class _PencilAnalysis:
             kronecker.extend([t + 1] * (c - following))
 
         # Jordan data, reparametrizing into a regular-B pencil if needed;
-        # mu0 is the value drawn after the growth sequence ended.
+        # mu0 is the first nonzero value drawn after the growth sequence
+        # ended (mu0 = 0 would give the pencil (A, A), all blocks infinite).
         mu0: Optional[Fraction] = None
         if self.rank_b == r:
             groups = _jordan_groups(self._halves)
         else:
-            mu0 = stream.draw(len(increments) + 1 if corank > 0 else 0)[0]
+            t = len(increments) + 1 if corank > 0 else 0
+            mu0 = stream.draw(t)[0] or stream.draw(t + 1)[0]
             regularized = SkewPencil(self.p.a, self.p.member(mu0))
             raw = _jordan_groups(_invariant_factors(regularized.lambda_matrix(sign=-1), r))
             groups = [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]

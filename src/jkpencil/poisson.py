@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from itertools import combinations, islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegreeJumpError,
@@ -37,7 +37,6 @@ from .multipoly import (
     MultiPoly,
     coefficients_in,
     drop_last_variable,
-    multi_gcd,
     multi_gcd_list,
     normalize_content,
 )
@@ -119,7 +118,8 @@ class PolyPoissonPencil:
     A, B and A+B is checked by compatibility_check on request (lie_pencil
     needs no check: a valid structure table makes its pencil compatible).
     Instances are immutable and cache the generic characteristic
-    polynomial per seed.
+    polynomial per seed; the Lie path never builds it here, it reads the
+    polynomial off the fundamental semi-invariant (liealg).
     """
 
     def __init__(self, a_rows, b_rows):
@@ -188,7 +188,7 @@ class GenericCharPoly:
 
     Coefficients p_i(x) are rational functions numerators[i]/denominator
     with a common polynomial denominator (the leading lambda-coefficient
-    of the primitive gcd).
+    of the primitive gcd, or of p_g(x - lambda*a) on the Lie path).
     """
 
     nvars: int
@@ -232,20 +232,15 @@ class GenericCharPoly:
         return out
 
 
-def _pfaffian_gcd_generic(p: PolyPoissonPencil, r: int) -> MultiPoly:
-    nv = p.n + 1
+def _pfaffian_gcd(rows, r: int) -> MultiPoly:
+    """Gcd of the nonzero principal r x r Pfaffians of a skew polynomial
+    matrix of rank r (1 when r = 0), normalized by multi_gcd."""
+    nv = rows[0][0].nvars
     if r == 0:
         return MultiPoly.one(nv)
-    m = p.lambda_matrix(sign=-1)
-    cache = PfaffianCache(m, MultiPoly.zero(nv), MultiPoly.one(nv))
-    g = MultiPoly.zero(nv)
-    for subset in combinations(range(p.n), r):
-        pf = cache.pfaffian(subset)
-        if pf.is_zero:
-            continue
-        g = multi_gcd(g, pf)
-        if g.is_constant:
-            break
+    cache = PfaffianCache(rows, MultiPoly.zero(nv), MultiPoly.one(nv))
+    pfaffians = (cache.pfaffian(s) for s in combinations(range(len(rows)), r))
+    g = multi_gcd_list((pf for pf in pfaffians if not pf.is_zero), nv)
     if g.is_zero:
         raise InternalConsistencyError(
             "all principal Pfaffians vanished at the claimed generic rank"
@@ -254,9 +249,12 @@ def _pfaffian_gcd_generic(p: PolyPoissonPencil, r: int) -> MultiPoly:
 
 
 def generic_char_poly(p: PolyPoissonPencil, seed: int = 0) -> GenericCharPoly:
-    """Generic characteristic polynomial over Q(x)[lambda], plus a
-    certificate that its degree matches the pointwise polynomial at
-    three random generic rational points."""
+    """Generic characteristic polynomial over Q(x)[lambda], certified by
+    _certify at points drawn by Random(seed).
+
+    The one route for general pencils; a Lie pencil's polynomial is read
+    off the fundamental semi-invariant instead (liealg), and this route is
+    its test oracle."""
     if seed in p._gcp_cache:
         return p._gcp_cache[seed]
     r = p.generic_rank()
@@ -265,7 +263,7 @@ def generic_char_poly(p: PolyPoissonPencil, seed: int = 0) -> GenericCharPoly:
         raise InfiniteEigenvalueError(
             f"generic rank(B) = {rank_b} < generic pencil rank {r}"
         )
-    g = _pfaffian_gcd_generic(p, r)
+    g = _pfaffian_gcd(p.lambda_matrix(sign=-1), r)
     lam_var = p.n
     lam_coeffs = coefficients_in(g, lam_var)
     content = multi_gcd_list(lam_coeffs, p.n + 1)
@@ -274,14 +272,8 @@ def generic_char_poly(p: PolyPoissonPencil, seed: int = 0) -> GenericCharPoly:
     degree = len(lam_coeffs) - 1
     denominator = drop_last_variable(lam_coeffs[-1])
     numerators = tuple(drop_last_variable(c) for c in lam_coeffs[:-1])
-    gcp = GenericCharPoly(
-        nvars=p.n,
-        rank=r,
-        degree=degree,
-        numerators=numerators,
-        denominator=denominator,
-    )
-    _degree_certificate(p, gcp, random.Random(seed))
+    gcp = GenericCharPoly(p.n, r, degree, numerators, denominator)
+    _certify(_points(p, gcp, random.Random(seed)), r, degree)
     p._gcp_cache[seed] = gcp
     return gcp
 
@@ -290,34 +282,46 @@ def _random_point(n: int, rng: random.Random) -> Vector:
     return tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
 
 
-def _degree_certificate(p: PolyPoissonPencil, gcp: GenericCharPoly, rng: random.Random):
-    certified = 0
-    jumps = 0
-    attempts = 0
-    while certified < 3:
-        attempts += 1
-        if attempts > 80:
-            raise InternalConsistencyError("could not certify the generic degree")
+def _points(p: PolyPoissonPencil, gcp: GenericCharPoly, rng: random.Random):
+    """Random points x0 for _certify, with gcp specialised at x0."""
+    while True:
         x0 = _random_point(p.n, rng)
-        analysis = _PencilAnalysis(evaluate_at(p, x0))
-        if analysis.rank != gcp.rank or analysis.rank_b != gcp.rank:
-            continue
-        if gcp.denominator.evaluate(x0) == 0:
+        expected = None if gcp.denominator.evaluate(x0) == 0 else gcp.poly_at(x0)
+        yield x0, evaluate_at(p, x0), expected
+
+
+def _certify(points: Iterator, rank: int, degree: int) -> None:
+    """Certifies that a generic characteristic polynomial of this rank and
+    degree equals the pointwise one at three of the first 80 points.
+
+    points yields (point, pencil there, the generic polynomial there or
+    None where its denominator vanishes).  A point is skipped on a rank,
+    rank(B) or denominator drop and on a pointwise degree jump (10 jumps
+    raise DegreeJumpError); a lower degree or another polynomial raises
+    InternalConsistencyError, as does running out of points.
+    """
+    certified = jumps = 0
+    for x0, sp, expected in islice(points, 80):
+        analysis = _PencilAnalysis(sp)
+        if analysis.rank != rank or analysis.rank_b != rank or expected is None:
             continue
         pointwise = analysis.char_poly
-        if pointwise.degree > gcp.degree:
+        if pointwise.degree > degree:
             jumps += 1
             if jumps >= 10:
                 raise DegreeJumpError(
                     f"pointwise degree {pointwise.degree} exceeds generic degree "
-                    f"{gcp.degree} at {x0}"
+                    f"{degree} at {x0}"
                 )
             continue
-        if pointwise.degree < gcp.degree or pointwise.poly != gcp.poly_at(x0):
+        if pointwise.degree < degree or pointwise.poly != expected:
             raise InternalConsistencyError(
-                "pointwise characteristic polynomial disagrees with the generic gcd"
+                f"pointwise characteristic polynomial disagrees with the generic one at {x0}"
             )
         certified += 1
+        if certified == 3:
+            return
+    raise InternalConsistencyError("could not certify the generic degree")
 
 
 def coefficient_gradients(

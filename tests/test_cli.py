@@ -2,7 +2,10 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from jkpencil import cli
+from jkpencil.liealg import direct_sum, get_algebra
 from jkpencil.pencil import (
     INFINITY,
     JKInvariants,
@@ -206,6 +209,29 @@ def test_lie_analyze_uses_document_points(capsys, tmp_path):
     assert rep["ftilde"]["verdict"] == "COMPLETE"
 
 
+@pytest.mark.parametrize(
+    "summands, seed, fa, ftilde",
+    [
+        # the semi-invariant certificate draws x = 0, a degree jump
+        (("sl2",), 517691, "COMPLETE", "COMPLETE"),
+        # a degree jump at a nonzero non-generic x
+        (("e3", "aff1"), 90551, "INCOMPLETE", "COMPLETE"),
+        # a generic-invariants sample with rank(B) < rank draws mu0 = 0
+        (("e3", "heisenberg3"), 772828, "INCOMPLETE", "INCOMPLETE"),
+    ],
+)
+def test_lie_analyze_seeds_that_exited_3(capsys, tmp_path, summands, seed, fa, ftilde):
+    g = get_algebra(summands[0])
+    for name in summands[1:]:
+        g = direct_sum(g, get_algebra(name))
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(cli.lie_document(g)))
+    code, out, err = run(capsys, ["lie", "analyze", str(path), "--seed", str(seed), "--format", "json"])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert (rep["fa"]["verdict"], rep["ftilde"]["verdict"]) == (fa, ftilde)
+
+
 def test_lie_analyze_jacobi_violation_exit_2(capsys, tmp_path):
     doc = {
         "dimension": 3,
@@ -315,7 +341,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     """The pointwise char poly and Jordan data are read from one Smith
     form, and the pencil rank is computed once, per evaluation point.
 
-    The degree certificate inside generic_char_poly draws random points
+    The certificate of the fundamental semi-invariant draws random points
     of its own, which may hit an evaluation point; its work is not counted.
     """
     import jkpencil.liealg
@@ -326,18 +352,16 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     from jkpencil.liealg import get_algebra, lie_pencil
 
     inside = []
-    original_gcp = jkpencil.poisson.generic_char_poly
+    original_certify = jkpencil.liealg._certify
 
-    def generic_char_poly(*args, **kwargs):
+    def certify(*args, **kwargs):
         inside.append(True)
         try:
-            return original_gcp(*args, **kwargs)
+            return original_certify(*args, **kwargs)
         finally:
             inside.pop()
 
-    for module in (jkpencil.poisson, jkpencil.liealg):
-        if getattr(module, "generic_char_poly", None) is original_gcp:
-            monkeypatch.setattr(module, "generic_char_poly", generic_char_poly)
+    monkeypatch.setattr(jkpencil.liealg, "_certify", certify)
     smith_calls = record_calls(
         monkeypatch, "smith_normal_form", [jkpencil.smith, jkpencil.pencil], unless=lambda: bool(inside)
     )
@@ -362,10 +386,13 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
 
 def test_lie_analyze_computes_each_lie_quantity_once(capsys, monkeypatch):
     """One Jacobi check (on the structure constants, not on the Poisson
-    matrices), one generic rank of the Lie-Poisson matrix and one generic
-    characteristic polynomial per analysis."""
+    matrices), one generic rank of the Lie-Poisson matrix and one Pfaffian
+    gcd, for the fundamental semi-invariant, per analysis; the generic
+    characteristic polynomial is read off the semi-invariant, so neither
+    generic_char_poly nor the pencil's generic rank runs."""
     import jkpencil.liealg
     import jkpencil.linalg
+    import jkpencil.multipoly
     import jkpencil.pencil
     import jkpencil.poisson
     from jkpencil.liealg import get_algebra
@@ -374,6 +401,7 @@ def test_lie_analyze_computes_each_lie_quantity_once(capsys, monkeypatch):
     jacobi_calls = record_calls(monkeypatch, "jacobi_check", modules)
     compatibility_calls = record_calls(monkeypatch, "compatibility_check", modules)
     gcp_calls = record_calls(monkeypatch, "generic_char_poly", modules)
+    gcd_calls = record_calls(monkeypatch, "multi_gcd_list", [jkpencil.multipoly, *modules])
     rank_calls = record_calls(
         monkeypatch, "fraction_free_rank", [jkpencil.linalg, jkpencil.liealg, jkpencil.pencil, jkpencil.poisson]
     )
@@ -389,8 +417,9 @@ def test_lie_analyze_computes_each_lie_quantity_once(capsys, monkeypatch):
     assert code == 0
     assert len(jacobi_calls) == 0
     assert len(compatibility_calls) == 0
-    assert len(gcp_calls) == 1
-    assert len(generic_rank_calls) == 1
+    assert len(gcp_calls) == 0
+    assert len(generic_rank_calls) == 0
+    assert len(gcd_calls) == 1
     lie_poisson = get_algebra("heisenberg3").poisson_matrix()
     assert sum(args[0] == lie_poisson for args in rank_calls) == 1
 

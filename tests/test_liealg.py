@@ -23,6 +23,7 @@ from jkpencil.liealg import (
     so3,
     so_n,
     validate_lie_algebra,
+    _lie_char_poly,
 )
 from jkpencil.linalg import rank
 from jkpencil.multipoly import MultiPoly
@@ -32,6 +33,7 @@ from jkpencil.poisson import (
     INCOMPLETE,
     INDETERMINATE,
     evaluate_at,
+    generic_char_poly,
     jacobi_check,
     sample_generic_point,
 )
@@ -200,6 +202,28 @@ def test_semiinvariant_identity_along_lines():
             restricted = p_g.eval_on_line(x0, [-v for v in a0])
             assert restricted.monic() == characteristic_polynomial(sp).poly
             done += 1
+
+
+def test_char_poly_read_off_semiinvariant_matches_generic_char_poly_oracle():
+    # the library reads the Lie pencil's generic char poly off p_g;
+    # generic_char_poly (Pfaffian gcd over Q[x, lambda]) is the oracle
+    rng = random.Random(21)
+    for g in catalog() + [dual_number_aff1()]:
+        r = g.generic_rank()
+        a = [Fraction(rng.randint(-5, 5)) for _ in range(g.dim)]
+        while rank(g.frozen_matrix(a)) != r:
+            a = [Fraction(rng.randint(-5, 5)) for _ in range(g.dim)]
+        derived = _lie_char_poly(g, a, 0)
+        oracle = generic_char_poly(lie_pencil(g, a).pencil)
+        assert (derived.rank, derived.degree) == (oracle.rank, oracle.degree), g.name
+        checked = 0
+        while checked < 5:
+            x0 = [Fraction(rng.randint(-9, 9)) for _ in range(g.dim)]
+            if oracle.denominator_at(x0) == 0:
+                continue
+            assert derived.poly_at(x0) == oracle.poly_at(x0), g.name
+            assert derived.gradients_at(x0) == oracle.gradients_at(x0), g.name
+            checked += 1
 
 
 # -- completeness verdicts -------------------------------------------------------------

@@ -249,6 +249,27 @@ def test_mixed_congruence_roundtrip():
         assert jk_invariants(q, seed=trial) == spec
 
 
+def test_reparametrization_skips_a_drawn_zero():
+    # rank(B) < rank here, so the Jordan data is read from (A, A + mu0*B),
+    # mu0 the third regular value drawn (after the Kronecker growth
+    # sequence); mu0 = 0 would give (A, A), every block at infinity
+    spec = JKInvariants.from_blocks(
+        [1], [(UniPoly.linear(2), (1,)), (INFINITY, (2,))]
+    )
+    p = canonical_pencil(spec)
+    q = congruence_transform(p, random_unimodular(p.n, random.Random(1)))
+    seeds = []
+    for seed in range(100):
+        sampler = RegularValueSampler(q, random.Random(seed))
+        if [sampler.draw() for _ in range(3)][2] == 0:
+            seeds.append(seed)
+    assert seeds
+    for seed in seeds:
+        inv = jk_invariants(q, seed=seed)
+        assert inv == spec, seed
+        assert inv.reparametrization != 0
+
+
 def test_congruence_identity_and_permutation():
     spec = JKInvariants.from_blocks([1, 2], [(UniPoly.linear(3), (1,))])
     p = canonical_pencil(spec)
