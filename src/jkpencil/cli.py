@@ -53,6 +53,9 @@ def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            # Fraction("1e10000000") builds a ten-million-digit integer
+            raise ValidationError(f"{where}: bad rational {value!r} (exponent notation is not accepted)")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -70,6 +73,30 @@ def _parse_matrix(doc, key: str, n: int):
             raise ValidationError(f"{key}[{i}]: expected {n} entries")
         rows.append([_parse_rational(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)])
     return rows
+
+
+def _read_document(path: str) -> tuple[bytes, object]:
+    """The raw bytes of a JSON document and its parsed value.  A file that
+    cannot be read, or bytes that are not UTF-8 JSON within the interpreter's
+    integer-size and nesting limits, raise ValidationError; other malformed
+    JSON raises json.JSONDecodeError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValidationError(str(exc)) from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"document is not UTF-8: {exc}") from exc
+    try:
+        return raw, json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise ValidationError(f"unreadable JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("unreadable JSON: nested too deeply") from exc
 
 
 def load_pencil_document(doc) -> SkewPencil:
@@ -229,9 +256,7 @@ def _digest(raw: bytes) -> str:
 
 
 def cmd_pencil_analyze(path: str, seed: int) -> dict:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    doc = json.loads(raw.decode("utf-8"))
+    raw, doc = _read_document(path)
     pencil = load_pencil_document(doc)
     analysis = _PencilAnalysis(pencil)
     r = analysis.rank
@@ -335,9 +360,7 @@ def _render_pencil_text(rep: dict) -> str:
 def cmd_lie_analyze(
     path: str, seed: int, samples: int, point_override: list | None
 ) -> dict:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    doc = json.loads(raw.decode("utf-8"))
+    raw, doc = _read_document(path)
     g, frozen, doc_points = load_lie_document(doc)
     valid = validate_lie_algebra(g)
     if not valid:
@@ -604,9 +627,6 @@ def main(argv=None) -> int:
                 sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
             else:
                 sys.stdout.write("\n".join(report["algebras"]) + "\n")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -2,11 +2,17 @@
 
 Rational matrices are tuples of tuples of Fraction.  Subspaces carry
 reduced-row-echelon bases, so equal spans compare equal and all reported
-bases are deterministic.  Rank over polynomial fraction fields uses
-one-step fraction-free (Bareiss) elimination with first-nonzero pivoting.
-Memoized Pfaffians of principal minors serve the generic (multivariate)
-characteristic polynomial and the semi-invariant; for constant pencils
-the characteristic polynomial comes from the Smith form, and the
+bases are deterministic.  Elimination over Q runs on Python integers:
+each row is scaled by the lcm of its denominators, the rank comes from
+one-step Bareiss elimination, and the RREF (hence kernels and subspace
+bases) from fraction-free Gauss-Jordan elimination that divides each
+pivot row by its pivot once, at the end.  Rank over polynomial fraction
+fields uses one-step fraction-free (Bareiss) elimination with
+first-nonzero pivoting; it serves the generic (multivariate) layer and
+is the test oracle of the constant pencil's rank by evaluation.
+Memoized Pfaffians of principal minors serve the generic characteristic
+polynomial and the semi-invariant; for constant pencils the
+characteristic polynomial comes from the Smith form, and the
 Pfaffian-gcd route is the test suite's oracle.
 """
 
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ValidationError
@@ -65,36 +72,110 @@ def congruence(p: Matrix, m: Matrix) -> Matrix:
     return mat_mul(mat_mul(transpose(p), m), p)
 
 
-# -- elimination over Q ------------------------------------------------
+# -- elimination over Q, on integers ------------------------------------
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    work = [list(r) for r in rows]
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators: integer rows with
+    the same zero pattern and the same row space."""
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _scaled_to_integers(*matrices: Sequence[Sequence]) -> list[list[list[int]]]:
+    """The matrices times one common d, the lcm of all their denominators,
+    as integer matrices; d*M keeps the symmetry and the zero pattern of M."""
+    d = lcm(*(x.denominator for m in matrices for row in m for x in row))
+    return [[[x.numerator * (d // x.denominator) for x in row] for row in m] for m in matrices]
+
+
+def _bareiss_rank(work: list[list[int]]) -> int:
+    """Rank of an integer matrix by one-step Bareiss elimination (in place).
+
+    After the step on the k-th pivot each remaining entry is a (k+1) x (k+1)
+    minor, so the division by the previous pivot is exact."""
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        p = prow[c]
+        for i in range(r + 1, nrows):
+            f = work[i][c]
+            work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _gauss_jordan(work: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (in place).
+
+    Returns the pivot columns.  Row t < len(pivots) then has a nonzero entry
+    in column pivots[t], the only nonzero entry of that column; the rows are
+    kept primitive (content divided out) as they are combined, and the rows
+    after the last pivot row are zero."""
+    for i, row in enumerate(work):
+        g = gcd(*row)
+        if g > 1:
+            work[i] = [x // g for x in row]
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
+        prow = work[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            f = work[i][c]
+            if i == r or not f:
+                continue
+            row = [p * x - f * y for x, y in zip(work[i], prow)]
+            g = gcd(*row)
+            work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return work, pivots
+    return pivots
+
+
+def _reduced(work: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """The nonzero rows of the RREF of integer rows, and the pivot columns:
+    each pivot row is divided by its pivot once, after the elimination."""
+    pivots = _gauss_jordan(work)
+    zero = Fraction(0)
+    rows = [[Fraction(x, work[t][c]) if x else zero for x in work[t]] for t, c in enumerate(pivots)]
+    return rows, pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    The elimination runs on the rows scaled to integers, so it gives the
+    same unique RREF over Q as rational Gauss-Jordan elimination."""
+    red, pivots = _reduced(_integer_rows(rows))
+    red.extend([Fraction(0)] * len(row) for row in rows[len(pivots):])
+    return red, pivots
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(m)[1])
+    """Rank over Q of a matrix with Fraction or int entries."""
+    return _bareiss_rank(_integer_rows(m))
 
 
 def reduce_against_rref(basis: Sequence[Vector], v: Sequence[Fraction]) -> list[Fraction]:
@@ -125,10 +206,12 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient:
                 raise ValidationError("vector length does not match ambient dimension")
-        if not vecs:
-            return cls(ambient, ())
-        red, pivots = rref(vecs)
-        return cls(ambient, tuple(tuple(red[i]) for i in range(len(pivots))))
+        return cls._spanned_by(ambient, _integer_rows(vecs))
+
+    @classmethod
+    def _spanned_by(cls, ambient: int, work: list[list[int]]) -> "Subspace":
+        """The span of integer rows of length `ambient` (consumed)."""
+        return cls(ambient, tuple(tuple(row) for row in _reduced(work)[0]))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -150,21 +233,27 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> Subspace:
-    """Right kernel of a rectangular rational matrix."""
-    rows = [list(r) for r in m]
-    if not rows:
+    """Right kernel of a rectangular matrix with Fraction or int entries."""
+    if not m:
         raise ValidationError("empty matrix")
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    work = _integer_rows(m)
+    ncols = len(work[0])
+    pivots = _gauss_jordan(work)
+    # One integer vector per free column fc: scale at fc, and at pivot
+    # column pc of row t, -scale * work[t][fc] / work[t][pc].
+    scale = lcm(*(work[t][pc] for t, pc in enumerate(pivots)))
+    steps = [(t, pc, scale // work[t][pc]) for t, pc in enumerate(pivots)]
+    pivot_set = set(pivots)
     vecs = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [0] * ncols
+        v[fc] = scale
+        for t, pc, q in steps:
+            v[pc] = -work[t][fc] * q
         vecs.append(v)
-    return Subspace.from_vectors(ncols, vecs)
+    return Subspace._spanned_by(ncols, vecs)
 
 
 # -- fraction-free elimination over polynomial rings ---------------------

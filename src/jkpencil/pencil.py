@@ -6,12 +6,16 @@ regular members), and the full block invariants (Kronecker parameters
 plus Jordan half-sizes grouped by eigenvalue).
 
 One analysis computes each quantity once: the pencil rank by
-fraction-free elimination, the Smith invariant factors d_1 | ... | d_r
-of A - lambda*B (the characteristic polynomial is d_2*d_4*...*d_r, and
-the Jordan data are read from their elementary divisors), and one
-stream of regular values per seed with the kernel of each member.  The
-gcd of the principal r x r Pfaffians is the second route to the
-characteristic polynomial; it lives in the test suite as an oracle.
+evaluation at floor(n/2) + 1 integer values, the Smith invariant
+factors d_1 | ... | d_r of A - lambda*B (the characteristic polynomial
+is d_2*d_4*...*d_r, and the Jordan data are read from their elementary
+divisors), and one stream of regular values per seed with the kernel of
+each member.  A pencil keeps one integer scaling D*(A, B), so the
+members at integer values (the rank's evaluation points and the sampled
+regular values) are built and eliminated without Fractions.  The gcd of
+the principal r x r Pfaffians is the second route to the characteristic
+polynomial, and fraction-free elimination over Q[lambda] the second
+route to the rank; both live in the test suite as oracles.
 
 Sign conventions.  Eigenvalues are the roots of the characteristic
 polynomial of A - lambda*B; the member A + lambda0*B drops rank exactly
@@ -26,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -38,15 +43,14 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
+    _integer_rows,
+    _scaled_to_integers,
     congruence,
-    fraction_free_rank,
     is_skew,
     kernel_basis,
-    mat_mul,
     matrix,
     rank,
     subspace_sum,
-    transpose,
 )
 from .smith import smith_normal_form
 from .unipoly import UniPoly, rational_roots, refined_factors, squarefree_decompose
@@ -88,6 +92,16 @@ class SkewPencil:
     @property
     def n(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def _scaled(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(D*A, D*B) as integer matrices, D the lcm of all denominators."""
+        return tuple(_scaled_to_integers(self.a, self.b))
+
+    def _scaled_member(self, mu: int) -> list[list[int]]:
+        """D*(A + mu*B) for an integer mu: the rank and kernel of A + mu*B."""
+        a, b = self._scaled
+        return [[x + mu * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
     def member(self, lam) -> Matrix:
         """A + lambda*B as a rational matrix."""
@@ -229,8 +243,20 @@ class CharPoly:
 
 
 def pencil_rank(p: SkewPencil) -> int:
-    """Rank of A + lambda*B over Q(lambda); always even."""
-    r = fraction_free_rank(p.lambda_matrix())
+    """Rank of A + lambda*B over Q(lambda); always even.
+
+    The largest rank of A + mu*B over mu = 0, 1, ..., floor(n/2).  This is
+    exact: at pencil rank r some principal r x r Pfaffian is a nonzero
+    polynomial of degree at most r/2 in lambda, so it vanishes at no more
+    than r/2 of these n/2 + 1 values, and no member has rank above r.  The
+    scan stops once a member reaches the largest even rank n - n mod 2.
+    """
+    full = p.n - p.n % 2
+    r = 0
+    for mu in range(p.n // 2 + 1):
+        r = max(r, rank(p._scaled_member(mu)))
+        if r == full:
+            break
     if r % 2 != 0:
         raise InternalConsistencyError("skew pencil with odd rank")
     return r
@@ -263,7 +289,7 @@ class RegularValueSampler:
             cand = Fraction(self.rng.randint(-bound, bound))
             if cand in self.used:
                 continue
-            if rank(self.p.member(cand)) == self.r:
+            if rank(self.p._scaled_member(int(cand))) == self.r:
                 self.used.add(cand)
                 return cand
         raise InternalConsistencyError("failed to sample a regular value in 50 draws")
@@ -290,7 +316,7 @@ class _KernelStream:
         """Value t (from 0) and the kernel of A + value*B."""
         while len(self._draws) <= t:
             mu = self._sampler.draw()
-            self._draws.append((mu, kernel_basis(self.p.member(mu))))
+            self._draws.append((mu, kernel_basis(self.p._scaled_member(int(mu)))))
         return self._draws[t]
 
     def kernel_sum(self, t: int) -> Subspace:
@@ -599,20 +625,23 @@ class IsotropyCertificate:
 def _pairings(family, a: Matrix, b: Matrix) -> tuple[int, Optional[tuple[int, int, str]]]:
     """Scans u_i^T A u_j, then u_i^T B u_j, over i <= j for the first nonzero
     pairing; returns the pairings made and that (i, j, form) or None.
-    The Gram matrices of the family under A and B are formed once."""
-    if not family:
-        return 0, None
-    rows = tuple(family)
-    grams = [
-        (name, mat_mul(rows, mat_mul(form, transpose(rows))))
-        for name, form in (("A", a), ("B", b))
+
+    Runs over the integers: each vector is scaled by the lcm of its
+    denominators and both forms by one common lcm, which scales every
+    pairing by a nonzero number and so keeps which pairings vanish.  The
+    images A u_j and B u_j are formed once; each pairing is one dot
+    product, taken when the scan reaches it."""
+    rows = _integer_rows(family)
+    images = [
+        (name, [[sum(map(mul, form_row, u)) for form_row in form] for u in rows])
+        for name, form in zip("AB", _scaled_to_integers(a, b))
     ]
     pairings = 0
-    for i in range(len(rows)):
+    for i, u in enumerate(rows):
         for j in range(i, len(rows)):
-            for name, gram in grams:
+            for name, image in images:
                 pairings += 1
-                if gram[i][j] != 0:
+                if sum(map(mul, u, image[j])):
                     return pairings, (i, j, name)
     return pairings, None
 

@@ -4,8 +4,10 @@ The oracles here are deliberately independent of the library's
 algorithms: Pfaffians by perfect-matching enumeration, determinants by
 permutation expansion, gcds from known linear factorizations, the
 characteristic polynomial of a pencil as a gcd of principal Pfaffians
-(the library reads it from the Smith form), and the recursion-operator
-identity through a Faddeev-LeVerrier characteristic polynomial.
+(the library reads it from the Smith form), the recursion-operator
+identity through a Faddeev-LeVerrier characteristic polynomial, and
+reduced row echelon forms and Gram matrices in Fraction arithmetic (the
+library eliminates and pairs over the integers).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from jkpencil.errors import InternalConsistencyError, SingularMatrixError
-from jkpencil.linalg import Matrix, PfaffianCache, mat_mul, rank, rref
+from jkpencil.linalg import Matrix, PfaffianCache, mat_mul, rank, transpose
 from jkpencil.pencil import INFINITY, JKInvariants, SkewPencil, characteristic_polynomial, pencil_rank
 from jkpencil.unipoly import UniPoly, poly_gcd
 
@@ -145,6 +147,66 @@ def random_jk_spec(
 # -- second routes to library quantities -----------------------------------
 
 
+def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by rational Gauss-Jordan elimination;
+    returns (rows, pivot column indices)."""
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots
+
+
+def fraction_kernel(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """RREF basis of the right kernel, from fraction_rref alone."""
+    red, pivots = fraction_rref(rows)
+    ncols = len(rows[0])
+    vecs = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for t, pc in enumerate(pivots):
+            v[pc] = -red[t][fc]
+        vecs.append(v)
+    if not vecs:
+        return ()
+    basis, kernel_pivots = fraction_rref(vecs)
+    return tuple(tuple(row) for row in basis[: len(kernel_pivots)])
+
+
+def fraction_pairings(family, a: Matrix, b: Matrix):
+    """(pairings made, first nonzero (i, j, form) or None) from the rational
+    Gram matrices F A F^T and F B F^T, scanned i <= j, A before B."""
+    if not family:
+        return 0, None
+    rows = tuple(family)
+    grams = [(name, mat_mul(rows, mat_mul(form, transpose(rows)))) for name, form in (("A", a), ("B", b))]
+    pairings = 0
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            for name, gram in grams:
+                pairings += 1
+                if gram[i][j] != 0:
+                    return pairings, (i, j, name)
+    return pairings, None
+
+
 def pfaffian_gcd(p: SkewPencil) -> UniPoly:
     """Monic gcd of the Pfaffians of all principal r x r minors of
     A - lambda*B, r the pencil rank: the characteristic polynomial by the
@@ -199,7 +261,7 @@ def determinant(m: Matrix) -> Fraction:
 def mat_inverse(m: Matrix) -> Matrix:
     n = len(m)
     aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+    red, pivots = fraction_rref(aug)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return tuple(tuple(row[n:]) for row in red[:n])

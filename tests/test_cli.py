@@ -137,6 +137,44 @@ def test_pencil_analyze_missing_file_exit_2(capsys):
     assert err
 
 
+def assert_one_line_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err, err
+
+
+def test_pencil_analyze_non_utf8_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dimension": 1, "name": "\u00e9"}'.encode("latin-1"))
+    assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], "not UTF-8")
+
+
+def test_pencil_analyze_overlong_integer_exit_2(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"dimension": 1, "A": [[' + "7" * 5000 + ']], "B": [[0]]}')
+    assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], "unreadable JSON")
+
+
+def test_lie_analyze_deep_nesting_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert_one_line_exit_2(capsys, ["lie", "analyze", str(path)], "nested too deeply")
+
+
+def test_pencil_analyze_directory_exit_2(capsys, tmp_path):
+    assert_one_line_exit_2(capsys, ["pencil", "analyze", str(tmp_path)], "Is a directory")
+
+
+def test_exponent_rationals_exit_2(capsys, tmp_path):
+    path = tmp_path / "exponent.json"
+    path.write_text('{"dimension": 1, "A": [["1e10000000"]], "B": [[0]]}')
+    assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], "exponent notation")
+    lie = _catalog_doc(capsys, tmp_path, "heisenberg3")
+    argv = ["lie", "analyze", str(lie), "--point", "1,2,3E4000000"]
+    assert_one_line_exit_2(capsys, argv, "exponent notation")
+
+
 # -- lie analyze ------------------------------------------------------------------
 
 
@@ -323,14 +361,12 @@ def record_calls(monkeypatch, name, modules, unless=lambda: False):
 
 
 def test_pencil_analyze_computes_the_pencil_rank_once(capsys, monkeypatch):
-    import jkpencil.linalg
     import jkpencil.pencil
 
-    modules = [jkpencil.linalg, jkpencil.pencil]
     documents = sorted(GOLDEN.glob("*.pencil.json"))
     assert len(documents) == 5
     for document in documents:
-        calls = record_calls(monkeypatch, "fraction_free_rank", modules)
+        calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil])
         code, _, _ = run(capsys, ["pencil", "analyze", str(document), "--format", "json"])
         assert code == 0
         assert len(calls) == 1, document.name
@@ -345,7 +381,6 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     of its own, which may hit an evaluation point; its work is not counted.
     """
     import jkpencil.liealg
-    import jkpencil.linalg
     import jkpencil.pencil
     import jkpencil.poisson
     import jkpencil.smith
@@ -365,12 +400,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     smith_calls = record_calls(
         monkeypatch, "smith_normal_form", [jkpencil.smith, jkpencil.pencil], unless=lambda: bool(inside)
     )
-    rank_calls = record_calls(
-        monkeypatch,
-        "fraction_free_rank",
-        [jkpencil.linalg, jkpencil.pencil, jkpencil.poisson],
-        unless=lambda: bool(inside),
-    )
+    rank_calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil], unless=lambda: bool(inside))
     document = GOLDEN / "heisenberg3.lie.json"
     code, out, _ = run(capsys, ["lie", "analyze", str(document), "--format", "json"])
     assert code == 0
@@ -381,7 +411,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     for x0 in points:
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         assert sum(args[0] == at_point.lambda_matrix(sign=-1) for args in smith_calls) == 1
-        assert sum(args[0] == at_point.lambda_matrix() for args in rank_calls) == 1
+        assert sum(args[0] == at_point for args in rank_calls) == 1
 
 
 def test_lie_analyze_computes_each_lie_quantity_once(capsys, monkeypatch):

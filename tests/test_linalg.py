@@ -12,12 +12,21 @@ from jkpencil.linalg import (
     matrix,
     pfaffian,
     rank,
+    rref,
     subspace_sum,
 )
 from jkpencil.multipoly import MultiPoly
 from jkpencil.unipoly import UniPoly
 
-from conftest import charpoly_rational, determinant, mat_inverse, naive_det, naive_pfaffian
+from conftest import (
+    charpoly_rational,
+    determinant,
+    fraction_kernel,
+    fraction_rref,
+    mat_inverse,
+    naive_det,
+    naive_pfaffian,
+)
 
 
 def frac_rows(rows):
@@ -54,6 +63,52 @@ def test_kernel_vectors_annihilate():
         assert k.dim == 4 - rank(rows)
         for v in k.basis:
             assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows)
+
+
+def random_rational_matrix(rng):
+    """Mixed denominators, planted zero rows and columns, dependent rows."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    rows = [
+        [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 35))) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if nrows > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(nrows), 2)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        rows[j] = [c * y for y in rows[j]]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if rng.random() < 0.3:
+        c = rng.randrange(ncols)
+        for row in rows:
+            row[c] = Fraction(0)
+    return rows
+
+
+def test_integer_elimination_matches_fraction_oracle():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(600):
+        m = random_rational_matrix(rng)
+        red, pivots = fraction_rref(m)
+        assert rref(m) == (red, pivots), m
+        assert rank(m) == len(pivots), m
+        assert kernel_basis(m).basis == fraction_kernel(m), m
+        assert Subspace.from_vectors(len(m[0]), m).basis == tuple(tuple(r) for r in red[: len(pivots)])
+        seen.add("wide" if len(m) < len(m[0]) else "tall" if len(m) > len(m[0]) else "square")
+        seen.add("deficient" if len(pivots) < min(len(m), len(m[0])) else "full")
+        if any(all(x == 0 for x in row) for row in m):
+            seen.add("zero row")
+        if any(all(row[c] == 0 for row in m) for c in range(len(m[0]))):
+            seen.add("zero column")
+    assert seen == {"wide", "tall", "square", "deficient", "full", "zero row", "zero column"}
+
+
+def test_rank_and_kernel_accept_integer_entries():
+    rows = [[2, 4, 6], [1, 2, 3], [0, 0, 5]]
+    assert rank(rows) == rank(frac_rows(rows)) == 2
+    assert kernel_basis(rows) == kernel_basis(frac_rows(rows))
 
 
 # -- subspaces ---------------------------------------------------------------

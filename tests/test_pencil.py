@@ -9,12 +9,13 @@ from jkpencil.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from jkpencil.linalg import bilinear, kernel_basis, rank, subspace_sum
+from jkpencil.linalg import bilinear, fraction_free_rank, kernel_basis, rank, subspace_sum
 from jkpencil.pencil import (
     INFINITY,
     JKInvariants,
     RegularValueSampler,
     SkewPencil,
+    _pairings,
     canonical_pencil,
     characteristic_polynomial,
     congruence_transform,
@@ -27,7 +28,7 @@ from jkpencil.pencil import (
 )
 from jkpencil.unipoly import UniPoly
 
-from conftest import naive_pfaffian, random_jk_spec, recursion_charpoly_check
+from conftest import fraction_pairings, naive_pfaffian, random_jk_spec, recursion_charpoly_check
 
 
 def jordan(lam0, half):
@@ -101,6 +102,28 @@ def test_rank_of_so3_type_pencil():
     # oracle: evaluate the member rank at three random lambda values
     best = max(rank(p.member(lam)) for lam in (2, 11, -7))
     assert best == 2
+
+
+def test_pencil_rank_by_evaluation_matches_fraction_free_rank_oracle():
+    # the acceptance suite's generator and seed
+    rng = random.Random(20240)
+    for _ in range(80):
+        spec = random_jk_spec(rng, max_dim=14)
+        q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
+        assert pencil_rank(q) == fraction_free_rank(q.lambda_matrix()) == spec.rank, spec
+
+
+def test_pencil_rank_reaches_the_last_evaluation_point():
+    # eigenvalues 0, -1, ..., -(k-1): A + mu*B drops rank at mu = 0, ..., k-1,
+    # so only mu = k = floor(n/2), the last point scanned, is regular
+    rng = random.Random(3)
+    for k in range(1, 7):
+        for kronecker in ((), (1,)):
+            spec = JKInvariants.from_blocks(kronecker, [(UniPoly.linear(-i), (1,)) for i in range(k)])
+            q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
+            assert q.n // 2 == k
+            assert all(rank(q.member(mu)) < 2 * k for mu in range(k))
+            assert pencil_rank(q) == 2 * k
 
 
 def test_regular_value_sign_convention():
@@ -377,6 +400,32 @@ def test_pairing_violation_guard():
     cooked = [[UniPoly.linear(2), UniPoly.zero()], [UniPoly.zero(), UniPoly.one()]]
     with pytest.raises(PairingViolationError):
         _invariant_factors(cooked, 2)
+
+
+def test_integer_pairings_match_fraction_gram_oracle():
+    rng = random.Random(13)
+    found = set()
+    for trial in range(40):
+        spec = random_jk_spec(rng, max_dim=10)
+        p = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
+        sampler = RegularValueSampler(p, random.Random(trial))
+        family = [
+            tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) * x for x in v)
+            for _ in range(3)
+            for v in kernel_basis(p.member(sampler.draw())).basis
+        ]
+        if rng.random() < 0.7:
+            planted = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p.n))
+            family.insert(rng.randint(0, len(family)), planted)
+        expected = fraction_pairings(family, p.a, p.b)
+        assert _pairings(family, p.a, p.b) == expected
+        found.add(None if expected[1] is None else expected[1][2])
+    # a violation under B alone: e1, e2 pair under B but not under A
+    a = frac_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
+    b = frac_rows([[0, Fraction(1, 3), 0], [Fraction(-1, 3), 0, 0], [0, 0, 0]])
+    family = [(Fraction(1, 2), 0, 0), (0, Fraction(5), 0)]
+    assert _pairings(family, a, b) == fraction_pairings(family, a, b) == (4, (0, 1, "B"))
+    assert found == {None, "A"}
 
 
 def test_isotropy_of_core_plus_kernels():
