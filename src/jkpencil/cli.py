@@ -174,10 +174,6 @@ def lie_document(g: LieAlgebra) -> dict:
 # -- serialization helpers ---------------------------------------------------
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec(v) -> list[str]:
     return [str(x) for x in v]
 

@@ -305,23 +305,35 @@ def _certify(points: Iterator, rank: int, degree: int) -> None:
         analysis = _PencilAnalysis(sp)
         if analysis.rank != rank or analysis.rank_b != rank or expected is None:
             continue
-        pointwise = analysis.char_poly
-        if pointwise.degree > degree:
+        if not _matches_generic(analysis.char_poly, degree, expected, x0):
             jumps += 1
             if jumps >= 10:
                 raise DegreeJumpError(
-                    f"pointwise degree {pointwise.degree} exceeds generic degree "
+                    f"pointwise degree {analysis.char_poly.degree} exceeds generic degree "
                     f"{degree} at {x0}"
                 )
             continue
-        if pointwise.degree < degree or pointwise.poly != expected:
-            raise InternalConsistencyError(
-                f"pointwise characteristic polynomial disagrees with the generic one at {x0}"
-            )
         certified += 1
         if certified == 3:
             return
     raise InternalConsistencyError("could not certify the generic degree")
+
+
+def _matches_generic(pointwise: CharPoly, degree: int, expected: UniPoly, x0) -> bool:
+    """Whether the characteristic polynomial at x0, a point where the rank,
+    rank(B) and the denominator are generic, is the generic one specialised
+    there (expected, of the given degree); False on a higher degree.
+
+    The generic polynomial divides every pointwise principal Pfaffian, so a
+    lower degree, like another polynomial, raises InternalConsistencyError.
+    """
+    if pointwise.degree > degree:
+        return False
+    if pointwise.degree < degree or pointwise.poly != expected:
+        raise InternalConsistencyError(
+            f"pointwise characteristic polynomial disagrees with the generic one at {x0}"
+        )
+    return True
 
 
 def coefficient_gradients(
@@ -357,7 +369,9 @@ class PointAnalysis:
 
 def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector) -> _PencilAnalysis:
     """Analysis of the pencil at x0, after checking that x0 is generic:
-    rank, rank(B), denominator and char degree as at a generic point."""
+    rank, rank(B), denominator and char degree as at a generic point.  A
+    higher degree raises NonGenericPointError; see _matches_generic for a
+    lower one."""
     analysis = _PencilAnalysis(evaluate_at(p, x0))
     r0 = analysis.rank
     if r0 != gcp.rank:
@@ -375,14 +389,10 @@ def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector) -> 
             "characteristic denominator vanishes at the point", {"point": x0}
         )
     pointwise = analysis.char_poly
-    if pointwise.degree != gcp.degree:
+    if not _matches_generic(pointwise, gcp.degree, gcp.poly_at(x0), x0):
         raise NonGenericPointError(
-            f"char degree {pointwise.degree} at the point differs from generic {gcp.degree}",
+            f"char degree {pointwise.degree} at the point exceeds generic {gcp.degree}",
             {"point": x0, "degree": pointwise.degree, "generic_degree": gcp.degree},
-        )
-    if pointwise.poly != gcp.poly_at(x0):
-        raise InternalConsistencyError(
-            "pointwise characteristic polynomial disagrees with the generic gcd"
         )
     return analysis
 
@@ -390,11 +400,12 @@ def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector) -> 
 def _point_analysis(
     analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector, seed: int
 ) -> PointAnalysis:
-    """Invariants (stream seed), core (stream seed + 1) and extended core
-    at a point that passed _require_generic."""
+    """Invariants, core (both from one kernel stream, seed) and extended
+    core at a point that passed _require_generic."""
     sp = analysis.p
-    invariants = analysis.invariants(_KernelStream(sp, analysis.rank, seed))
-    core = _KernelStream(sp, analysis.rank, seed + 1).core()
+    stream = _KernelStream(sp, analysis.rank, seed)
+    invariants = analysis.invariants(stream)
+    core = stream.core()
     grads = tuple(gcp.gradients_at(x0))
     extended = subspace_sum(core, Subspace.from_vectors(sp.n, grads))
     if extended.dim > core.dim + gcp.degree:

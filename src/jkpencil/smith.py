@@ -1,28 +1,41 @@
 """Smith normal form of matrices over Q[x].
 
-Q[x] is Euclidean, so the classical minimal-degree-pivot reduction
-applies.  Only the invariant factors are produced (no transformation
-matrices); nonzero factors are returned monic, and the trailing zero
-factors of a rank-deficient matrix are included so that the product of
-the first k factors matches the gcd of the k x k minors.
+Q[x] is Euclidean, so two steps give the invariant factors:
+
+1. Diagonalise.  A lowest-degree nonzero entry of the remaining block is
+   moved to (t, t) and the rows below and the columns to its right are
+   reduced by polynomial division.  A nonzero remainder has lower degree
+   than the pivot, so the pivot is searched again; otherwise the monic
+   pivot is the t-th diagonal entry.
+2. Normalise the diagonal.  diag(a, b) is equivalent to
+   diag(gcd(a, b), lcm(a, b)), so for i < j each pair (d_i, d_j) where d_i
+   does not divide d_j is replaced by (gcd, lcm).  After the pass over j,
+   d_i divides every later entry (the gcd with d_j divides the lcm, and
+   the next gcds only shrink d_i); later steps keep this, since gcds and
+   lcms of multiples of d_i are multiples of d_i.  So the diagonal ends
+   as the divisibility chain.
+
+Only the invariant factors are produced (no transformation matrices);
+nonzero factors are returned monic, and the trailing zero factors of a
+rank-deficient matrix are included so that the product of the first k
+factors matches the gcd of the k x k minors.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
-from .unipoly import UniPoly
+from .unipoly import UniPoly, poly_gcd
 
 
-def _min_degree_entry(work, t):
+def _pivot(work, t):
+    """(i, j) of a lowest-degree nonzero entry with i, j >= t, or None."""
     best = None
     for i in range(t, len(work)):
         for j in range(t, len(work[0])):
             e = work[i][j]
-            if e.is_zero:
-                continue
-            if best is None or e.degree < best[2]:
-                best = (i, j, e.degree)
-    return best
+            if not e.is_zero and (best is None or e.degree < best[0]):
+                best = (e.degree, i, j)
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(m) -> list[UniPoly]:
@@ -30,57 +43,31 @@ def smith_normal_form(m) -> list[UniPoly]:
     work = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in m]
     if not work or any(len(r) != len(work[0]) for r in work):
         raise ValidationError("smith_normal_form needs a rectangular nonempty matrix")
-    nrows, ncols = len(work), len(work[0])
-    size = min(nrows, ncols)
-    factors: list[UniPoly] = []
+    ncols = len(work[0])
+    diagonal: list[UniPoly] = []
     t = 0
-    while t < size:
-        found = _min_degree_entry(work, t)
-        if found is None:
-            break
-        while True:
-            i, j, _ = _min_degree_entry(work, t)
-            if i != t:
-                work[t], work[i] = work[i], work[t]
-            if j != t:
-                for row in work:
-                    row[t], row[j] = row[j], row[t]
-            pivot = work[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if work[i][t].is_zero:
-                    continue
-                q = work[i][t] // pivot
-                if not q.is_zero:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[t])]
-                if not work[i][t].is_zero:
-                    dirty = True  # remainder of smaller degree appeared
-            if dirty:
-                continue
-            for j in range(t + 1, ncols):
-                if work[t][j].is_zero:
-                    continue
-                q = work[t][j] // pivot
-                if not q.is_zero:
-                    for row in work:
-                        row[j] = row[j] - q * row[t]
-                if not work[t][j].is_zero:
-                    dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if not (work[i][j] % pivot).is_zero:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            work[t] = [a + b for a, b in zip(work[t], work[offender])]
-        factors.append(work[t][t].monic())
-        t += 1
-    while len(factors) < size:
-        factors.append(UniPoly.zero())
-    return factors
+    while found := _pivot(work, t):
+        i, j = found
+        work[t], work[i] = work[i], work[t]
+        for row in work[t:]:
+            row[t], row[j] = row[j], row[t]
+        top = work[t]
+        for row in work[t + 1 :]:
+            q = row[t] // top[t]
+            if not q.is_zero:
+                row[t:] = [a - q * b for a, b in zip(row[t:], top[t:])]
+        for k in range(t + 1, ncols):
+            q = top[k] // top[t]
+            if not q.is_zero:
+                for row in work[t:]:
+                    row[k] = row[k] - q * row[t]
+        if all(row[t].is_zero for row in work[t + 1 :]) and all(e.is_zero for e in top[t + 1 :]):
+            diagonal.append(top[t].monic())
+            t += 1
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            if not a.divides(b):
+                g = poly_gcd(a, b)
+                diagonal[i], diagonal[j] = g, a.exact_div(g) * b
+    return diagonal + [UniPoly.zero()] * (min(len(work), ncols) - len(diagonal))

@@ -375,7 +375,9 @@ def test_pencil_analyze_computes_the_pencil_rank_once(capsys, monkeypatch):
 
 def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     """The pointwise char poly and Jordan data are read from one Smith
-    form, and the pencil rank is computed once, per evaluation point.
+    form, the pencil rank is computed once, and the invariants and the core
+    read one kernel stream, per evaluation point.  The involution
+    certificate draws its own stream (seed + 17), whose values it reports.
 
     The certificate of the fundamental semi-invariant draws random points
     of its own, which may hit an evaluation point; its work is not counted.
@@ -401,6 +403,9 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
         monkeypatch, "smith_normal_form", [jkpencil.smith, jkpencil.pencil], unless=lambda: bool(inside)
     )
     rank_calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil], unless=lambda: bool(inside))
+    stream_calls = record_calls(
+        monkeypatch, "_KernelStream", [jkpencil.pencil, jkpencil.poisson], unless=lambda: bool(inside)
+    )
     document = GOLDEN / "heisenberg3.lie.json"
     code, out, _ = run(capsys, ["lie", "analyze", str(document), "--format", "json"])
     assert code == 0
@@ -412,6 +417,8 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         assert sum(args[0] == at_point.lambda_matrix(sign=-1) for args in smith_calls) == 1
         assert sum(args[0] == at_point for args in rank_calls) == 1
+        seeds = sorted(args[2] for args in stream_calls if args[0] == at_point)
+        assert seeds == [report["seed"], report["seed"] + 17]
 
 
 def test_lie_analyze_computes_each_lie_quantity_once(capsys, monkeypatch):

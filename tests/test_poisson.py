@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from jkpencil.errors import (
     DenominatorVanishesError,
     InfiniteEigenvalueError,
+    InternalConsistencyError,
     NonGenericPointError,
     ValidationError,
 )
@@ -16,6 +18,8 @@ from jkpencil.poisson import (
     COMPLETE,
     INCOMPLETE,
     PolyPoissonPencil,
+    _require_generic,
+    _sample_generic,
     coefficient_gradients,
     compatibility_check,
     completeness_check,
@@ -276,6 +280,27 @@ def test_non_generic_point_rejected():
     pencil = PolyPoissonPencil(a, b)
     with pytest.raises(NonGenericPointError):
         extended_core(pencil, [0, 1, 1])
+
+
+def test_pointwise_degree_below_generic_is_inconsistent():
+    # the generic polynomial divides every pointwise principal Pfaffian, so
+    # at a point with generic rank, rank(B) and denominator the pointwise
+    # degree can exceed the generic one (a non-generic point) but never
+    # fall below it (two routes disagree)
+    pencil = lie_pencil(heisenberg3(), [0, 0, 1]).pencil
+    gcp = generic_char_poly(pencil)
+    x0 = sample_generic_point(pencil, seed=5)
+    assert _require_generic(pencil, gcp, x0).char_poly.degree == gcp.degree
+    higher = dataclasses.replace(
+        gcp, degree=gcp.degree + 1, numerators=gcp.numerators + (gcp.denominator,)
+    )
+    with pytest.raises(InternalConsistencyError):
+        _require_generic(pencil, higher, x0)
+    with pytest.raises(InternalConsistencyError):
+        _sample_generic(pencil, higher, seed=5)
+    lower = dataclasses.replace(gcp, degree=gcp.degree - 1, numerators=gcp.numerators[1:])
+    with pytest.raises(NonGenericPointError):
+        _require_generic(pencil, lower, x0)
 
 
 def test_completeness_verdicts():

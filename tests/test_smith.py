@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
+import pytest
+
+from jkpencil.errors import ValidationError
 from jkpencil.smith import smith_normal_form
 from jkpencil.unipoly import UniPoly, poly_gcd
 
@@ -31,6 +35,12 @@ def test_rectangular_matrices():
     assert smith_normal_form(wide) == [ONE]
     tall = [[X], [X * X]]
     assert smith_normal_form(tall) == [X]
+
+
+def test_empty_or_ragged_matrix_rejected():
+    for m in ([], [[ONE, X], [ONE]]):
+        with pytest.raises(ValidationError):
+            smith_normal_form(m)
 
 
 def _apply_random_unimodular_ops(m, rng):
@@ -91,8 +101,6 @@ def test_divisibility_chain_on_random_matrices():
 
 
 def _naive_poly_det(rows):
-    from itertools import permutations
-
     n = len(rows)
     total = UniPoly.zero()
     for perm in permutations(range(n)):
@@ -106,9 +114,25 @@ def _naive_poly_det(rows):
     return total
 
 
+def _assert_factors_match_minor_gcds(m, factors):
+    """Definitional oracle: the product of the first k invariant factors is
+    the gcd of all k x k minors, computed here by brute force."""
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        minor_gcd = UniPoly.zero()
+        for rows_idx in combinations(range(len(m)), k):
+            for cols_idx in combinations(range(len(m[0])), k):
+                sub = [[m[i][j] for j in cols_idx] for i in rows_idx]
+                minor_gcd = poly_gcd(minor_gcd, _naive_poly_det(sub))
+        product = ONE
+        for f in factors[:k]:
+            product = product * f
+        if minor_gcd.is_zero:
+            assert product.is_zero
+        else:
+            assert product.monic() == minor_gcd.monic()
+
+
 def test_factor_products_equal_minor_gcds():
-    # definitional oracle: product of the first k invariant factors is
-    # the gcd of all k x k minors, computed here by brute force
     rng = random.Random(41)
     for _ in range(10):
         n = 3
@@ -116,22 +140,50 @@ def test_factor_products_equal_minor_gcds():
             [UniPoly([rng.randint(-2, 2), rng.randint(-1, 1)]) for _ in range(n)]
             for _ in range(n)
         ]
-        factors = smith_normal_form(m)
-        from itertools import combinations
+        _assert_factors_match_minor_gcds(m, smith_normal_form(m))
 
-        for k in range(1, n + 1):
-            minor_gcd = UniPoly.zero()
-            for rows_idx in combinations(range(n), k):
-                for cols_idx in combinations(range(n), k):
-                    sub = [[m[i][j] for j in cols_idx] for i in rows_idx]
-                    minor_gcd = poly_gcd(minor_gcd, _naive_poly_det(sub))
-            product = ONE
-            for f in factors[:k]:
-                product = product * f
-            if minor_gcd.is_zero:
-                assert product.is_zero
-            else:
-                assert product.monic() == minor_gcd.monic()
+
+def _diagonal(entries):
+    return [[e if i == j else ZERO for j, e in enumerate(entries)] for i in range(len(entries))]
+
+
+def test_non_chain_diagonals_become_chains():
+    # the diagonalisation leaves these as they are; the gcd/lcm pass makes
+    # the chain
+    xm1 = UniPoly.linear(1)
+    assert smith_normal_form(_diagonal([xm1, X, xm1])) == [ONE, xm1, X * xm1]
+    assert smith_normal_form(_diagonal([X, xm1])) == [ONE, X * xm1]
+    assert smith_normal_form(_diagonal([X * X, X, ONE])) == [ONE, X, X * X]
+    assert smith_normal_form(_diagonal([xm1 * xm1, X * xm1, X * X])) == [
+        ONE,
+        X * xm1,
+        X * X * xm1 * xm1,
+    ]
+    assert smith_normal_form(_diagonal([xm1, ZERO, X.scale(3)])) == [ONE, X * xm1, ZERO]
+
+
+def test_scrambled_non_chain_diagonals_match_minor_gcds(monkeypatch):
+    import jkpencil.smith
+
+    gcd_steps = []
+
+    def counted_gcd(f, g):
+        gcd_steps.append((f, g))
+        return poly_gcd(f, g)
+
+    monkeypatch.setattr(jkpencil.smith, "poly_gcd", counted_gcd)
+    rng = random.Random(53)
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        entries = []
+        for _ in range(n):
+            e = ONE
+            for _ in range(rng.randint(0, 2)):
+                e = e * UniPoly.linear(rng.randint(-2, 2))
+            entries.append(e.scale(rng.choice([1, -2, Fraction(1, 3)])))
+        m = _apply_random_unimodular_ops(_diagonal(entries), rng)
+        _assert_factors_match_minor_gcds(m, smith_normal_form(m))
+    assert gcd_steps  # the gcd/lcm pass was reached
 
 
 def test_first_factor_is_gcd_of_entries():
