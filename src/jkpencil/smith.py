@@ -15,6 +15,12 @@ Q[x] is Euclidean, so two steps give the invariant factors:
    lcms of multiples of d_i are multiples of d_i.  So the diagonal ends
    as the divisibility chain.
 
+Nonzero constants are units of Q[x], so step 1 runs on integer
+coefficients: rows are scaled to clear denominators, division becomes
+pseudo-division, and each reduced row or column is divided by its
+content.  Over Fractions the coefficient swell, and the time, varied
+widely from one pencil to the next.
+
 Only the invariant factors are produced (no transformation matrices);
 nonzero factors are returned monic, and the trailing zero factors of a
 rank-deficient matrix are included so that the product of the first k
@@ -23,51 +29,57 @@ factors matches the gcd of the k x k minors.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .errors import ValidationError
-from .unipoly import UniPoly, poly_gcd
+from .unipoly import UniPoly, _int_poly_pquo, _int_poly_sub_mul, poly_gcd
 
 
-def _pivot(work, t):
-    """(i, j) of a lowest-degree nonzero entry with i, j >= t, or None."""
+def _reduce(line: list[list[int]], pivot_line: list[list[int]]) -> list[list[int]]:
+    """A row of integer polynomials with its first entry reduced modulo
+    pivot_line's, divided by its content."""
+    m, q = _int_poly_pquo(line[0], pivot_line[0])
+    line = [_int_poly_sub_mul(m, a, q, b) for a, b in zip(line, pivot_line)]
+    content = gcd(*(c for e in line for c in e))
+    return line if content <= 1 else [[c // content for c in e] for e in line]
+
+
+def _pivot(work):
+    """(i, j) of a lowest-degree nonzero entry, or None."""
     best = None
-    for i in range(t, len(work)):
-        for j in range(t, len(work[0])):
-            e = work[i][j]
-            if not e.is_zero and (best is None or e.degree < best[0]):
-                best = (e.degree, i, j)
+    for i, row in enumerate(work):
+        for j, e in enumerate(row):
+            if e and (best is None or len(e) < best[0]):
+                best = (len(e), i, j)
     return None if best is None else best[1:]
 
 
 def smith_normal_form(m) -> list[UniPoly]:
     """Invariant factors d_1 | d_2 | ... of a matrix of UniPoly."""
-    work = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in m]
-    if not work or any(len(r) != len(work[0]) for r in work):
+    rows = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in m]
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError("smith_normal_form needs a rectangular nonempty matrix")
-    ncols = len(work[0])
+    dens = [lcm(*(c.denominator for e in row for c in e.coeffs)) for row in rows]
+    work = [[[int(c * d) for c in e.coeffs] for e in row] for row, d in zip(rows, dens)]
     diagonal: list[UniPoly] = []
-    t = 0
-    while found := _pivot(work, t):
+    while found := _pivot(work):
         i, j = found
-        work[t], work[i] = work[i], work[t]
-        for row in work[t:]:
-            row[t], row[j] = row[j], row[t]
-        top = work[t]
-        for row in work[t + 1 :]:
-            q = row[t] // top[t]
-            if not q.is_zero:
-                row[t:] = [a - q * b for a, b in zip(row[t:], top[t:])]
-        for k in range(t + 1, ncols):
-            q = top[k] // top[t]
-            if not q.is_zero:
-                for row in work[t:]:
-                    row[k] = row[k] - q * row[t]
-        if all(row[t].is_zero for row in work[t + 1 :]) and all(e.is_zero for e in top[t + 1 :]):
-            diagonal.append(top[t].monic())
-            t += 1
+        work[0], work[i] = work[i], work[0]
+        for row in work:
+            row[0], row[j] = row[j], row[0]
+        for _ in range(2):  # the rows below the pivot, then those of the transpose
+            top = work[0]
+            work[1:] = [_reduce(r, top) if len(r[0]) >= len(top[0]) else r for r in work[1:]]
+            work = [list(column) for column in zip(*work)]
+        top = work[0]
+        if not any(row[0] for row in work[1:]) and not any(top[1:]):
+            diagonal.append(UniPoly([Fraction(c, top[0][-1]) for c in top[0]]))
+            work = [row[1:] for row in work[1:]]
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
             if not a.divides(b):
                 g = poly_gcd(a, b)
                 diagonal[i], diagonal[j] = g, a.exact_div(g) * b
-    return diagonal + [UniPoly.zero()] * (min(len(work), ncols) - len(diagonal))
+    return diagonal + [UniPoly.zero()] * (min(len(rows), len(rows[0])) - len(diagonal))

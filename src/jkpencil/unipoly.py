@@ -283,6 +283,45 @@ def _int_poly_prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return r
 
 
+def _int_poly_pquo(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int]]:
+    """(m, q) with m a nonzero integer and deg(m*f - q*g) < deg g.
+
+    Each step scales by lc(g) / gcd(lc(g), lead) rather than by lc(g), so
+    m divides lc(g)^(deg f - deg g + 1) and the coefficients stay small.
+    """
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    q = [0] * (len(r) - dg)
+    m = 1
+    for i in range(len(r) - 1, dg - 1, -1):
+        lead = r[i]
+        if not lead:
+            continue
+        common = int_gcd(lead, lg)
+        s, t = lg // common, lead // common
+        if s != 1:
+            r = [s * c for c in r]
+            q = [s * c for c in q]
+            m *= s
+        for j, c in enumerate(g):
+            r[i - dg + j] -= t * c
+        q[i - dg] = t
+    return m, q
+
+
+def _int_poly_sub_mul(m: int, f: Sequence[int], q: Sequence[int], g: Sequence[int]) -> list[int]:
+    """m*f - q*g over the integers, without trailing zeros."""
+    out = [m * c for c in f]
+    out.extend([0] * (len(q) + len(g) - 1 - len(out)))
+    for i, a in enumerate(q):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] -= a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd over Q[x] via a subresultant PRS on integer primitive parts.
 

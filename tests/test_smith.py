@@ -186,6 +186,23 @@ def test_scrambled_non_chain_diagonals_match_minor_gcds(monkeypatch):
     assert gcd_steps  # the gcd/lcm pass was reached
 
 
+
+def test_rational_and_plain_entries_match_minor_gcds():
+    # rows are scaled to integer coefficients before the elimination
+    rng = random.Random(61)
+    for _ in range(10):
+        m = [
+            [
+                UniPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(2)])
+                for _ in range(3)
+            ]
+            for _ in range(3)
+        ]
+        _assert_factors_match_minor_gcds(m, smith_normal_form(m))
+    plain = [[2, Fraction(1, 2)], [Fraction(-3, 4), 0]]
+    assert smith_normal_form(plain) == [ONE, ONE]
+    assert smith_normal_form([[0, 0], [0, Fraction(5, 3)]]) == [ONE, ZERO]
+
 def test_first_factor_is_gcd_of_entries():
     rng = random.Random(37)
     for _ in range(15):

@@ -5,6 +5,8 @@ import pytest
 
 from jkpencil.unipoly import (
     UniPoly,
+    _int_poly_pquo,
+    _int_poly_sub_mul,
     coprime_refine,
     poly_gcd,
     rational_roots,
@@ -177,6 +179,22 @@ def test_divmod_roundtrip():
         assert q * g + r == f
         assert r.degree < g.degree or r.is_zero
 
+
+
+def test_integer_pseudo_quotient_matches_division():
+    rng = random.Random(17)
+    for _ in range(200):
+        f = [rng.randint(-40, 40) for _ in range(rng.randint(1, 8))]
+        g = [rng.randint(-12, 12) for _ in range(rng.randint(1, 4))]
+        g[-1] = g[-1] or 7
+        if len(f) < len(g):
+            continue
+        m, q = _int_poly_pquo(f, g)
+        r = _int_poly_sub_mul(m, f, q, g)
+        assert m != 0 and len(r) < len(g)
+        quotient, remainder = divmod(UniPoly(f), UniPoly(g))
+        assert UniPoly(q).scale(Fraction(1, m)) == quotient
+        assert UniPoly(r).scale(Fraction(1, m)) == remainder
 
 def test_compose_and_eval():
     f = X * X + X.scale(2)  # x^2 + 2x
