@@ -2,8 +2,11 @@
 
 Input documents are JSON with all rationals as strings ("3/4") or
 integers; reports are emitted as human-readable text or as a stable
-JSON schema (schema_version 1) in which rationals are always strings.
-Identical input and identical --seed produce byte-identical JSON.
+JSON schema (schema_version 2) in which rationals are always strings.
+Version 2 drops the two `reparametrization` keys of version 1, which held
+a parameter of the former Moebius route to infinite Jordan blocks; every
+other key is unchanged.  Identical input and identical --seed produce
+byte-identical JSON.
 
 Exit codes: 0 success, 2 validation error, 3 internal-consistency
 failure.  Diagnostics go to stderr; the report alone goes to stdout.
@@ -42,6 +45,13 @@ from .poisson import _eigenvalue_lemma, _involution
 from .unipoly import UniPoly
 
 DEFAULT_SEED = 1729
+
+# Largest Lie algebra dimension a document may declare.  The Jacobi check
+# alone visits every triple i < j < k, and the generic layer grows faster
+# still, so a 35-byte document could otherwise ask for unbounded work.
+# 64 is twice the dimension 30 the Lie analysis is meant to reach; the
+# abelian algebra of dimension 64 is analysed in a few seconds.
+MAX_LIE_DIMENSION = 64
 
 
 # -- parsing ----------------------------------------------------------------
@@ -103,7 +113,7 @@ def load_pencil_document(doc) -> SkewPencil:
     if not isinstance(doc, dict):
         raise ValidationError("document root must be a JSON object")
     n = doc.get("dimension")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a JSON boolean is a Python int
         raise ValidationError("dimension: expected a positive integer")
     a = _parse_matrix(doc, "A", n)
     b = _parse_matrix(doc, "B", n)
@@ -115,8 +125,10 @@ def load_lie_document(doc) -> tuple[LieAlgebra, list | None, list | None]:
     if not isinstance(doc, dict):
         raise ValidationError("document root must be a JSON object")
     n = doc.get("dimension")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a JSON boolean is a Python int
         raise ValidationError("dimension: expected a positive integer")
+    if n > MAX_LIE_DIMENSION:
+        raise ValidationError(f"dimension: {n} exceeds the limit of {MAX_LIE_DIMENSION}")
     brackets_raw = doc.get("brackets", [])
     if not isinstance(brackets_raw, list):
         raise ValidationError("brackets: expected a list")
@@ -126,7 +138,10 @@ def load_lie_document(doc) -> tuple[LieAlgebra, list | None, list | None]:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: expected an object")
         i, j = entry.get("i"), entry.get("j")
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= n):
+        for key, index in (("i", i), ("j", j)):
+            if type(index) is not int:
+                raise ValidationError(f"{where}.{key}: expected an integer index")
+        if not 1 <= i < j <= n:
             raise ValidationError(f"{where}: need 1-based indices with i < j <= {n}")
         coeffs_raw = entry.get("coeffs", {})
         if not isinstance(coeffs_raw, dict):
@@ -215,9 +230,6 @@ def _invariants_dict(inv) -> dict:
         "corank": inv.corank,
         "core_dimension": inv.core_dim,
         "mantle_dimension": inv.mantle_dim,
-        "reparametrization": (
-            None if inv.reparametrization is None else str(inv.reparametrization)
-        ),
     }
 
 
@@ -265,15 +277,9 @@ def cmd_pencil_analyze(path: str, seed: int) -> dict:
     try:
         char = _charpoly_dict(analysis.char_poly)
     except InfiniteEigenvalueError as exc:
-        char = {
-            "status": "INFINITE_EIGENVALUE",
-            "note": str(exc),
-            "reparametrization": (
-                None if inv.reparametrization is None else str(inv.reparametrization)
-            ),
-        }
+        char = {"status": "INFINITE_EIGENVALUE", "note": str(exc)}
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "tool": "jkpencil",
         "version": __version__,
         "command": "pencil analyze",
@@ -319,8 +325,6 @@ def _render_pencil_text(rep: dict) -> str:
             lines.append(f"  rational root: {root['root']} (multiplicity {root['multiplicity']})")
     else:
         lines.append(f"characteristic polynomial: {char['status']} - {char['note']}")
-        if char.get("reparametrization"):
-            lines.append(f"  reparametrized with mu0 = {char['reparametrization']}")
     inv = rep["jk_invariants"]
     lines.append("")
     lines.append(f"kronecker parameters: {inv['kronecker'] or 'none'}")
@@ -335,8 +339,6 @@ def _render_pencil_text(rep: dict) -> str:
         f"rank {inv['rank']}, corank {inv['corank']}, core dim {inv['core_dimension']}, "
         f"mantle dim {inv['mantle_dimension']}"
     )
-    if inv["reparametrization"] is not None:
-        lines.append(f"invariants computed via reparametrization mu0 = {inv['reparametrization']}")
     core = rep["core"]
     lines.append("")
     lines.append(f"core subspace: dimension {core['dimension']}")
@@ -422,7 +424,7 @@ def cmd_lie_analyze(
         )
 
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "tool": "jkpencil",
         "version": __version__,
         "command": "lie analyze",

@@ -16,7 +16,8 @@ class SingularMatrixError(ValidationError):
 class InfiniteEigenvalueError(JKPencilError):
     """rank(B) < pencil rank: the pencil has infinite eigenvalues.
 
-    The caller must reparametrize (jk_invariants does this internally).
+    Raised for the characteristic polynomial only; jk_invariants reads the
+    infinite Jordan blocks from the reversed pencil B - mu*A.
     """
 
 

@@ -8,11 +8,14 @@ plus Jordan half-sizes grouped by eigenvalue).
 One analysis computes each quantity once: the pencil rank by
 evaluation at floor(n/2) + 1 integer values, the Smith invariant
 factors d_1 | ... | d_r of A - lambda*B (the characteristic polynomial
-is d_2*d_4*...*d_r, and the Jordan data are read from their elementary
-divisors), and one stream of regular values per seed with the kernel of
-each member.  A pencil keeps one integer scaling D*(A, B), so the
-members at integer values (the rank's evaluation points and the sampled
-regular values) are built and eliminated without Fractions.  The gcd of
+is d_2*d_4*...*d_r, and the finite Jordan data are read from their
+elementary divisors), and one stream of regular values per seed with the
+kernel of each member.  When B is irregular, the infinite Jordan blocks
+are the powers of mu in the invariant factors of the reversed pencil
+B - mu*A, a second Smith form with the same count and pair checks.  A
+pencil keeps one integer scaling D*(A, B), so the members at integer
+values (the rank's evaluation points and the sampled regular values) are
+built and eliminated without Fractions.  The gcd of
 the principal r x r Pfaffians is the second route to the characteristic
 polynomial, and fraction-free elimination over Q[lambda] the second
 route to the rank; both live in the test suite as oracles.
@@ -156,10 +159,9 @@ class JKInvariants:
     corank: int = field(compare=False)
     core_dim: int = field(compare=False)
     mantle_dim: int = field(compare=False)
-    reparametrization: Optional[Fraction] = field(default=None, compare=False)
 
     @classmethod
-    def from_blocks(cls, kronecker, jordan, reparametrization=None) -> "JKInvariants":
+    def from_blocks(cls, kronecker, jordan) -> "JKInvariants":
         kron = tuple(sorted(int(k) for k in kronecker))
         if any(k < 1 for k in kron):
             raise ValidationError("Kronecker parameters must be >= 1")
@@ -190,7 +192,6 @@ class JKInvariants:
             corank=corank,
             core_dim=core_dim,
             mantle_dim=mantle_dim,
-            reparametrization=reparametrization,
         )
 
     @property
@@ -302,8 +303,8 @@ class _KernelStream:
     """Regular values drawn from one seed, each with the kernel of its member.
 
     Values are drawn on first use and kept, so the Kronecker increments,
-    the core, the reparametrization value and the isotropy family read
-    from one stream see the same values in the same order.
+    the core and the isotropy family read from one stream see the same
+    values in the same order.
     """
 
     def __init__(self, p: SkewPencil, r: int, seed: int):
@@ -366,30 +367,6 @@ def _jordan_groups(halves: list[UniPoly]) -> list[tuple[UniPoly, tuple[int, ...]
     return [(q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves)]
 
 
-def _mobius_pullback(desc: UniPoly, mu0: Fraction):
-    """Map an eigenvalue descriptor of the pencil (A, A + mu0*B) back to
-    the (A, B) parameter.
-
-    A root t of desc corresponds to the original eigenvalue
-    mu0*t / (1 - t); the descriptor lambda - 1 corresponds to INFINITY.
-    """
-    d = desc.degree
-    one = UniPoly.one()
-    base = UniPoly((mu0, Fraction(1)))  # mu0 + lambda
-    if desc == UniPoly.linear(Fraction(1)):
-        return INFINITY
-    acc = UniPoly.zero()
-    lam_pow = one
-    for i in range(d + 1):
-        c = desc.coefficient(i)
-        if c != 0:
-            acc = acc + (lam_pow * base ** (d - i)).scale(c)
-        lam_pow = lam_pow * UniPoly.x()
-    if acc.degree != d:
-        raise InternalConsistencyError("Moebius pullback dropped degree unexpectedly")
-    return acc.monic()
-
-
 class _PencilAnalysis:
     """The rank, rank(B) and Smith invariant factors of one pencil, each
     computed once; the characteristic polynomial and the Jordan data are
@@ -422,9 +399,9 @@ class _PencilAnalysis:
         return CharPoly.from_poly(poly)
 
     def invariants(self, stream: _KernelStream) -> JKInvariants:
-        """Jordan data from the invariant factors (reparametrized when B is
-        irregular), Kronecker parameters from the kernel-sum growth
-        sequence of the stream."""
+        """Jordan data from the invariant factors of A - lambda*B (and of
+        B - mu*A when B is irregular), Kronecker parameters from the
+        kernel-sum growth sequence of the stream."""
         n = self.p.n
         r = self.rank
         corank = n - r
@@ -449,20 +426,20 @@ class _PencilAnalysis:
             following = increments[t + 1] if t + 1 < len(increments) else 0
             kronecker.extend([t + 1] * (c - following))
 
-        # Jordan data, reparametrizing into a regular-B pencil if needed;
-        # mu0 is the first nonzero value drawn after the growth sequence
-        # ended (mu0 = 0 would give the pencil (A, A), all blocks infinite).
-        mu0: Optional[Fraction] = None
-        if self.rank_b == r:
-            groups = _jordan_groups(self._halves)
-        else:
-            t = len(increments) + 1 if corank > 0 else 0
-            mu0 = stream.draw(t)[0] or stream.draw(t + 1)[0]
-            regularized = SkewPencil(self.p.a, self.p.member(mu0))
-            raw = _jordan_groups(_invariant_factors(regularized.lambda_matrix(sign=-1), r))
-            groups = [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]
+        # Jordan data: the finite blocks are the elementary divisors of
+        # A - lambda*B, the infinite ones the powers of mu in those of the
+        # reversed pencil B - mu*A (Gantmacher, vol. II, ch. XII).
+        groups = _jordan_groups(self._halves)
+        if self.rank_b < r:
+            reversed_pencil = SkewPencil(self.p.b, self.p.a)
+            orders = [
+                next(i for i, c in enumerate(d.coeffs) if c)
+                for d in _invariant_factors(reversed_pencil.lambda_matrix(sign=-1), r)
+            ]
+            if any(orders):
+                groups.append((INFINITY, tuple(e for e in orders if e)))
 
-        invariants = JKInvariants.from_blocks(kronecker, groups, reparametrization=mu0)
+        invariants = JKInvariants.from_blocks(kronecker, groups)
         if invariants.n != n:
             raise InternalConsistencyError(
                 f"block dimensions sum to {invariants.n}, expected {n}"
@@ -479,8 +456,8 @@ def characteristic_polynomial(p: SkewPencil) -> CharPoly:
     invariant factors.
 
     Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
-    eigenvalues finite; raises InfiniteEigenvalueError otherwise, in
-    which case the caller must reparametrize (jk_invariants does).
+    eigenvalues finite; raises InfiniteEigenvalueError otherwise
+    (jk_invariants reads the infinite blocks from B - mu*A).
     """
     return _PencilAnalysis(p).char_poly
 
@@ -495,8 +472,8 @@ def core_subspace(p: SkewPencil, seed: int = 0) -> Subspace:
 
 
 def jk_invariants(p: SkewPencil, seed: int = 0) -> JKInvariants:
-    """Full block invariants: Jordan data from the Smith normal form of
-    A - lambda*B (reparametrized when B is irregular), Kronecker
+    """Full block invariants: Jordan data from the Smith normal forms of
+    A - lambda*B and, when B is irregular, of B - mu*A, Kronecker
     parameters from the kernel-sum growth sequence at regular values."""
     analysis = _PencilAnalysis(p)
     return analysis.invariants(_KernelStream(p, analysis.rank, seed))

@@ -48,7 +48,7 @@ from .pencil import (
     _pairings,
     _PencilAnalysis,
 )
-from .unipoly import UniPoly, refined_factors
+from .unipoly import UniPoly
 
 COMPLETE = "COMPLETE"
 INCOMPLETE = "INCOMPLETE"
@@ -510,7 +510,9 @@ def _completeness(pa: PointAnalysis, gcp: GenericCharPoly) -> CompletenessReport
     factor_tests = []
     witnesses = []
     all_escape = True
-    for q, (mult,) in refined_factors([pa.char_at_point.poly]):
+    # each Jordan group is one factor of the char poly, to the power of
+    # its summed half-sizes
+    for q, mult in ((g.descriptor, sum(g.half_sizes)) for g in pa.invariants.jordan):
         if mult > 1:
             factor_tests.append(FactorEscape(q, mult, None))
             witnesses.append(f"repeated eigenvalue factor ({q.to_string('lambda')})^{mult}")

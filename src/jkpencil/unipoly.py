@@ -258,31 +258,6 @@ def _integer_primitive(f: UniPoly) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _int_poly_prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g over the integers."""
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    steps = len(f) - len(g) + 1
-    done = 0
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        lead = r[-1]
-        shift = len(r) - 1 - dg
-        r = [c * lg for c in r]
-        for j in range(dg + 1):
-            r[shift + j] -= lead * g[j]
-        done += 1
-        while r and r[-1] == 0:
-            r.pop()
-    for _ in range(steps - done):
-        r = [c * lg for c in r]
-    return r
-
-
 def _int_poly_pquo(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int]]:
     """(m, q) with m a nonzero integer and deg(m*f - q*g) < deg g.
 
@@ -340,9 +315,10 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     gg, h = 1, 1
     while True:
         delta = (len(a) - 1) - (len(b) - 1)
-        rem = _int_poly_prem(a, b)
-        while rem and rem[-1] == 0:
-            rem.pop()
+        # the pseudo-remainder lc(b)^(delta+1) * a mod b; m divides that power
+        m, q = _int_poly_pquo(a, b)
+        scale = b[-1] ** (delta + 1) // m
+        rem = [scale * c for c in _int_poly_sub_mul(m, a, q, b)]
         if not rem:
             break
         if len(rem) == 1:

@@ -5,9 +5,11 @@ algorithms: Pfaffians by perfect-matching enumeration, determinants by
 permutation expansion, gcds from known linear factorizations, the
 characteristic polynomial of a pencil as a gcd of principal Pfaffians
 (the library reads it from the Smith form), the recursion-operator
-identity through a Faddeev-LeVerrier characteristic polynomial, and
+identity through a Faddeev-LeVerrier characteristic polynomial,
 reduced row echelon forms and Gram matrices in Fraction arithmetic (the
-library eliminates and pairs over the integers).
+library eliminates and pairs over the integers), and Jordan groups through
+a Moebius reparametrization to a regular-B pencil (the library reads the
+infinite blocks from the reversed pencil B - mu*A).
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ from itertools import combinations, permutations
 
 from jkpencil.errors import InternalConsistencyError, SingularMatrixError
 from jkpencil.linalg import Matrix, PfaffianCache, mat_mul, rank, transpose
-from jkpencil.pencil import INFINITY, JKInvariants, SkewPencil, characteristic_polynomial, pencil_rank
+from jkpencil.pencil import (
+    INFINITY,
+    JKInvariants,
+    RegularValueSampler,
+    SkewPencil,
+    _invariant_factors,
+    _jordan_groups,
+    characteristic_polynomial,
+    pencil_rank,
+)
 from jkpencil.unipoly import UniPoly, poly_gcd
 
 ACCEPTANCE_LINES: list[str] = []
@@ -275,3 +286,38 @@ def recursion_charpoly_check(p: SkewPencil) -> bool:
     lhs = charpoly_rational(recursion)  # det(lambda*I - P); n is even
     square = characteristic_polynomial(p).poly ** 2
     return lhs == square or lhs == -square
+
+
+def _mobius_pullback(desc: UniPoly, mu0: Fraction):
+    """Map an eigenvalue descriptor of the pencil (A, A + mu0*B) back to
+    the (A, B) parameter.
+
+    A root t of desc corresponds to the original eigenvalue
+    mu0*t / (1 - t); the descriptor lambda - 1 corresponds to INFINITY.
+    """
+    d = desc.degree
+    if desc == UniPoly.linear(Fraction(1)):
+        return INFINITY
+    base = UniPoly((mu0, Fraction(1)))  # mu0 + lambda
+    acc = UniPoly.zero()
+    for i in range(d + 1):
+        c = desc.coefficient(i)
+        if c != 0:
+            acc = acc + (UniPoly.x() ** i * base ** (d - i)).scale(c)
+    assert acc.degree == d, "Moebius pullback dropped degree"
+    return acc.monic()
+
+
+def mobius_jordan_groups(p: SkewPencil, seed: int) -> list:
+    """Jordan groups of (A, B), sorted like JKInvariants.jordan, from the
+    Smith form of the regular-B pencil (A, A + mu0*B) mapped back by
+    _mobius_pullback; mu0 is the first nonzero regular value drawn from
+    the seed (mu0 = 0 would give (A, A), every block at infinity)."""
+    r = pencil_rank(p)
+    sampler = RegularValueSampler(p, random.Random(seed), r=r)
+    mu0 = sampler.draw()
+    while mu0 == 0:
+        mu0 = sampler.draw()
+    regularized = SkewPencil(p.a, p.member(mu0))
+    raw = _jordan_groups(_invariant_factors(regularized.lambda_matrix(sign=-1), r))
+    return list(JKInvariants.from_blocks([], [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]).jordan)

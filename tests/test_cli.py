@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from jkpencil import cli
+from jkpencil.errors import ValidationError
 from jkpencil.liealg import direct_sum, get_algebra
 from jkpencil.pencil import (
     INFINITY,
@@ -74,7 +75,8 @@ def test_pencil_analyze_jordan_block(capsys, tmp_path):
     code, out, err = run(capsys, ["pencil", "analyze", str(path), "--format", "json"])
     assert code == 0 and err == ""
     rep = json.loads(out)
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
+    assert "reparametrization" not in rep["jk_invariants"]
     assert rep["char_poly"]["polynomial"] == "lambda^2 - 14*lambda + 49"
     assert rep["char_poly"]["rational_roots"] == [{"root": "7", "multiplicity": 2}]
     assert rep["jk_invariants"]["jordan"] == [
@@ -175,6 +177,40 @@ def test_exponent_rationals_exit_2(capsys, tmp_path):
     assert_one_line_exit_2(capsys, argv, "exponent notation")
 
 
+def test_pencil_analyze_boolean_dimension_exit_2(capsys, tmp_path):
+    path = tmp_path / "booldim.json"
+    path.write_text('{"dimension": true, "A": [[0]], "B": [[0]]}')
+    assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], "dimension: expected a positive integer")
+
+
+def test_lie_analyze_boolean_dimension_exit_2(capsys, tmp_path):
+    path = tmp_path / "booldim.json"
+    path.write_text('{"dimension": true, "brackets": []}')
+    assert_one_line_exit_2(capsys, ["lie", "analyze", str(path)], "dimension: expected a positive integer")
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('{"i": true, "j": 2}', "brackets[0].i: expected an integer index"),
+        ('{"i": 1, "j": true}', "brackets[0].j: expected an integer index"),
+    ],
+    ids=["i", "j"],
+)
+def test_lie_analyze_boolean_index_exit_2(capsys, tmp_path, entry, message):
+    path = tmp_path / "boolindex.json"
+    path.write_text('{"dimension": 2, "brackets": [' + entry + "]}")
+    assert_one_line_exit_2(capsys, ["lie", "analyze", str(path)], message)
+
+
+def test_lie_document_dimension_limit():
+    assert cli.MAX_LIE_DIMENSION == 64
+    g, _, _ = cli.load_lie_document({"dimension": 64, "brackets": []})
+    assert g.dim == 64
+    with pytest.raises(ValidationError, match="exceeds the limit of 64"):
+        cli.load_lie_document({"dimension": 65, "brackets": []})
+
+
 # -- lie analyze ------------------------------------------------------------------
 
 
@@ -254,7 +290,8 @@ def test_lie_analyze_uses_document_points(capsys, tmp_path):
         (("sl2",), 517691, "COMPLETE", "COMPLETE"),
         # a degree jump at a nonzero non-generic x
         (("e3", "aff1"), 90551, "INCOMPLETE", "COMPLETE"),
-        # a generic-invariants sample with rank(B) < rank draws mu0 = 0
+        # a generic-invariants sample with rank(B) < rank, which drew
+        # mu0 = 0 under the former Moebius reparametrization
         (("e3", "heisenberg3"), 772828, "INCOMPLETE", "INCOMPLETE"),
     ],
 )
@@ -378,6 +415,9 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     form, the pencil rank is computed once, and the invariants and the core
     read one kernel stream, per evaluation point.  The involution
     certificate draws its own stream (seed + 17), whose values it reports.
+    The factors of each Smith form are refined once, for its Jordan groups;
+    the completeness test reads those groups rather than factoring the
+    char poly again.
 
     The certificate of the fundamental semi-invariant draws random points
     of its own, which may hit an evaluation point; its work is not counted.
@@ -386,6 +426,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     import jkpencil.pencil
     import jkpencil.poisson
     import jkpencil.smith
+    import jkpencil.unipoly
     from jkpencil.liealg import get_algebra, lie_pencil
 
     inside = []
@@ -402,6 +443,12 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     smith_calls = record_calls(
         monkeypatch, "smith_normal_form", [jkpencil.smith, jkpencil.pencil], unless=lambda: bool(inside)
     )
+    refined_calls = record_calls(
+        monkeypatch,
+        "refined_factors",
+        [jkpencil.unipoly, jkpencil.pencil, jkpencil.poisson],
+        unless=lambda: bool(inside),
+    )
     rank_calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil], unless=lambda: bool(inside))
     stream_calls = record_calls(
         monkeypatch, "_KernelStream", [jkpencil.pencil, jkpencil.poisson], unless=lambda: bool(inside)
@@ -413,6 +460,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     pencil = lie_pencil(get_algebra("heisenberg3"), report["frozen_point"]["a"]).pencil
     points = [p["point"] for p in report["ftilde"]["points"]]
     assert len(points) == 2
+    assert len(refined_calls) == len(smith_calls) == 9
     for x0 in points:
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         assert sum(args[0] == at_point.lambda_matrix(sign=-1) for args in smith_calls) == 1

@@ -5,9 +5,16 @@ Each document `tests/golden/<name>.<kind>.json` is analysed with
 must equal `tests/golden/<name>.report.json` exactly.  The pencils cover
 a pure Jordan pencil, a scrambled Kronecker+Jordan pencil, a corank-2
 pencil with two eigenvalues, the zero pencil and a pencil with infinite
-Jordan blocks (reparametrized); the Lie documents are catalog algebras.
-To refresh after an intended report change, rerun the command on each
-document and review the diff.
+Jordan blocks (read from the reversed pencil); the Lie documents are
+catalog algebras.  To refresh after an intended report change, rerun the
+command on each document and review the diff:
+
+    for doc in tests/golden/*.json; do
+      case $doc in *.report.json) continue;; esac
+      stem=${doc%%.*}; kind=$(basename "$doc" | cut -d. -f2)
+      PYTHONPATH=src python -m jkpencil.cli "$kind" analyze "$doc" --format json > "$stem.report.json"
+    done
+    git diff tests/golden
 """
 
 from pathlib import Path

@@ -28,7 +28,13 @@ from jkpencil.pencil import (
 )
 from jkpencil.unipoly import UniPoly
 
-from conftest import fraction_pairings, naive_pfaffian, random_jk_spec, recursion_charpoly_check
+from conftest import (
+    fraction_pairings,
+    mobius_jordan_groups,
+    naive_pfaffian,
+    random_jk_spec,
+    recursion_charpoly_check,
+)
 
 
 def jordan(lam0, half):
@@ -272,25 +278,53 @@ def test_mixed_congruence_roundtrip():
         assert jk_invariants(q, seed=trial) == spec
 
 
-def test_reparametrization_skips_a_drawn_zero():
-    # rank(B) < rank here, so the Jordan data is read from (A, A + mu0*B),
-    # mu0 the third regular value drawn (after the Kronecker growth
-    # sequence); mu0 = 0 would give (A, A), every block at infinity
+def test_infinite_blocks_for_every_seed():
+    # rank(B) < rank here; the infinite blocks come from the reversed
+    # pencil and use no drawn value, so seeds 33 and 42, which drew 0 for
+    # the former reparametrization, give the spec like every other seed
     spec = JKInvariants.from_blocks(
         [1], [(UniPoly.linear(2), (1,)), (INFINITY, (2,))]
     )
     p = canonical_pencil(spec)
     q = congruence_transform(p, random_unimodular(p.n, random.Random(1)))
-    seeds = []
     for seed in range(100):
-        sampler = RegularValueSampler(q, random.Random(seed))
-        if [sampler.draw() for _ in range(3)][2] == 0:
-            seeds.append(seed)
-    assert seeds
-    for seed in seeds:
-        inv = jk_invariants(q, seed=seed)
-        assert inv == spec, seed
-        assert inv.reparametrization != 0
+        assert jk_invariants(q, seed=seed) == spec, seed
+
+
+@pytest.mark.parametrize(
+    "kronecker, jordan",
+    [
+        ([1], [(INFINITY, (1, 1))]),  # B = 0
+        ([], [(INFINITY, (1, 1, 2))]),
+        ([2], [(UniPoly.linear(0), (1,)), (INFINITY, (1, 3))]),
+    ],
+    ids=["b-zero", "infinity-1-1-2", "zero-next-to-infinity"],
+)
+def test_infinite_blocks_edge_cases_match_the_moebius_oracle(kronecker, jordan):
+    spec = JKInvariants.from_blocks(kronecker, jordan)
+    p = canonical_pencil(spec)
+    for trial, q in enumerate((p, congruence_transform(p, random_unimodular(p.n, random.Random(5))))):
+        inv = jk_invariants(q, seed=trial)
+        assert inv == spec
+        assert list(inv.jordan) == mobius_jordan_groups(q, seed=trial)
+
+
+def test_jordan_groups_match_the_moebius_oracle():
+    # every other spec is redrawn until it has infinite blocks
+    rng = random.Random(2410)
+    with_infinity = 0
+    for trial in range(160):
+        while True:
+            spec = random_jk_spec(rng, max_dim=10)
+            infinite = any(g.descriptor is INFINITY for g in spec.jordan)
+            if infinite or trial % 2:
+                break
+        q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
+        inv = jk_invariants(q, seed=trial)
+        assert inv == spec, spec
+        assert list(inv.jordan) == mobius_jordan_groups(q, seed=trial), spec
+        with_infinity += infinite
+    assert with_infinity >= 50, with_infinity
 
 
 def test_congruence_identity_and_permutation():

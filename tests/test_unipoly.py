@@ -195,6 +195,11 @@ def test_integer_pseudo_quotient_matches_division():
         quotient, remainder = divmod(UniPoly(f), UniPoly(g))
         assert UniPoly(q).scale(Fraction(1, m)) == quotient
         assert UniPoly(r).scale(Fraction(1, m)) == remainder
+        # poly_gcd's pseudo-remainder: m divides lc^(delta+1), and the scaled
+        # remainder is lc^(delta+1) * f mod g over Q
+        power = g[-1] ** (len(f) - len(g) + 1)
+        assert power % m == 0
+        assert UniPoly([power // m * c for c in r]) == (UniPoly(f).scale(power) % UniPoly(g))
 
 def test_compose_and_eval():
     f = X * X + X.scale(2)  # x^2 + 2x
