@@ -148,7 +148,11 @@ def load_lie_document(doc) -> tuple[LieAlgebra, list | None, list | None]:
             raise ValidationError(f"{where}.coeffs: expected an object")
         coeffs = {}
         for k_str, c in coeffs_raw.items():
+            # a canonical ASCII decimal, since int() also reads "1_0" as 10,
+            # " +3 " and non-ASCII digits as 3, and "03" as a second key for 3
             try:
+                if not (k_str.isascii() and k_str.isdecimal()) or k_str[0] == "0":
+                    raise ValueError
                 k = int(k_str)
             except ValueError:
                 raise ValidationError(f"{where}.coeffs: bad index {k_str!r}") from None

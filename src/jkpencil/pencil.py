@@ -15,10 +15,15 @@ are the powers of mu in the invariant factors of the reversed pencil
 B - mu*A, a second Smith form with the same count and pair checks.  A
 pencil keeps one integer scaling D*(A, B), so the members at integer
 values (the rank's evaluation points and the sampled regular values) are
-built and eliminated without Fractions.  The gcd of
-the principal r x r Pfaffians is the second route to the characteristic
-polynomial, and fraction-free elimination over Q[lambda] the second
-route to the rank; both live in the test suite as oracles.
+built and eliminated without Fractions, and both Smith forms read their
+integer lambda-matrices DA - lambda*DB and DB - mu*DA off it.  The Smith
+factors are kept as primitive integer polynomials: the characteristic
+polynomial is their product, and the Jordan groups their refined factor
+basis; the squarefree parts and rational roots of the characteristic
+polynomial are computed only when read.  The gcd of the principal r x r
+Pfaffians is the second route to the characteristic polynomial, and
+fraction-free elimination over Q[lambda] the second route to the rank;
+both live in the test suite as oracles.
 
 Sign conventions.  Eigenvalues are the roots of the characteristic
 polynomial of A - lambda*B; the member A + lambda0*B drops rank exactly
@@ -56,7 +61,15 @@ from .linalg import (
     subspace_sum,
 )
 from .smith import smith_normal_form
-from .unipoly import UniPoly, rational_roots, refined_factors, squarefree_decompose
+from .unipoly import (
+    UniPoly,
+    _int_poly_mul,
+    _integer_primitive,
+    _to_unipoly,
+    rational_roots,
+    refined_factors,
+    squarefree_decompose,
+)
 
 
 class _InfinityType:
@@ -219,21 +232,26 @@ class JKInvariants:
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Monic characteristic polynomial with its factor structure."""
+    """Monic characteristic polynomial; its factor structure is computed
+    on first read."""
 
     poly: UniPoly
     degree: int
-    squarefree_parts: tuple[tuple[UniPoly, int], ...]
-    rational_roots: tuple[tuple[Fraction, int], ...]
 
     @classmethod
     def from_poly(cls, poly: UniPoly) -> "CharPoly":
         poly = poly.monic()
         if poly.degree < 1:
-            return cls(UniPoly.one(), 0, (), ())
-        parts = tuple(squarefree_decompose(poly))
-        roots = tuple(rational_roots(poly))
-        return cls(poly, poly.degree, parts, roots)
+            return cls(UniPoly.one(), 0)
+        return cls(poly, poly.degree)
+
+    @cached_property
+    def squarefree_parts(self) -> tuple[tuple[UniPoly, int], ...]:
+        return tuple(squarefree_decompose(self.poly))
+
+    @cached_property
+    def rational_roots(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple(rational_roots(self.poly))
 
     @property
     def is_squarefree(self) -> bool:
@@ -347,9 +365,18 @@ class _KernelStream:
         return IsotropyCertificate(len(family), pairings, violation is None, violation)
 
 
-def _invariant_factors(lam_matrix: list[list[UniPoly]], r: int) -> list[UniPoly]:
-    """d_2, d_4, ..., d_r for the nonzero Smith invariant factors d_1 | ... | d_r
-    of a skew lambda-matrix of rank r, which come in equal pairs."""
+def _lambda_rows(a: list[list[int]], b: list[list[int]]) -> list[list[list[int]]]:
+    """a - lambda*b for integer matrices a, b, as integer coefficient lists."""
+    return [
+        [[x, -y] if y else [x] if x else [] for x, y in zip(ra, rb)]
+        for ra, rb in zip(a, b)
+    ]
+
+
+def _invariant_factors(lam_matrix, r: int) -> list[list[int]]:
+    """d_2, d_4, ..., d_r, as primitive integer coefficient lists, for the
+    nonzero Smith invariant factors d_1 | ... | d_r of a skew lambda-matrix
+    of rank r, which come in equal pairs."""
     factors = [f for f in smith_normal_form(lam_matrix) if not f.is_zero]
     if len(factors) != r:
         raise InternalConsistencyError(f"Smith form rank {len(factors)} != pencil rank {r}")
@@ -358,10 +385,10 @@ def _invariant_factors(lam_matrix: list[list[UniPoly]], r: int) -> list[UniPoly]
             "Smith invariant factors are not equal in pairs: "
             + ", ".join(str(f) for f in factors)
         )
-    return factors[1::2]
+    return [_integer_primitive(f) for f in factors[1::2]]
 
 
-def _jordan_groups(halves: list[UniPoly]) -> list[tuple[UniPoly, tuple[int, ...]]]:
+def _jordan_groups(halves: list[list[int]]) -> list[tuple[UniPoly, tuple[int, ...]]]:
     """Eigenvalue groups from d_2, d_4, ..., d_r: the exponent of a factor
     q in d_2i is the half-size of one Jordan block of q, or 0."""
     return [(q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves)]
@@ -378,8 +405,8 @@ class _PencilAnalysis:
         self.rank_b = rank(p.b)
 
     @cached_property
-    def _halves(self) -> list[UniPoly]:
-        return _invariant_factors(self.p.lambda_matrix(sign=-1), self.rank)
+    def _halves(self) -> list[list[int]]:
+        return _invariant_factors(_lambda_rows(*self.p._scaled), self.rank)
 
     @cached_property
     def char_poly(self) -> CharPoly:
@@ -393,10 +420,10 @@ class _PencilAnalysis:
             raise InfiniteEigenvalueError(
                 f"rank(B) = {self.rank_b} < pencil rank {self.rank}: infinite eigenvalues present"
             )
-        poly = UniPoly.one()
+        poly = [1]
         for e in self._halves:
-            poly = poly * e
-        return CharPoly.from_poly(poly)
+            poly = _int_poly_mul(poly, e)
+        return CharPoly.from_poly(_to_unipoly(poly))
 
     def invariants(self, stream: _KernelStream) -> JKInvariants:
         """Jordan data from the invariant factors of A - lambda*B (and of
@@ -431,10 +458,10 @@ class _PencilAnalysis:
         # reversed pencil B - mu*A (Gantmacher, vol. II, ch. XII).
         groups = _jordan_groups(self._halves)
         if self.rank_b < r:
-            reversed_pencil = SkewPencil(self.p.b, self.p.a)
+            a, b = self.p._scaled
             orders = [
-                next(i for i, c in enumerate(d.coeffs) if c)
-                for d in _invariant_factors(reversed_pencil.lambda_matrix(sign=-1), r)
+                next(i for i, c in enumerate(d) if c)
+                for d in _invariant_factors(_lambda_rows(b, a), r)
             ]
             if any(orders):
                 groups.append((INFINITY, tuple(e for e in orders if e)))

@@ -15,11 +15,15 @@ Q[x] is Euclidean, so two steps give the invariant factors:
    lcms of multiples of d_i are multiples of d_i.  So the diagonal ends
    as the divisibility chain.
 
-Nonzero constants are units of Q[x], so step 1 runs on integer
+Nonzero constants are units of Q[x], so both steps run on integer
 coefficients: rows are scaled to clear denominators, division becomes
-pseudo-division, and each reduced row or column is divided by its
-content.  Over Fractions the coefficient swell, and the time, varied
-widely from one pencil to the next.
+pseudo-division, each reduced row or column is divided by its content,
+and the diagonal holds primitive polynomials, whose gcds, divisibility
+tests and exact quotients stay integral (unipoly's integer kernels).
+Over Fractions the coefficient swell, and the time, varied widely from
+one pencil to the next.  Entries may be given as UniPoly, as rational
+constants or as integer coefficient lists; a pencil passes its integer
+scaling as lists, so no Fraction is built on the way in.
 
 Only the invariant factors are produced (no transformation matrices);
 nonzero factors are returned monic, and the trailing zero factors of a
@@ -29,11 +33,20 @@ factors matches the gcd of the k x k minors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ValidationError
-from .unipoly import UniPoly, _int_poly_pquo, _int_poly_sub_mul, poly_gcd
+from .unipoly import (
+    UniPoly,
+    _int_poly_divides,
+    _int_poly_exact_div,
+    _int_poly_gcd,
+    _int_poly_mul,
+    _int_poly_pquo,
+    _int_poly_sub_mul,
+    _int_primitive,
+    _to_unipoly,
+)
 
 
 def _reduce(line: list[list[int]], pivot_line: list[list[int]]) -> list[list[int]]:
@@ -43,6 +56,12 @@ def _reduce(line: list[list[int]], pivot_line: list[list[int]]) -> list[list[int
     line = [_int_poly_sub_mul(m, a, q, b) for a, b in zip(line, pivot_line)]
     content = gcd(*(c for e in line for c in e))
     return line if content <= 1 else [[c // content for c in e] for e in line]
+
+
+def _coefficients(e):
+    if isinstance(e, UniPoly):
+        return e.coeffs
+    return e if isinstance(e, list) else UniPoly.constant(e).coeffs
 
 
 def _pivot(work):
@@ -56,13 +75,15 @@ def _pivot(work):
 
 
 def smith_normal_form(m) -> list[UniPoly]:
-    """Invariant factors d_1 | d_2 | ... of a matrix of UniPoly."""
-    rows = [[e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in row] for row in m]
+    """Invariant factors d_1 | d_2 | ... of a matrix whose entries are
+    UniPoly, rational constants or integer coefficient lists (lowest degree
+    first, no trailing zeros)."""
+    rows = [[_coefficients(e) for e in row] for row in m]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError("smith_normal_form needs a rectangular nonempty matrix")
-    dens = [lcm(*(c.denominator for e in row for c in e.coeffs)) for row in rows]
-    work = [[[int(c * d) for c in e.coeffs] for e in row] for row, d in zip(rows, dens)]
-    diagonal: list[UniPoly] = []
+    dens = [lcm(*(c.denominator for e in row for c in e)) for row in rows]
+    work = [[[int(c * d) for c in e] for e in row] for row, d in zip(rows, dens)]
+    diagonal: list[list[int]] = []
     while found := _pivot(work):
         i, j = found
         work[0], work[i] = work[i], work[0]
@@ -74,12 +95,14 @@ def smith_normal_form(m) -> list[UniPoly]:
             work = [list(column) for column in zip(*work)]
         top = work[0]
         if not any(row[0] for row in work[1:]) and not any(top[1:]):
-            diagonal.append(UniPoly([Fraction(c, top[0][-1]) for c in top[0]]))
+            diagonal.append(_int_primitive(top[0]))
             work = [row[1:] for row in work[1:]]
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
-            if not a.divides(b):
-                g = poly_gcd(a, b)
-                diagonal[i], diagonal[j] = g, a.exact_div(g) * b
-    return diagonal + [UniPoly.zero()] * (min(len(rows), len(rows[0])) - len(diagonal))
+            if not _int_poly_divides(a, b):
+                g = _int_poly_gcd(a, b)
+                diagonal[i], diagonal[j] = g, _int_poly_mul(_int_poly_exact_div(a, g), b)
+    return [_to_unipoly(d) for d in diagonal] + [UniPoly.zero()] * (
+        min(len(rows), len(rows[0])) - len(diagonal)
+    )

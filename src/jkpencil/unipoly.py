@@ -1,10 +1,17 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals, and the integer
+kernels of the factor layer.
 
-Coefficients are `fractions.Fraction`, stored lowest degree first with no
-trailing zeros; the zero polynomial has an empty coefficient tuple.  The
-gcd runs a subresultant pseudo-remainder sequence on integer primitive
-parts, which keeps coefficient growth under control on the polynomial
-matrices produced by pencil elimination.
+`UniPoly` coefficients are `fractions.Fraction`, stored lowest degree
+first with no trailing zeros; the zero polynomial has an empty coefficient
+tuple.  The gcd, Yun's squarefree decomposition, the rational roots, the
+gcd-free basis and the multiplicities of a common factor basis run on
+primitive integer coefficient lists (content 1, positive leading
+coefficient).  The gcd is a subresultant pseudo-remainder sequence, which
+keeps coefficient growth under control; a division by a primitive divisor
+is exact integer division (Gauss's lemma); a root candidate p/q is tested
+by the integer q**d * f(p/q).  `poly_gcd`, `squarefree_decompose` and
+`rational_roots` take and return `UniPoly`; `refined_factors` takes the
+integer lists of the pencil's Smith factors and returns monic factors.
 """
 
 from __future__ import annotations
@@ -238,24 +245,51 @@ class UniPoly:
         return " ".join(parts)
 
 
-# -- gcd machinery -----------------------------------------------------
+# -- integer kernels -----------------------------------------------------
+#
+# The factor layer runs on integer coefficient lists, lowest degree first
+# with no trailing zeros.  A primitive list (content 1, positive leading
+# coefficient) is the monic polynomial with the same roots times the
+# smallest positive integer that clears its denominators, so equal monic
+# polynomials have equal primitive lists.  By Gauss's lemma a primitive
+# divisor of an integer polynomial leaves an integer quotient.
 
 
-def _integer_primitive(f: UniPoly) -> tuple[int, ...]:
-    """Integer coefficient list of the primitive part, positive leading."""
-    if f.is_zero:
-        return ()
+def _integer_primitive(f: UniPoly) -> list[int]:
+    """Primitive integer coefficient list of a nonzero polynomial."""
     den = 1
     for c in f.coeffs:
         den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    content = 0
-    for v in ints:
-        content = int_gcd(content, abs(v))
-    ints = [v // content for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    return _int_primitive([int(c * den) for c in f.coeffs])
+
+
+def _int_primitive(f: Sequence[int]) -> list[int]:
+    """A nonzero integer polynomial divided by its content, leading
+    coefficient made positive."""
+    content = int_gcd(*f)
+    if f[-1] < 0:
+        content = -content
+    return [c // content for c in f]
+
+
+def _to_unipoly(f: Sequence[int]) -> UniPoly:
+    """The monic polynomial of a nonzero integer coefficient list."""
+    lead = f[-1]
+    return UniPoly([Fraction(c, lead) for c in f])
+
+
+def _int_derivative(f: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f) if k]
+
+
+def _int_poly_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f*g for nonzero integer polynomials."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
 
 
 def _int_poly_pquo(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int]]:
@@ -297,6 +331,62 @@ def _int_poly_sub_mul(m: int, f: Sequence[int], q: Sequence[int], g: Sequence[in
     return out
 
 
+def _int_poly_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The integer quotient f / g; ArithmeticError unless g divides f with
+    an integer quotient, which holds whenever g is primitive and divides f
+    over Q (Gauss's lemma)."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    q = [0] * max(len(r) - dg, 0)
+    for i in range(len(r) - 1, dg - 1, -1):
+        t, rest = divmod(r[i], lg)
+        if rest:
+            raise ArithmeticError("inexact integer polynomial division")
+        if t:
+            q[i - dg] = t
+            for j in range(dg):
+                r[i - dg + j] -= t * g[j]
+    if any(r[:dg]):
+        raise ArithmeticError("inexact integer polynomial division")
+    return q
+
+
+def _int_poly_divides(g: Sequence[int], f: Sequence[int]) -> bool:
+    """Whether a primitive g divides f."""
+    try:
+        _int_poly_exact_div(f, g)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _int_poly_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Primitive gcd of two integer polynomials, not both zero, by a
+    subresultant pseudo-remainder sequence."""
+    if not f or not g:
+        return _int_primitive(f or g)
+    a, b = _int_primitive(f), _int_primitive(g)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    gg, h = 1, 1
+    while True:
+        delta = (len(a) - 1) - (len(b) - 1)
+        # the pseudo-remainder lc(b)^(delta+1) * a mod b; m divides that power
+        m, q = _int_poly_pquo(a, b)
+        scale = b[-1] ** (delta + 1) // m
+        rem = [scale * c for c in _int_poly_sub_mul(m, a, q, b)]
+        if not rem:
+            return _int_primitive(b)
+        if len(rem) == 1:
+            return [1]
+        divisor = gg * h**delta
+        a, b = b, [c // divisor for c in rem]
+        gg = a[-1]
+        h = gg**delta // h ** (delta - 1) if delta > 0 else h
+
+
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd over Q[x] via a subresultant PRS on integer primitive parts.
 
@@ -306,62 +396,44 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         return g.monic()
     if g.is_zero:
         return f.monic()
-    a = list(_integer_primitive(f))
-    b = list(_integer_primitive(g))
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return UniPoly.one()
-    gg, h = 1, 1
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        # the pseudo-remainder lc(b)^(delta+1) * a mod b; m divides that power
-        m, q = _int_poly_pquo(a, b)
-        scale = b[-1] ** (delta + 1) // m
-        rem = [scale * c for c in _int_poly_sub_mul(m, a, q, b)]
-        if not rem:
-            break
-        if len(rem) == 1:
-            return UniPoly.one()
-        divisor = gg * h**delta
-        a, b = b, [c // divisor for c in rem]
-        gg = a[-1]
-        h = gg**delta // h ** (delta - 1) if delta > 0 else h
-    content = 0
-    for v in b:
-        content = int_gcd(content, abs(v))
-    return UniPoly([Fraction(v, content) for v in b]).monic()
+    return _to_unipoly(_int_poly_gcd(_integer_primitive(f), _integer_primitive(g)))
+
+
+def _int_squarefree(f: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree decomposition of a primitive polynomial of positive
+    degree: primitive pairwise-coprime squarefree parts with their
+    multiplicities, ascending.  b and c are divided by the same factors,
+    so c - b' stays the Yun remainder up to one integer scale."""
+    df = _int_derivative(f)
+    a = _int_poly_gcd(f, df)
+    b = _int_poly_exact_div(f, a)
+    c = _int_poly_exact_div(df, a)
+    d = _int_poly_sub_mul(1, c, (1,), _int_derivative(b))
+    out: list[tuple[list[int], int]] = []
+    i = 1
+    while len(b) > 1:
+        part = _int_poly_gcd(b, d)
+        if len(part) > 1:
+            out.append((part, i))
+        b = _int_poly_exact_div(b, part)
+        c = _int_poly_exact_div(d, part)
+        d = _int_poly_sub_mul(1, c, (1,), _int_derivative(b))
+        i += 1
+    return out
 
 
 def squarefree_decompose(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun's squarefree decomposition of a nonzero polynomial.
 
     Returns monic pairwise-coprime squarefree parts with multiplicities,
-    sorted by (multiplicity, coefficients); the product of part**mult is
-    monic(f).  Constants decompose into the empty list.
+    ascending by multiplicity (one part each); the product of part**mult
+    is monic(f).  Constants decompose into the empty list.
     """
     if f.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
-    f = f.monic()
     if f.degree < 1:
         return []
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = f.exact_div(a)
-    c = df.exact_div(a)
-    d = c - b.derivative()
-    out: list[tuple[UniPoly, int]] = []
-    i = 1
-    while b.degree > 0:
-        part = poly_gcd(b, d)
-        if part.degree > 0:
-            out.append((part.monic(), i))
-        b = b.exact_div(part)
-        c = d.exact_div(part)
-        d = c - b.derivative()
-        i += 1
-    out.sort(key=lambda pm: (pm[1],) + pm[0].sort_key())
-    return out
+    return [(_to_unipoly(part), m) for part, m in _int_squarefree(_integer_primitive(f))]
 
 
 def _divisors(n: int, limit: int = 2_000_000) -> list[int]:
@@ -381,6 +453,43 @@ def _divisors(n: int, limit: int = 2_000_000) -> list[int]:
     return small + large[::-1]
 
 
+def _int_value(f: Sequence[int], p: int, q: int) -> int:
+    """q**deg(f) * f(p/q), the sum of c_i * p**i * q**(deg f - i)."""
+    acc, q_power = 0, 1
+    for c in reversed(f):
+        acc = acc * p + c * q_power
+        q_power *= q
+    return acc
+
+
+def _int_rational_roots(f: Sequence[int]) -> tuple[list[tuple[Fraction, int]], list[int]]:
+    """Rational roots of a primitive polynomial with multiplicities,
+    ascending, and the primitive remainder left by dividing out their
+    linear factors.
+
+    Candidates p/q run over divisors of the endpoint coefficients of f
+    without its power of x, capped by _divisors.
+    """
+    shift = next(k for k, c in enumerate(f) if c)
+    roots = [(Fraction(0), shift)] if shift else []
+    work = list(f[shift:])
+    if len(work) < 2:
+        return roots, work
+    for p in _divisors(work[0]):
+        for q in _divisors(work[-1]):
+            if int_gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                m = 0
+                while _int_value(work, num, q) == 0:
+                    work = _int_poly_exact_div(work, (-num, q))
+                    m += 1
+                if m:
+                    roots.append((Fraction(num, q), m))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, work
+
+
 def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities, ascending by root.
 
@@ -389,99 +498,73 @@ def rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
     """
     if f.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    work = f.monic()
-    mult = 0
-    while work.degree > 0 and work.coefficient(0) == 0:
-        work = work.exact_div(UniPoly.x())
-        mult += 1
-    if mult:
-        roots.append((Fraction(0), mult))
-    if work.degree < 1:
-        return roots
-    ints = _integer_primitive(work)
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            if int_gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if work(cand) == 0:
-                    lin = UniPoly.linear(cand)
-                    m = 0
-                    while (work % lin).is_zero:
-                        work = work.exact_div(lin)
-                        m += 1
-                    roots.append((cand, m))
-    roots.sort(key=lambda rm: rm[0])
-    return roots
+    return _int_rational_roots(_integer_primitive(f))[0]
 
 
-def coprime_refine(polys: Iterable[UniPoly]) -> list[UniPoly]:
-    """Gcd-free basis: pairwise coprime monic polynomials of positive degree
-    such that every input is a product of powers of basis elements."""
-    basis: list[UniPoly] = []
-    queue = [p.monic() for p in polys if p.degree > 0]
+def _int_coprime_refine(polys: Iterable[list[int]]) -> list[list[int]]:
+    """Gcd-free basis of primitive polynomials: pairwise coprime primitive
+    polynomials of positive degree such that every input is a product of
+    powers of basis elements."""
+    basis: list[list[int]] = []
+    queue = [p for p in polys if len(p) > 1]
     while queue:
         p = queue.pop()
         for i, q in enumerate(basis):
-            g = poly_gcd(p, q)
-            if g.degree > 0:
+            g = _int_poly_gcd(p, q)
+            if len(g) > 1:
                 basis.pop(i)
-                for part in (g, q.exact_div(g)):
-                    if part.degree > 0:
+                for part in (g, _int_poly_exact_div(q, g)):
+                    if len(part) > 1:
                         queue.append(part)
-                p = p.exact_div(g)
-                if p.degree > 0:
+                p = _int_poly_exact_div(p, g)
+                if len(p) > 1:
                     queue.append(p)
                 break
         else:
-            if p.degree > 0 and p not in basis:
+            if p not in basis:
                 basis.append(p)
-    basis.sort(key=UniPoly.sort_key)
     return basis
 
 
-def split_rational_linear_factors(f: UniPoly) -> list[UniPoly]:
-    """Split off all monic linear factors with rational roots.
-
-    Returns the refined monic factor list (linear factors plus the
-    root-free remainder); multiplicity information is discarded, so this
-    is meant for squarefree inputs.
-    """
-    out = [UniPoly.linear(root) for root, _ in rational_roots(f)]
-    rest = f.monic()
-    for lin in out:
-        while (rest % lin).is_zero:
-            rest = rest.exact_div(lin)
-    if rest.degree > 0:
+def _int_split_rational_linear(f: Sequence[int]) -> list[list[int]]:
+    """A squarefree primitive polynomial split into its linear factors with
+    rational roots and the root-free remainder (if of positive degree)."""
+    roots, rest = _int_rational_roots(f)
+    out = [[-root.numerator, root.denominator] for root, _ in roots]
+    if len(rest) > 1:
         out.append(rest)
-    out.sort(key=UniPoly.sort_key)
     return out
 
 
-def refined_factors(polys: Sequence[UniPoly]) -> list[tuple[UniPoly, tuple[int, ...]]]:
-    """Common factor basis of nonzero polynomials, with multiplicities.
+def refined_factors(polys: Sequence[Sequence[int]]) -> list[tuple[UniPoly, tuple[int, ...]]]:
+    """Common factor basis of nonzero primitive integer polynomials, with
+    multiplicities.
 
     The squarefree parts of all inputs are refined to a gcd-free basis and
-    their rational linear factors split off.  Returns the basis sorted by
-    sort_key, each factor with its multiplicity in every input (in input
-    order, zeros included).  Nonlinear factors may be reducible over Q.
+    their rational linear factors split off.  Returns the basis as monic
+    polynomials sorted by sort_key, each factor with its multiplicity in
+    every input (in input order, zeros included).  Nonlinear factors may
+    be reducible over Q.
     """
-    parts: list[UniPoly] = []
+    parts: list[list[int]] = []
     for f in polys:
-        if f.degree >= 1:
-            parts.extend(part for part, _ in squarefree_decompose(f))
-    refined: list[UniPoly] = []
-    for q in coprime_refine(parts):
-        refined.extend(split_rational_linear_factors(q))
+        if len(f) > 1:
+            parts.extend(part for part, _ in _int_squarefree(f))
+    refined = {
+        tuple(factor) for q in _int_coprime_refine(parts) for factor in _int_split_rational_linear(q)
+    }
     out = []
-    for q in sorted(set(refined), key=UniPoly.sort_key):
+    for q in refined:
         mults = []
         for f in polys:
             e = 0
-            while f.degree >= q.degree and (f % q).is_zero:
-                f = f.exact_div(q)
+            while len(f) >= len(q):
+                try:
+                    f = _int_poly_exact_div(f, q)
+                except ArithmeticError:
+                    break
                 e += 1
             mults.append(e)
-        out.append((q, tuple(mults)))
+        out.append((_to_unipoly(q), tuple(mults)))
+    out.sort(key=lambda qm: qm[0].sort_key())
     return out

@@ -7,9 +7,12 @@ characteristic polynomial of a pencil as a gcd of principal Pfaffians
 (the library reads it from the Smith form), the recursion-operator
 identity through a Faddeev-LeVerrier characteristic polynomial,
 reduced row echelon forms and Gram matrices in Fraction arithmetic (the
-library eliminates and pairs over the integers), and Jordan groups through
-a Moebius reparametrization to a regular-B pencil (the library reads the
-infinite blocks from the reversed pencil B - mu*A).
+library eliminates and pairs over the integers), Yun's squarefree
+decomposition, rational roots, the gcd-free basis and the refined factor
+basis in Fraction arithmetic (the library factors primitive integer
+polynomials), and Jordan groups through a Moebius reparametrization to a
+regular-B pencil (the library reads the infinite blocks from the reversed
+pencil B - mu*A).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 from jkpencil.errors import InternalConsistencyError, SingularMatrixError
 from jkpencil.linalg import Matrix, PfaffianCache, mat_mul, rank, transpose
@@ -30,7 +34,7 @@ from jkpencil.pencil import (
     characteristic_polynomial,
     pencil_rank,
 )
-from jkpencil.unipoly import UniPoly, poly_gcd
+from jkpencil.unipoly import UniPoly, _divisors, _integer_primitive, poly_gcd
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -239,6 +243,123 @@ def pfaffian_gcd(p: SkewPencil) -> UniPoly:
             "all principal Pfaffians vanished at the claimed pencil rank"
         )
     return g.monic()
+
+
+def fraction_squarefree_decompose(f: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Yun's squarefree decomposition over Fractions: monic parts with
+    multiplicities, sorted by (multiplicity, coefficients)."""
+    f = f.monic()
+    if f.degree < 1:
+        return []
+    df = f.derivative()
+    a = poly_gcd(f, df)
+    b = f.exact_div(a)
+    c = df.exact_div(a)
+    d = c - b.derivative()
+    out: list[tuple[UniPoly, int]] = []
+    i = 1
+    while b.degree > 0:
+        part = poly_gcd(b, d)
+        if part.degree > 0:
+            out.append((part.monic(), i))
+        b = b.exact_div(part)
+        c = d.exact_div(part)
+        d = c - b.derivative()
+        i += 1
+    out.sort(key=lambda pm: (pm[1],) + pm[0].sort_key())
+    return out
+
+
+def fraction_rational_roots(f: UniPoly) -> list[tuple[Fraction, int]]:
+    """Rational roots with multiplicities, ascending, by a Fraction Horner
+    test of each candidate p/q over the (capped) divisors of the endpoint
+    coefficients."""
+    roots: list[tuple[Fraction, int]] = []
+    work = f.monic()
+    mult = 0
+    while work.degree > 0 and work.coefficient(0) == 0:
+        work = work.exact_div(UniPoly.x())
+        mult += 1
+    if mult:
+        roots.append((Fraction(0), mult))
+    if work.degree < 1:
+        return roots
+    ints = _integer_primitive(work)
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            if gcd(p, q) != 1:
+                continue
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if work(cand) == 0:
+                    lin = UniPoly.linear(cand)
+                    m = 0
+                    while (work % lin).is_zero:
+                        work = work.exact_div(lin)
+                        m += 1
+                    roots.append((cand, m))
+    roots.sort(key=lambda rm: rm[0])
+    return roots
+
+
+def fraction_coprime_refine(polys) -> list[UniPoly]:
+    """Gcd-free basis over Fractions, sorted by sort_key."""
+    basis: list[UniPoly] = []
+    queue = [p.monic() for p in polys if p.degree > 0]
+    while queue:
+        p = queue.pop()
+        for i, q in enumerate(basis):
+            g = poly_gcd(p, q)
+            if g.degree > 0:
+                basis.pop(i)
+                for part in (g, q.exact_div(g)):
+                    if part.degree > 0:
+                        queue.append(part)
+                p = p.exact_div(g)
+                if p.degree > 0:
+                    queue.append(p)
+                break
+        else:
+            if p.degree > 0 and p not in basis:
+                basis.append(p)
+    basis.sort(key=UniPoly.sort_key)
+    return basis
+
+
+def fraction_split_rational_linear_factors(f: UniPoly) -> list[UniPoly]:
+    """Monic rational linear factors of f plus the root-free remainder."""
+    out = [UniPoly.linear(root) for root, _ in fraction_rational_roots(f)]
+    rest = f.monic()
+    for lin in out:
+        while (rest % lin).is_zero:
+            rest = rest.exact_div(lin)
+    if rest.degree > 0:
+        out.append(rest)
+    out.sort(key=UniPoly.sort_key)
+    return out
+
+
+def fraction_refined_factors(polys) -> list[tuple[UniPoly, tuple[int, ...]]]:
+    """Common factor basis of nonzero UniPoly inputs with multiplicities,
+    over Fractions; the library's refined_factors takes primitive integer
+    coefficient lists."""
+    parts: list[UniPoly] = []
+    for f in polys:
+        if f.degree >= 1:
+            parts.extend(part for part, _ in fraction_squarefree_decompose(f))
+    refined: list[UniPoly] = []
+    for q in fraction_coprime_refine(parts):
+        refined.extend(fraction_split_rational_linear_factors(q))
+    out = []
+    for q in sorted(set(refined), key=UniPoly.sort_key):
+        mults = []
+        for f in polys:
+            e = 0
+            while f.degree >= q.degree and (f % q).is_zero:
+                f = f.exact_div(q)
+                e += 1
+            mults.append(e)
+        out.append((q, tuple(mults)))
+    return out
 
 
 def _identity(n: int) -> Matrix:

@@ -332,6 +332,26 @@ def test_lie_analyze_bad_indices_exit_2(capsys, tmp_path):
     assert "brackets[0]" in err
 
 
+@pytest.mark.parametrize(
+    "dimension, coeffs",
+    [
+        (11, {"1_0": "1"}),  # int() reads it as 10
+        (3, {" +3 ": "1"}),  # and this as 3
+        (3, {"\u0663": "1"}),  # ARABIC-INDIC DIGIT THREE, also 3
+        (3, {"3": "1", "03": "5"}),  # a second key for index 3 overwrote the first
+    ],
+    ids=["underscore", "sign-and-spaces", "non-ascii-digit", "leading-zero"],
+)
+def test_lie_analyze_noncanonical_coefficient_index_exit_2(capsys, tmp_path, dimension, coeffs):
+    doc = {"dimension": dimension, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]}
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["lie", "analyze", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "brackets[0].coeffs: bad index" in err
+
+
 def test_internal_consistency_maps_to_exit_3(capsys, monkeypatch):
     from jkpencil.errors import InternalConsistencyError
 
@@ -419,6 +439,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     the completeness test reads those groups rather than factoring the
     char poly again.
 
+    The Smith form of a point reads the integer scaling of its pencil.
     The certificate of the fundamental semi-invariant draws random points
     of its own, which may hit an evaluation point; its work is not counted.
     """
@@ -428,6 +449,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     import jkpencil.smith
     import jkpencil.unipoly
     from jkpencil.liealg import get_algebra, lie_pencil
+    from jkpencil.pencil import _lambda_rows
 
     inside = []
     original_certify = jkpencil.liealg._certify
@@ -463,10 +485,60 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     assert len(refined_calls) == len(smith_calls) == 9
     for x0 in points:
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
-        assert sum(args[0] == at_point.lambda_matrix(sign=-1) for args in smith_calls) == 1
+        assert sum(args[0] == _lambda_rows(*at_point._scaled) for args in smith_calls) == 1
         assert sum(args[0] == at_point for args in rank_calls) == 1
         seeds = sorted(args[2] for args in stream_calls if args[0] == at_point)
         assert seeds == [report["seed"], report["seed"] + 17]
+
+
+def test_lie_analyze_factors_char_polys_only_at_ftilde_points(capsys, monkeypatch):
+    """The generic Jordan-Kronecker samples and the certificate points read
+    only the degree and the polynomial of their characteristic polynomials;
+    its squarefree parts and rational roots are computed at the F~_a points
+    alone, once each."""
+    import jkpencil.pencil
+    import jkpencil.poisson
+    import jkpencil.unipoly
+    from jkpencil.liealg import get_algebra, lie_pencil
+    from jkpencil.pencil import characteristic_polynomial
+
+    modules = [jkpencil.unipoly, jkpencil.pencil]
+    squarefree_calls = record_calls(monkeypatch, "squarefree_decompose", modules)
+    root_calls = record_calls(monkeypatch, "rational_roots", modules)
+    code, out, _ = run(capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json"), "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    pencil = lie_pencil(get_algebra("heisenberg3"), report["frozen_point"]["a"]).pencil
+    points = [p["point"] for p in report["ftilde"]["points"]]
+    assert len(points) == 2
+    expected = sorted(
+        (characteristic_polynomial(jkpencil.poisson.evaluate_at(pencil, x0)).poly for x0 in points),
+        key=UniPoly.sort_key,
+    )
+    for calls in (squarefree_calls, root_calls):
+        assert sorted((args[0] for args in calls), key=UniPoly.sort_key) == expected
+
+
+def test_pencil_analyze_builds_one_skew_pencil(capsys, monkeypatch):
+    """The reversed pencil B - mu*A of a pencil with infinite Jordan blocks
+    is read off the integer scaling of the document's pencil; no second
+    SkewPencil (and no second skew check) is built for it."""
+    from jkpencil.pencil import SkewPencil
+
+    built = []
+    original = SkewPencil.__post_init__
+
+    def post_init(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(SkewPencil, "__post_init__", post_init)
+    code, out, _ = run(
+        capsys, ["pencil", "analyze", str(GOLDEN / "infinite_jordan.pencil.json"), "--format", "json"]
+    )
+    assert code == 0
+    assert any(group["descriptor"] == "INFINITY" for group in json.loads(out)["jk_invariants"]["jordan"])
+    assert len(built) == 1
 
 
 def test_lie_analyze_computes_each_lie_quantity_once(capsys, monkeypatch):

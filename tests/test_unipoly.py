@@ -5,16 +5,25 @@ import pytest
 
 from jkpencil.unipoly import (
     UniPoly,
+    _int_coprime_refine,
     _int_poly_pquo,
     _int_poly_sub_mul,
-    coprime_refine,
+    _int_split_rational_linear,
+    _integer_primitive,
+    _to_unipoly,
     poly_gcd,
     rational_roots,
-    split_rational_linear_factors,
+    refined_factors,
     squarefree_decompose,
 )
 
-from conftest import gcd_oracle_from_factors, poly_from_linear_factors
+from conftest import (
+    fraction_rational_roots,
+    fraction_refined_factors,
+    fraction_squarefree_decompose,
+    gcd_oracle_from_factors,
+    poly_from_linear_factors,
+)
 
 X = UniPoly.x()
 ONE = UniPoly.one()
@@ -154,7 +163,10 @@ def test_rational_roots_with_multiplicities():
 def test_coprime_refine_splits_shared_factors():
     a = (X - ONE) * (X + ONE)
     b = (X - ONE) * (X - UniPoly.constant(2))
-    basis = coprime_refine([a, b])
+    basis = sorted(
+        (_to_unipoly(q) for q in _int_coprime_refine([_integer_primitive(a), _integer_primitive(b)])),
+        key=UniPoly.sort_key,
+    )
     assert basis == [
         X - UniPoly.constant(2),
         X - ONE,
@@ -164,7 +176,7 @@ def test_coprime_refine_splits_shared_factors():
 
 def test_split_rational_linear_factors_keeps_opaque_part():
     f = (X - UniPoly.constant(3)) * (X * X + ONE)
-    parts = split_rational_linear_factors(f)
+    parts = [_to_unipoly(q) for q in _int_split_rational_linear(_integer_primitive(f))]
     assert parts == [X - UniPoly.constant(3), X * X + ONE]
 
 
@@ -207,3 +219,32 @@ def test_compose_and_eval():
     composed = f.compose(inner)
     for v in (-2, 0, 1, 5):
         assert composed(v) == f(Fraction(v) - 1)
+
+
+def _random_factored_inputs(rng):
+    """Products of repeated rational linear factors p/q, irreducible
+    quadratics and powers of x, scaled by a rational constant."""
+    quadratics = [X * X + ONE, X * X - UniPoly.constant(2), X * X + X + ONE, X * X.scale(3) + UniPoly.constant(5)]
+    f = UniPoly.constant(rng.choice([1, -2, Fraction(3, 7), Fraction(-5, 4)]))
+    for _ in range(rng.randint(0, 3)):
+        root = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        f = f * UniPoly.linear(root) ** rng.randint(1, 3)
+    for _ in range(rng.randint(0, 2)):
+        f = f * rng.choice(quadratics) ** rng.randint(1, 2)
+    return f * X ** rng.choice([0, 0, 1, 2])
+
+
+def test_integer_factor_kernels_match_fraction_oracles():
+    rng = random.Random(83)
+    for _ in range(80):
+        f = _random_factored_inputs(rng)
+        assert squarefree_decompose(f) == fraction_squarefree_decompose(f), f
+        assert rational_roots(f) == fraction_rational_roots(f), f
+    # inputs sharing factors, as the Smith factors d_2 | d_4 | ... of a pencil do
+    for _ in range(25):
+        common = _random_factored_inputs(rng)
+        polys = [common * _random_factored_inputs(rng) for _ in range(rng.randint(1, 3))]
+        assert refined_factors([_integer_primitive(f) for f in polys]) == fraction_refined_factors(polys), polys
+    # a root whose numerator lies past the divisor cap is not found by either route
+    far = (X - UniPoly.constant(10000019)) * (X * X + X + UniPoly.constant(10000079 * 10000103))
+    assert rational_roots(far) == fraction_rational_roots(far) == []
