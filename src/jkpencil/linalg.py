@@ -1,24 +1,23 @@
 """Exact linear algebra over the rationals and over polynomial rings.
 
-Rational matrices are tuples of tuples of Fraction.  Subspaces carry
-reduced-row-echelon bases, so equal spans compare equal and all reported
-bases are deterministic.  Elimination over Q runs on Python integers:
-each row is scaled by the lcm of its denominators, the rank comes from
-one-step Bareiss elimination, and the RREF (hence kernels and subspace
-bases) from fraction-free Gauss-Jordan elimination that divides each
-pivot row by its pivot once, at the end.  Rank over polynomial fraction
-fields uses one-step fraction-free (Bareiss) elimination with
-first-nonzero pivoting; it serves the generic (multivariate) layer and
-is the test oracle of the constant pencil's rank by evaluation.
-Memoized Pfaffians of principal minors serve the generic characteristic
-polynomial and the semi-invariant; for constant pencils the
-characteristic polynomial comes from the Smith form, and the
-Pfaffian-gcd route is the test suite's oracle.
+Rational matrices are tuples of tuples of Fraction.  Elimination over Q
+runs on Python integers: each row is scaled by the lcm of its
+denominators, the rank comes from one-step Bareiss elimination, and the
+RREF from fraction-free Gauss-Jordan elimination that keeps rows
+primitive with positive pivots.  A subspace holds these integer rows of
+its RREF, one form per span, so kernels, sums and membership stay on
+integers; its Fraction RREF basis is built only when read.  Rank over
+polynomial fraction fields, by fraction-free (Bareiss) elimination,
+serves the generic (multivariate) layer and is the test oracle of the
+constant pencil's rank.  Memoized Pfaffians of principal minors serve
+the generic characteristic polynomial, the semi-invariant, and the test
+oracle of a constant pencil's Smith-form characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -121,10 +120,11 @@ def _bareiss_rank(work: list[list[int]]) -> int:
 def _gauss_jordan(work: list[list[int]]) -> list[int]:
     """Fraction-free Gauss-Jordan elimination of integer rows (in place).
 
-    Returns the pivot columns.  Row t < len(pivots) then has a nonzero entry
+    Returns the pivot columns.  Row t < len(pivots) then has a positive entry
     in column pivots[t], the only nonzero entry of that column; the rows are
     kept primitive (content divided out) as they are combined, and the rows
-    after the last pivot row are zero."""
+    after the last pivot row are zero.  Rows t < len(pivots) are thus the
+    primitive integer multiples of the RREF rows, unique for each span."""
     for i, row in enumerate(work):
         g = gcd(*row)
         if g > 1:
@@ -139,6 +139,8 @@ def _gauss_jordan(work: list[list[int]]) -> list[int]:
             continue
         work[r], work[pr] = work[pr], work[r]
         prow = work[r]
+        if prow[c] < 0:
+            work[r] = prow = [-x for x in prow]
         p = prow[c]
         for i in range(nrows):
             f = work[i][c]
@@ -154,21 +156,14 @@ def _gauss_jordan(work: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _reduced(work: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
-    """The nonzero rows of the RREF of integer rows, and the pivot columns:
-    each pivot row is divided by its pivot once, after the elimination."""
-    pivots = _gauss_jordan(work)
-    zero = Fraction(0)
-    rows = [[Fraction(x, work[t][c]) if x else zero for x in work[t]] for t, c in enumerate(pivots)]
-    return rows, pivots
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     The elimination runs on the rows scaled to integers, so it gives the
     same unique RREF over Q as rational Gauss-Jordan elimination."""
-    red, pivots = _reduced(_integer_rows(rows))
+    work = _integer_rows(rows)
+    pivots = _gauss_jordan(work)
+    red = [[Fraction(x, work[t][c]) for x in work[t]] for t, c in enumerate(pivots)]
     red.extend([Fraction(0)] * len(row) for row in rows[len(pivots):])
     return red, pivots
 
@@ -178,27 +173,19 @@ def rank(m: Sequence[Sequence[Fraction]]) -> int:
     return _bareiss_rank(_integer_rows(m))
 
 
-def reduce_against_rref(basis: Sequence[Vector], v: Sequence[Fraction]) -> list[Fraction]:
-    """Residual of v after eliminating the pivots of an RREF row basis."""
-    out = list(v)
-    for row in basis:
-        pivot = next((c for c, x in enumerate(row) if x != 0), None)
-        if pivot is None or out[pivot] == 0:
-            continue
-        f = out[pivot]
-        out = [x - f * y for x, y in zip(out, row)]
-    return out
-
-
 # -- subspaces ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n with a reduced-row-echelon basis (rows)."""
+    """A subspace of Q^n, held as the primitive integer multiples of its
+    reduced-row-echelon basis rows: content 1 and a positive pivot.
+
+    That form is unique for each span, so equality, hash and dim come
+    from it.  `basis`, the Fraction RREF rows, is built when first read."""
 
     ambient: int
-    basis: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -209,9 +196,10 @@ class Subspace:
         return cls._spanned_by(ambient, _integer_rows(vecs))
 
     @classmethod
-    def _spanned_by(cls, ambient: int, work: list[list[int]]) -> "Subspace":
+    def _spanned_by(cls, ambient: int, work: list[Sequence[int]]) -> "Subspace":
         """The span of integer rows of length `ambient` (consumed)."""
-        return cls(ambient, tuple(tuple(row) for row in _reduced(work)[0]))
+        dim = len(_gauss_jordan(work))
+        return cls(ambient, tuple(map(tuple, work[:dim])))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -219,17 +207,28 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        """The reduced-row-echelon basis over Q: each row over its pivot."""
+        return tuple(map(tuple, rref(self.rows)[0]))
 
     def contains(self, v: Sequence) -> bool:
-        residual = reduce_against_rref(self.basis, vector(v))
-        return all(x == 0 for x in residual)
+        if len(v) != self.ambient:
+            raise ValidationError("vector length does not match ambient dimension")
+        (out,) = _integer_rows([vector(v)])
+        for row in self.rows:
+            c = next(i for i, x in enumerate(row) if x)
+            if out[c]:
+                out = [row[c] * x - out[c] * y for x, y in zip(out, row)]
+        return not any(out)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise ValidationError("ambient dimension mismatch")
-    return Subspace.from_vectors(a.ambient, list(a.basis) + list(b.basis))
+    return Subspace._spanned_by(a.ambient, list(a.rows + b.rows))
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> Subspace:

@@ -51,7 +51,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
-    _integer_rows,
     _scaled_to_integers,
     congruence,
     is_skew,
@@ -102,7 +101,8 @@ class SkewPencil:
         n = len(self.a)
         if len(self.b) != n:
             raise ValidationError("A and B have different sizes")
-        if not is_skew(self.a) or not is_skew(self.b):
+        # D*M is skew exactly when M is, so the integer scaling is checked.
+        if not all(is_skew(m) for m in self._scaled):
             raise ValidationError("pencil matrices must be skew-symmetric")
 
     @property
@@ -360,9 +360,9 @@ class _KernelStream:
         return self.kernel_sum(self.stable_count() - 1)
 
     def isotropy(self, extra: int = 2) -> "IsotropyCertificate":
-        family = [v for t in range(self.stable_count(extra)) for v in self.draw(t)[1].basis]
-        pairings, violation = _pairings(family, self.p.a, self.p.b)
-        return IsotropyCertificate(len(family), pairings, violation is None, violation)
+        rows = [u for t in range(self.stable_count(extra)) for u in self.draw(t)[1].rows]
+        pairings, violation = _pairings(rows, self.p._scaled)
+        return IsotropyCertificate(len(rows), pairings, violation is None, violation)
 
 
 def _lambda_rows(a: list[list[int]], b: list[list[int]]) -> list[list[list[int]]]:
@@ -402,7 +402,7 @@ class _PencilAnalysis:
     def __init__(self, p: SkewPencil):
         self.p = p
         self.rank = pencil_rank(p)
-        self.rank_b = rank(p.b)
+        self.rank_b = rank(p._scaled[1])
 
     @cached_property
     def _halves(self) -> list[list[int]]:
@@ -592,7 +592,7 @@ def canonical_pencil(spec: JKInvariants) -> SkewPencil:
 def congruence_transform(p: SkewPencil, transform: Matrix) -> SkewPencil:
     """(P^T A P, P^T B P); jk_invariants are unchanged."""
     transform = matrix(transform)
-    if len(transform) != p.n or rank(transform) != p.n:
+    if len(transform) != p.n or any(len(row) != p.n for row in transform) or rank(transform) != p.n:
         raise SingularMatrixError("congruence transform must be invertible n x n")
     return SkewPencil(congruence(transform, p.a), congruence(transform, p.b))
 
@@ -626,19 +626,18 @@ class IsotropyCertificate:
     violation: Optional[tuple[int, int, str]] = None
 
 
-def _pairings(family, a: Matrix, b: Matrix) -> tuple[int, Optional[tuple[int, int, str]]]:
+def _pairings(rows, forms) -> tuple[int, Optional[tuple[int, int, str]]]:
     """Scans u_i^T A u_j, then u_i^T B u_j, over i <= j for the first nonzero
     pairing; returns the pairings made and that (i, j, form) or None.
 
-    Runs over the integers: each vector is scaled by the lcm of its
-    denominators and both forms by one common lcm, which scales every
-    pairing by a nonzero number and so keeps which pairings vanish.  The
-    images A u_j and B u_j are formed once; each pairing is one dot
-    product, taken when the scan reaches it."""
-    rows = _integer_rows(family)
+    rows are integer multiples of the family's vectors and forms the integer
+    pencil D*(A, B) (SkewPencil._scaled): each pairing is scaled by a
+    nonzero number, so the same pairings vanish.  The images A u_j and
+    B u_j are formed once; each pairing is one dot product, taken when the
+    scan reaches it."""
     images = [
         (name, [[sum(map(mul, form_row, u)) for form_row in form] for u in rows])
-        for name, form in zip("AB", _scaled_to_integers(a, b))
+        for name, form in zip("AB", forms)
     ]
     pairings = 0
     for i, u in enumerate(rows):

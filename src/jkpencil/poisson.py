@@ -29,6 +29,7 @@ from .linalg import (
     PfaffianCache,
     Subspace,
     Vector,
+    _integer_rows,
     fraction_free_rank,
     subspace_sum,
     vector,
@@ -463,7 +464,7 @@ def _factor_escapes(factor: UniPoly, gradients, core: Subspace) -> bool:
     in the core (all-or-nothing per irreducible factor).
     """
     d = factor.degree
-    n = len(core.basis[0]) if core.basis else (len(gradients[0]) if gradients else 0)
+    n = core.ambient
     residue = [[Fraction(0)] * n for _ in range(d)]
     lam_power = UniPoly.one()
     for grad in gradients:
@@ -589,10 +590,10 @@ def _involution(pa: PointAnalysis, samples: int | None, seed: int) -> Involution
         samples = max(pa.invariants.kronecker, default=0) + 2
     stream = _KernelStream(sp, pa.invariants.rank, seed + 17)
     draws = [stream.draw(t) for t in range(samples)]
-    family = [v for _, ker in draws for v in ker.basis] + list(pa.gradients)
-    pairings, violation = _pairings(family, sp.a, sp.b)
+    rows = [u for _, ker in draws for u in ker.rows] + _integer_rows(pa.gradients)
+    pairings, violation = _pairings(rows, sp._scaled)
     return InvolutionCertificate(
-        pa.point, len(family), tuple(mu for mu, _ in draws), pairings, violation is None, violation
+        pa.point, len(rows), tuple(mu for mu, _ in draws), pairings, violation is None, violation
     )
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,6 +190,30 @@ def test_lie_analyze_boolean_dimension_exit_2(capsys, tmp_path):
     path = tmp_path / "booldim.json"
     path.write_text('{"dimension": true, "brackets": []}')
     assert_one_line_exit_2(capsys, ["lie", "analyze", str(path)], "dimension: expected a positive integer")
+
+
+def run_process(*args):
+    """`python -m jkpencil.cli ARGS` in a fresh interpreter that imports
+    the package from this checkout's src."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "jkpencil.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_cli_process_exit_codes_and_streams(tmp_path):
+    golden = Path(__file__).resolve().parent / "golden"
+    done = run_process("pencil", "analyze", str(golden / "infinite_jordan.pencil.json"), "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (golden / "infinite_jordan.report.json").read_text()
+    path = tmp_path / "booldim.json"
+    path.write_text('{"dimension": true, "A": [[0]], "B": [[0]]}')
+    done = run_process("pencil", "analyze", str(path))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize(

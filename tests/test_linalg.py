@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -95,14 +96,36 @@ def test_integer_elimination_matches_fraction_oracle():
         assert rref(m) == (red, pivots), m
         assert rank(m) == len(pivots), m
         assert kernel_basis(m).basis == fraction_kernel(m), m
-        assert Subspace.from_vectors(len(m[0]), m).basis == tuple(tuple(r) for r in red[: len(pivots)])
+        ncols = len(m[0])
+        span = Subspace.from_vectors(ncols, m)
+        expected = tuple(tuple(r) for r in red[: len(pivots)])
+        assert span.basis == expected
+        # integer rows: content 1 and a positive pivot
+        assert all(gcd(*row) == 1 and next(x for x in row if x) > 0 for row in span.rows), m
+        # permuted, rescaled and negated generators span the same Subspace
+        scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in m]
+        gens = [[c * x for x in row] for c, row in zip(scales, m)]
+        rng.shuffle(gens)
+        again = Subspace.from_vectors(ncols, gens)
+        assert again == span and hash(again) == hash(span), m
+        cut = rng.randint(0, len(m))
+        total = subspace_sum(Subspace.from_vectors(ncols, m[:cut]), Subspace.from_vectors(ncols, m[cut:]))
+        assert total.basis == expected, m
+        coeffs = [rng.randint(-3, 3) for _ in m]
+        v = [sum(k * row[c] for k, row in zip(coeffs, m)) for c in range(ncols)]
+        if rng.random() < 0.5:
+            v[rng.randrange(ncols)] += Fraction(1, rng.randint(1, 5))
+        assert span.contains(v) == (len(fraction_rref(m + [v])[1]) == len(pivots)), (m, v)
+        seen.add("member" if span.contains(v) else "non-member")
         seen.add("wide" if len(m) < len(m[0]) else "tall" if len(m) > len(m[0]) else "square")
         seen.add("deficient" if len(pivots) < min(len(m), len(m[0])) else "full")
         if any(all(x == 0 for x in row) for row in m):
             seen.add("zero row")
         if any(all(row[c] == 0 for row in m) for c in range(len(m[0]))):
             seen.add("zero column")
-    assert seen == {"wide", "tall", "square", "deficient", "full", "zero row", "zero column"}
+    assert seen == {
+        "wide", "tall", "square", "deficient", "full", "zero row", "zero column", "member", "non-member"
+    }
 
 
 def test_rank_and_kernel_accept_integer_entries():
@@ -151,6 +174,9 @@ def test_subspace_contains():
     assert s.contains([1, 1, 1])
     assert s.contains([0, 0, 0])
     assert not s.contains([1, 0, 0])
+    for v in ([1], [1, 0, 0, 5]):
+        with pytest.raises(ValidationError):
+            s.contains(v)
 
 
 # -- rank over fraction fields ------------------------------------------------

@@ -9,7 +9,7 @@ from jkpencil.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from jkpencil.linalg import bilinear, fraction_free_rank, kernel_basis, rank, subspace_sum
+from jkpencil.linalg import _integer_rows, bilinear, fraction_free_rank, kernel_basis, rank, subspace_sum
 from jkpencil.pencil import (
     INFINITY,
     JKInvariants,
@@ -343,6 +343,10 @@ def test_congruence_rejects_singular():
     p = canonical_pencil(jordan(Fraction(1), 1))
     with pytest.raises(SingularMatrixError):
         congruence_transform(p, [[1, 1], [1, 1]])
+    # n rows of rank n, but 3 columns: P^T A P would be 3 x 3
+    infinite = canonical_pencil(JKInvariants.from_blocks([], [(INFINITY, (1,))]))
+    with pytest.raises(SingularMatrixError):
+        congruence_transform(infinite, [[1, 0, 0], [0, 1, 0]])
 
 
 def test_congruence_by_rational_invertible_matrix():
@@ -452,13 +456,14 @@ def test_integer_pairings_match_fraction_gram_oracle():
             planted = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p.n))
             family.insert(rng.randint(0, len(family)), planted)
         expected = fraction_pairings(family, p.a, p.b)
-        assert _pairings(family, p.a, p.b) == expected
+        assert _pairings(_integer_rows(family), p._scaled) == expected
         found.add(None if expected[1] is None else expected[1][2])
     # a violation under B alone: e1, e2 pair under B but not under A
     a = frac_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
     b = frac_rows([[0, Fraction(1, 3), 0], [Fraction(-1, 3), 0, 0], [0, 0, 0]])
     family = [(Fraction(1, 2), 0, 0), (0, Fraction(5), 0)]
-    assert _pairings(family, a, b) == fraction_pairings(family, a, b) == (4, (0, 1, "B"))
+    forms = SkewPencil(a, b)._scaled
+    assert _pairings(_integer_rows(family), forms) == fraction_pairings(family, a, b) == (4, (0, 1, "B"))
     assert found == {None, "A"}
 
 
