@@ -1,8 +1,9 @@
 """Command-line interface: pencil analyze, lie analyze, catalog.
 
-Input documents are JSON with all rationals as strings ("3/4") or
-integers; reports are emitted as human-readable text or as a stable
-JSON schema (schema_version 2) in which rationals are always strings.
+Input documents are JSON with all rationals as integers or as strings
+"-?[0-9]+" or "-?[0-9]+/[0-9]+" ("3", "-3/4"); reports are emitted as
+human-readable text or as a stable JSON schema (schema_version 2) in
+which rationals are always strings.
 Version 2 drops the two `reparametrization` keys of version 1, which held
 a parameter of the former Moebius route to infinite Jordan blocks; every
 other key is unchanged.  Identical input and identical --seed produce
@@ -18,6 +19,7 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -57,17 +59,24 @@ MAX_LIE_DIMENSION = 64
 # -- parsing ----------------------------------------------------------------
 
 
-def _parse_rational(value, where: str) -> Fraction:
+# A rational is a JSON integer, or a string "-?[0-9]+" (an int) or
+# "-?[0-9]+/[0-9]+" (a Fraction).  Fraction(str) alone would also read
+# "0.5", "1_0", " 3 ", "+3", non-ASCII digits and "1e10000000", which
+# builds a ten-million-digit integer.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(value, where: str) -> int | Fraction:
     if isinstance(value, bool):
         raise ValidationError(f"{where}: boolean is not a rational")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
-        if "e" in value or "E" in value:
-            # Fraction("1e10000000") builds a ten-million-digit integer
-            raise ValidationError(f"{where}: bad rational {value!r} (exponent notation is not accepted)")
+        if not _RATIONAL.fullmatch(value):
+            why = "exponent notation is not accepted" if "e" in value.lower() else "expected an integer or p/q"
+            raise ValidationError(f"{where}: bad rational {value!r} ({why})")
         try:
-            return Fraction(value)
+            return Fraction(value) if "/" in value else int(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"{where}: bad rational {value!r} ({exc})") from exc
     raise ValidationError(f"{where}: expected integer or rational string, got {value!r}")

@@ -2,11 +2,12 @@
 
 Rational matrices are tuples of tuples of Fraction.  Elimination over Q
 runs on Python integers: each row is scaled by the lcm of its
-denominators, the rank comes from one-step Bareiss elimination, and the
-RREF from fraction-free Gauss-Jordan elimination that keeps rows
-primitive with positive pivots.  A subspace holds these integer rows of
-its RREF, one form per span, so kernels, sums and membership stay on
-integers; its Fraction RREF basis is built only when read.  Rank over
+denominators (a row of ints is copied as it is), the rank comes from
+one-step Bareiss elimination, and the RREF from fraction-free
+Gauss-Jordan elimination that keeps rows primitive with positive
+pivots.  A subspace holds these integer rows of its RREF, one form per
+span, so kernels, sums and membership stay on integers; its Fraction
+RREF basis is built only when read.  Rank over
 polynomial fraction fields, by fraction-free (Bareiss) elimination,
 serves the generic (multivariate) layer and is the test oracle of the
 constant pencil's rank.  Memoized Pfaffians of principal minors serve
@@ -76,19 +77,15 @@ def congruence(p: Matrix, m: Matrix) -> Matrix:
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """Each rational row times the lcm of its denominators: integer rows with
-    the same zero pattern and the same row space."""
+    the same zero pattern and the same row space.  A row of ints is copied."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         d = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (d // x.denominator) for x in row])
     return out
-
-
-def _scaled_to_integers(*matrices: Sequence[Sequence]) -> list[list[list[int]]]:
-    """The matrices times one common d, the lcm of all their denominators,
-    as integer matrices; d*M keeps the symmetry and the zero pattern of M."""
-    d = lcm(*(x.denominator for m in matrices for row in m for x in row))
-    return [[[x.numerator * (d // x.denominator) for x in row] for row in m] for m in matrices]
 
 
 def _bareiss_rank(work: list[list[int]]) -> int:

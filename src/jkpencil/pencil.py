@@ -5,18 +5,18 @@ the characteristic polynomial, the core subspace (sum of kernels of
 regular members), and the full block invariants (Kronecker parameters
 plus Jordan half-sizes grouped by eigenvalue).
 
-One analysis computes each quantity once: the pencil rank by
-evaluation at floor(n/2) + 1 integer values, the Smith invariant
-factors d_1 | ... | d_r of A - lambda*B (the characteristic polynomial
-is d_2*d_4*...*d_r, and the finite Jordan data are read from their
+One analysis computes each quantity once: rank(B), the pencil rank from
+it and the members at mu = 0..rank(B)/2, the Smith invariant factors
+d_1 | ... | d_r of A - lambda*B (the characteristic polynomial is
+d_2*d_4*...*d_r, and the finite Jordan data are read from their
 elementary divisors), and one stream of regular values per seed with the
-kernel of each member.  When B is irregular, the infinite Jordan blocks
-are the powers of mu in the invariant factors of the reversed pencil
-B - mu*A, a second Smith form with the same count and pair checks.  A
-pencil keeps one integer scaling D*(A, B), so the members at integer
-values (the rank's evaluation points and the sampled regular values) are
-built and eliminated without Fractions, and both Smith forms read their
-integer lambda-matrices DA - lambda*DB and DB - mu*DA off it.  The Smith
+kernel of each member, one elimination per candidate value.  When B is
+irregular, the infinite Jordan blocks are the powers of mu in the
+invariant factors of the reversed pencil B - mu*A, a second Smith form
+with the same count and pair checks.  A pencil is held as one integer
+form D*(A, B), so the members at integer values are built and eliminated
+without Fractions, and both Smith forms read their integer
+lambda-matrices DA - lambda*DB and DB - mu*DA off it.  The Smith
 factors are kept as primitive integer polynomials: the characteristic
 polynomial is their product, and the Jordan groups their refined factor
 basis; the squarefree parts and rational roots of the characteristic
@@ -38,6 +38,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -51,7 +52,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
-    _scaled_to_integers,
     congruence,
     is_skew,
     kernel_basis,
@@ -62,6 +62,7 @@ from .linalg import (
 from .smith import smith_normal_form
 from .unipoly import (
     UniPoly,
+    _as_fraction,
     _int_poly_mul,
     _integer_primitive,
     _to_unipoly,
@@ -88,31 +89,44 @@ class _InfinityType:
 INFINITY = _InfinityType()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SkewPencil:
-    """A pair of same-size skew-symmetric rational matrices (A, B)."""
+    """A pair of same-size skew-symmetric rational matrices (A, B).
 
-    a: Matrix
-    b: Matrix
+    Held as one integer form, _scaled = (D*A, D*B) with D the lcm of all
+    denominators, built from int, Fraction or str entries.  (D, _scaled) is
+    unique per pencil, so equality and hash read it; the Fraction matrices
+    a and b are built when first read."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", matrix(self.a))
-        object.__setattr__(self, "b", matrix(self.b))
-        n = len(self.a)
-        if len(self.b) != n:
+    _denominator: int
+    _scaled: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+    def __init__(self, a: Matrix, b: Matrix):
+        a, b = ([[x if type(x) is int else _as_fraction(x) for x in row] for row in m] for m in (a, b))
+        if any(len(row) != len(m[0]) for m in (a, b) for row in m):
+            raise ValidationError("ragged matrix")
+        if len(b) != len(a):
             raise ValidationError("A and B have different sizes")
-        # D*M is skew exactly when M is, so the integer scaling is checked.
-        if not all(is_skew(m) for m in self._scaled):
+        d = lcm(*(x.denominator for m in (a, b) for row in m for x in row))
+        scaled = tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
+                       for m in (a, b))
+        # D*M is skew exactly when M is, so the integer form is checked.
+        if not all(is_skew(m) for m in scaled):
             raise ValidationError("pencil matrices must be skew-symmetric")
+        object.__setattr__(self, "_denominator", d)
+        object.__setattr__(self, "_scaled", scaled)
 
     @property
     def n(self) -> int:
-        return len(self.a)
+        return len(self._scaled[0])
 
     @cached_property
-    def _scaled(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(D*A, D*B) as integer matrices, D the lcm of all denominators."""
-        return tuple(_scaled_to_integers(self.a, self.b))
+    def a(self) -> Matrix:
+        return tuple(tuple(Fraction(x, self._denominator) for x in row) for row in self._scaled[0])
+
+    @cached_property
+    def b(self) -> Matrix:
+        return tuple(tuple(Fraction(x, self._denominator) for x in row) for row in self._scaled[1])
 
     def _scaled_member(self, mu: int) -> list[list[int]]:
         """D*(A + mu*B) for an integer mu: the rank and kernel of A + mu*B."""
@@ -261,21 +275,27 @@ class CharPoly:
 # -- basic pencil quantities ---------------------------------------------
 
 
-def pencil_rank(p: SkewPencil) -> int:
-    """Rank of A + lambda*B over Q(lambda); always even.
+def pencil_rank(p: SkewPencil, rank_b: int | None = None) -> int:
+    """Rank of A + lambda*B over Q(lambda); always even.  rank_b is rank(B).
 
-    The largest rank of A + mu*B over mu = 0, 1, ..., floor(n/2).  This is
-    exact: at pencil rank r some principal r x r Pfaffian is a nonzero
-    polynomial of degree at most r/2 in lambda, so it vanishes at no more
-    than r/2 of these n/2 + 1 values, and no member has rank above r.  The
-    scan stops once a member reaches the largest even rank n - n mod 2.
+    The largest of rank(B) and the ranks of A + mu*B, mu = 0, 1, ...,
+    rank(B)/2.  This is exact: the rank r is at least rank(B), B being the
+    leading coefficient, and no member exceeds it.  Some principal r x r
+    Pfaffian is a nonzero polynomial in lambda, by minor summation
+    (Ishikawa-Wakayama)
+        Pf((A + lambda*B)_I) = sum_(J in I) +-lambda^(|J|/2) Pf(B_J) Pf(A_(I-J)),
+    and Pf(B_J) = 0 once |J| > rank(B); so it vanishes at no more than
+    rank(B)/2 of these values, and the member at another has rank r.  No
+    member is eliminated once the rank is n - n mod 2, as when B is.
     """
+    if rank_b is None:
+        rank_b = rank(p._scaled[1])
     full = p.n - p.n % 2
-    r = 0
-    for mu in range(p.n // 2 + 1):
-        r = max(r, rank(p._scaled_member(mu)))
+    r = rank_b
+    for mu in range(rank_b // 2 + 1):
         if r == full:
             break
+        r = max(r, rank(p._scaled_member(mu)))
     if r % 2 != 0:
         raise InternalConsistencyError("skew pencil with odd rank")
     return r
@@ -284,23 +304,26 @@ def pencil_rank(p: SkewPencil) -> int:
 def is_regular_value(p: SkewPencil, value) -> bool:
     """Whether rank(A + value*B) attains the pencil rank; INFINITY tests B."""
     r = pencil_rank(p)
-    m = p.b if value is INFINITY else p.member(value)
+    m = p._scaled[1] if value is INFINITY else p.member(value)
     return rank(m) == r
 
 
 class RegularValueSampler:
-    """Draws distinct regular rational values for a pencil.
+    """Draws distinct regular rational values for a pencil of rank r.
 
-    Candidates are integers from [-10n, 10n]; a candidate is rejected if
-    the member rank drops.  At most 50 attempts per draw (there are at
-    most n/2 degenerate values, so honest inputs cannot exhaust this).
+    Candidates are integers from [-10n, 10n], 20n + 1 of them for n >= 1.
+    A candidate's member is eliminated once: it is regular iff its kernel
+    has dimension n - r, and `used` keeps that kernel under the value.  At
+    most r/2 candidates are non-regular (see pencil_rank), so draw t (from
+    0), whose attempts fail on those and on the t used values, exhausts its
+    50 attempts with probability at most ((t + r/2) / (20n + 1))^50.
     """
 
     def __init__(self, p: SkewPencil, rng: random.Random, r: int | None = None):
         self.p = p
         self.rng = rng
         self.r = pencil_rank(p) if r is None else r
-        self.used: set[Fraction] = set()
+        self.used: dict[Fraction, Subspace] = {}
 
     def draw(self) -> Fraction:
         bound = max(10 * self.p.n, 10)
@@ -308,8 +331,9 @@ class RegularValueSampler:
             cand = Fraction(self.rng.randint(-bound, bound))
             if cand in self.used:
                 continue
-            if rank(self.p._scaled_member(int(cand))) == self.r:
-                self.used.add(cand)
+            kernel = kernel_basis(self.p._scaled_member(int(cand)))
+            if self.p.n - kernel.dim == self.r:
+                self.used[cand] = kernel
                 return cand
         raise InternalConsistencyError("failed to sample a regular value in 50 draws")
 
@@ -335,7 +359,7 @@ class _KernelStream:
         """Value t (from 0) and the kernel of A + value*B."""
         while len(self._draws) <= t:
             mu = self._sampler.draw()
-            self._draws.append((mu, kernel_basis(self.p._scaled_member(int(mu)))))
+            self._draws.append((mu, self._sampler.used[mu]))
         return self._draws[t]
 
     def kernel_sum(self, t: int) -> Subspace:
@@ -401,8 +425,8 @@ class _PencilAnalysis:
 
     def __init__(self, p: SkewPencil):
         self.p = p
-        self.rank = pencil_rank(p)
         self.rank_b = rank(p._scaled[1])
+        self.rank = pencil_rank(p, self.rank_b)
 
     @cached_property
     def _halves(self) -> list[list[int]]:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,54 @@ def test_exponent_rationals_exit_2(capsys, tmp_path):
     lie = _catalog_doc(capsys, tmp_path, "heisenberg3")
     argv = ["lie", "analyze", str(lie), "--point", "1,2,3E4000000"]
     assert_one_line_exit_2(capsys, argv, "exponent notation")
+
+
+def test_rationals_parse_as_int_or_fraction():
+    assert [cli._parse_rational(v, "x") for v in (7, -7, "12", "-012", "3/4", "-6/4")] == [
+        7, -7, 12, -12, Fraction(3, 4), Fraction(-3, 2),
+    ]
+    assert [type(cli._parse_rational(v, "x")) for v in (7, "12", "4/2")] == [int, int, Fraction]
+
+
+def _one_entry_pencil(tmp_path, entry):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"dimension": 1, "A": [[entry]], "B": [[0]]}))
+    return path
+
+
+# Fraction(str) reads each of the first six as a rational; a document may not.
+@pytest.mark.parametrize(
+    "entry", ["0.5", "1_0", " 3 ", "3 ", "+3", "\u0663", "1/+2", "1/-2", "", "-", "1/", "/2", "0x10"]
+)
+def test_rational_outside_the_grammar_exit_2(capsys, tmp_path, entry):
+    path = _one_entry_pencil(tmp_path, entry)
+    assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], f"A[0][0]: bad rational {entry!r}")
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [("1/0", "bad rational '1/0'"), ("7" * 5000, "bad rational")],
+    ids=["zero-denominator", "overlong-digit-string"],
+)
+def test_rational_in_the_grammar_but_unreadable_exit_2(capsys, tmp_path, entry, message):
+    path = _one_entry_pencil(tmp_path, entry)
+    assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], message)
+
+
+def test_every_lie_document_rational_uses_the_grammar(capsys, tmp_path):
+    doc = json.loads(_catalog_doc(capsys, tmp_path, "heisenberg3").read_text())
+    path = tmp_path / "bad.json"
+    for where, edit in (
+        ("brackets[0].coeffs[3]", lambda d: d["brackets"][0]["coeffs"].update({"3": "0.5"})),
+        ("a[0]", lambda d: d.update(a=["0.5", "0", "1"])),
+        ("points[0][2]", lambda d: d.update(points=[["1", "1", "0.5"]])),
+    ):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        path.write_text(json.dumps(bad))
+        assert_one_line_exit_2(capsys, ["lie", "analyze", str(path)], f"{where}: bad rational '0.5'")
+    argv = ["lie", "analyze", str(_catalog_doc(capsys, tmp_path, "heisenberg3")), "--point", "1,+2,3"]
+    assert_one_line_exit_2(capsys, argv, "--point: bad rational '+2'")
 
 
 def test_pencil_analyze_boolean_dimension_exit_2(capsys, tmp_path):
@@ -457,6 +506,52 @@ def test_pencil_analyze_computes_the_pencil_rank_once(capsys, monkeypatch):
         monkeypatch.undo()
 
 
+def test_pencil_analyze_eliminates_each_regular_value_candidate_once(capsys, monkeypatch):
+    """linalg.rank runs for rank(B) and the members A + mu*B, mu = 0, 1, ...,
+    at most rank(B)/2, that pencil_rank evaluates, and never inside a draw;
+    a draw eliminates each candidate that passes its used-value check once,
+    with kernel_basis, and the stream keeps that kernel."""
+    import jkpencil.linalg
+    import jkpencil.pencil
+    from jkpencil.pencil import RegularValueSampler
+
+    original_draw = RegularValueSampler.draw
+    for document in sorted(GOLDEN.glob("*.pencil.json")):
+        p = cli.load_pencil_document(json.loads(document.read_text()))
+        rank_b = jkpencil.linalg.rank(p._scaled[1])
+        drawing = []
+        checked = []  # candidates that passed the used-value check
+
+        def draw(self):
+            replay = random.Random()
+            replay.setstate(self.rng.getstate())
+            used = set(self.used)
+            drawing.append(True)
+            value = original_draw(self)
+            drawing.pop()
+            bound = max(10 * self.p.n, 10)
+            while not checked or checked[-1] != value:
+                cand = replay.randint(-bound, bound)
+                if cand not in used:
+                    checked.append(cand)
+            return value
+
+        monkeypatch.setattr(RegularValueSampler, "draw", draw)
+        modules = [jkpencil.pencil, jkpencil.cli, jkpencil.linalg]
+        ranks = record_calls(monkeypatch, "rank", modules)
+        ranks_in_draws = record_calls(monkeypatch, "rank", modules, unless=lambda: not drawing)
+        kernels = record_calls(monkeypatch, "kernel_basis", modules)
+        code, _, _ = run(capsys, ["pencil", "analyze", str(document), "--format", "json"])
+        assert code == 0
+        assert ranks[0] == (p._scaled[1],), document.name
+        members = [args[0] for args in ranks[1:]]
+        assert len(members) <= rank_b // 2 + 1, document.name
+        assert members == [p._scaled_member(mu) for mu in range(len(members))], document.name
+        assert ranks_in_draws == []
+        assert checked and len(kernels) == len(checked), document.name
+        monkeypatch.undo()
+
+
 def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     """The pointwise char poly and Jordan data are read from one Smith
     form, the pencil rank is computed once, and the invariants and the core
@@ -553,13 +648,13 @@ def test_pencil_analyze_builds_one_skew_pencil(capsys, monkeypatch):
     from jkpencil.pencil import SkewPencil
 
     built = []
-    original = SkewPencil.__post_init__
+    original = SkewPencil.__init__
 
-    def post_init(self):
+    def init(self, a, b):
         built.append(self)
-        original(self)
+        original(self, a, b)
 
-    monkeypatch.setattr(SkewPencil, "__post_init__", post_init)
+    monkeypatch.setattr(SkewPencil, "__init__", init)
     code, out, _ = run(
         capsys, ["pencil", "analyze", str(GOLDEN / "infinite_jordan.pencil.json"), "--format", "json"]
     )

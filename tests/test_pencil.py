@@ -71,6 +71,45 @@ def test_skew_validation():
         SkewPencil([[0, 1], [1, 0]], [[0, 0], [0, 0]])
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([[0, 1], [-1]], [[0, 0], [0, 0]], "ragged matrix"),
+        ([[0, 0], [0, 0]], [[0, "1/2"], ["-1/2"]], "ragged matrix"),
+        ([[0, 1, 0], [-1, 0, 0]], [[0, 1, 0], [-1, 0, 0]], "pencil matrices must be skew-symmetric"),
+        ([[0, 1], [-1, 0]], [[0]], "A and B have different sizes"),
+        ([[0, "1/2"], ["1/2", 0]], [[0, 0], [0, 0]], "pencil matrices must be skew-symmetric"),
+        ([[0, 0], [0, 0]], [[Fraction(1, 3), 0], [0, 0]], "pencil matrices must be skew-symmetric"),
+    ],
+    ids=["ragged-a", "ragged-b", "non-square", "sizes", "non-skew-a", "non-skew-b"],
+)
+def test_malformed_pencils_raise_validation_errors(a, b, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SkewPencil(a, b)
+
+
+def test_one_integer_form_per_pencil():
+    a = [[0, 2, -3], [-2, 0, 1], [3, -1, 0]]
+    b = [[0, 1, 0], [-1, 0, 4], [0, -4, 0]]
+    as_strings = [[str(x) for x in row] for row in a], [[str(x) for x in row] for row in b]
+    pencils = [SkewPencil(a, b), SkewPencil(frac_rows(a), frac_rows(b)), SkewPencil(*as_strings)]
+    for p in pencils:
+        assert p == pencils[0] and hash(p) == hash(pencils[0])
+        assert p.a == tuple(map(tuple, frac_rows(a))) and p.b == tuple(map(tuple, frac_rows(b)))
+        assert all(type(x) is Fraction for m in (p.a, p.b) for row in m for x in row)
+        assert p._scaled == (tuple(map(tuple, a)), tuple(map(tuple, b)))
+
+    halves = [["0", "1/2", "-2/3"], ["-1/2", "0", "5"], ["2/3", "-5", "0"]]
+    p = SkewPencil(halves, b)
+    mixed = [[Fraction(x) if "/" in x else int(x) for x in row] for row in halves]
+    assert p == SkewPencil(mixed, frac_rows(b)) and hash(p) == hash(SkewPencil(mixed, b))
+    assert p.a == tuple(tuple(Fraction(x) for x in row) for row in halves)
+    assert p._denominator == 6 and p._scaled[0] == ((0, 3, -4), (-3, 0, 30), (4, -30, 0))
+    # 2*(A, B) has the same integer form with D = 3, so D is part of the pencil
+    doubled = SkewPencil([[2 * Fraction(x) for x in row] for row in halves], [[2 * x for x in row] for row in b])
+    assert doubled._scaled == p._scaled and doubled != p
+
+
 def test_canonical_rejects_non_rational_descriptor():
     quadratic = UniPoly([-2, 0, 1])  # lambda^2 - 2, irreducible over Q
     spec = JKInvariants.from_blocks([], [(quadratic, (1,))])
@@ -117,11 +156,26 @@ def test_pencil_rank_by_evaluation_matches_fraction_free_rank_oracle():
         spec = random_jk_spec(rng, max_dim=14)
         q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
         assert pencil_rank(q) == fraction_free_rank(q.lambda_matrix()) == spec.rank, spec
+    # singular B (Kronecker and infinite blocks), with eigenvalues 0, -1, -2
+    # that drop the first members scanned
+    singular = 0
+    for _ in range(60):
+        kronecker = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+        jordan = [(INFINITY, (rng.randint(1, 2),))] if rng.random() < 0.6 else []
+        jordan += [(UniPoly.linear(-i), (1,)) for i in range(rng.randint(0, 3))]
+        if not kronecker and not jordan:
+            continue
+        spec = JKInvariants.from_blocks(kronecker, jordan)
+        q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
+        assert pencil_rank(q) == fraction_free_rank(q.lambda_matrix()) == spec.rank, spec
+        singular += rank(q.b) < q.n - q.n % 2
+    assert singular >= 40
 
 
 def test_pencil_rank_reaches_the_last_evaluation_point():
     # eigenvalues 0, -1, ..., -(k-1): A + mu*B drops rank at mu = 0, ..., k-1,
-    # so only mu = k = floor(n/2), the last point scanned, is regular
+    # and only mu = k = floor(n/2) is regular; B is regular, so pencil_rank
+    # reads the rank off rank(B) and evaluates no member
     rng = random.Random(3)
     for k in range(1, 7):
         for kronecker in ((), (1,)):
@@ -130,6 +184,20 @@ def test_pencil_rank_reaches_the_last_evaluation_point():
             assert q.n // 2 == k
             assert all(rank(q.member(mu)) < 2 * k for mu in range(k))
             assert pencil_rank(q) == 2 * k
+
+
+def test_pencil_rank_reads_the_member_at_half_rank_b():
+    # eigenvalues 0, -1, ..., -(k-1) drop the members at mu = 0, ..., k-1, and
+    # an infinite block of half-size 1 keeps rank(B) = 2k below the rank
+    # 2k + 2: mu = k = rank(B)/2, the last point scanned, is the first regular one
+    rng = random.Random(5)
+    for k in range(1, 6):
+        jordan = [(UniPoly.linear(-i), (1,)) for i in range(k)] + [(INFINITY, (1,))]
+        spec = JKInvariants.from_blocks((), jordan)
+        q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
+        assert rank(q.b) == 2 * k
+        assert all(rank(q.member(mu)) == 2 * k for mu in range(k))
+        assert rank(q.member(k)) == pencil_rank(q) == 2 * k + 2
 
 
 def test_regular_value_sign_convention():
