@@ -7,7 +7,9 @@ which rationals are always strings.
 Version 2 drops the two `reparametrization` keys of version 1, which held
 a parameter of the former Moebius route to infinite Jordan blocks; every
 other key is unchanged.  Identical input and identical --seed produce
-byte-identical JSON.
+byte-identical JSON.  The seed drives Lie point sampling only: regular
+values are taken in a fixed order, so a pencil report depends on it
+through its `seed` key alone.
 
 Exit codes: 0 success, 2 validation error, 3 internal-consistency
 failure.  Diagnostics go to stderr; the report alone goes to stdout.
@@ -16,6 +18,7 @@ failure.  Diagnostics go to stderr; the report alone goes to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -42,7 +45,7 @@ from .liealg import (
     validate_lie_algebra,
 )
 from .linalg import rank
-from .pencil import INFINITY, SkewPencil, _KernelStream, _PencilAnalysis
+from .pencil import INFINITY, SkewPencil, _PencilAnalysis
 from .poisson import _eigenvalue_lemma, _involution
 from .unipoly import UniPoly
 
@@ -281,8 +284,8 @@ def cmd_pencil_analyze(path: str, seed: int) -> dict:
     pencil = load_pencil_document(doc)
     analysis = _PencilAnalysis(pencil)
     r = analysis.rank
-    stream = _KernelStream(pencil, r, seed)
-    inv = analysis.invariants(stream)
+    stream = analysis.stream
+    inv = analysis.invariants()
     core = stream.core()
     cert = stream.isotropy()
     if not cert.passed:
@@ -405,7 +408,7 @@ def cmd_lie_analyze(
     involution_certs = []
     eigen_certs = []
     for pa in ftilde.analyses:
-        cert = _involution(pa, None, seed)
+        cert = _involution(pa, None)
         if not cert.passed:
             raise InternalConsistencyError(
                 f"involution certificate failed at {_vec(pa.point)}: {cert.violation}"
@@ -553,7 +556,9 @@ def cmd_catalog(name: str | None) -> dict:
 # -- entry point -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept."""
     parser = argparse.ArgumentParser(
         prog="jkpencil",
         description=(
@@ -568,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--seed",
             type=int,
             default=DEFAULT_SEED,
-            help=f"random seed for regular-value and point sampling (default {DEFAULT_SEED})",
+            help=f"random seed for Lie point sampling (default {DEFAULT_SEED})",
         )
         p.add_argument(
             "--format",

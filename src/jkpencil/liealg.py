@@ -214,7 +214,10 @@ def jk_invariants_generic(g: LieAlgebra, samples: int = 7, seed: int = 0) -> Gen
         x0 = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim))
         a0 = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim))
         sp = SkewPencil(g.frozen_matrix(x0), g.frozen_matrix(a0))
-        inv = jk_invariants(sp, seed=rng.randrange(1 << 30))
+        # Regular values no longer come from a seed; this draw, now unused,
+        # keeps the sampled pairs (x0, a0) of every seed as they were.
+        rng.randrange(1 << 30)
+        inv = jk_invariants(sp)
         results.append((inv.rank, inv, (x0, a0)))
     max_rank = max(r for r, _, _ in results)
     top = [(inv, pt) for r, inv, pt in results if r == max_rank]
@@ -347,7 +350,7 @@ def ftilde_completeness(
     analyses = []
     reports = []
     for x0, analysis in checked:
-        analyses.append(_point_analysis(analysis, gcp, x0, seed))
+        analyses.append(_point_analysis(analysis, gcp, x0))
         reports.append(_completeness(analyses[-1], gcp))
     verdicts = {r.verdict for r in reports}
     warnings = spec.warnings

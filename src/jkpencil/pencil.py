@@ -5,12 +5,14 @@ the characteristic polynomial, the core subspace (sum of kernels of
 regular members), and the full block invariants (Kronecker parameters
 plus Jordan half-sizes grouped by eigenvalue).
 
-One analysis computes each quantity once: rank(B), the pencil rank from
-it and the members at mu = 0..rank(B)/2, the Smith invariant factors
+One analysis computes each quantity once: rank(B), the kernels of the
+members A + mu*B at mu = 0, 1, -1, 2, -2, ... (one elimination per
+member, when first read), the pencil rank from rank(B) and the first
+rank(B)/2 + 1 of those kernels, the regular values as the members of
+full rank in that order, and the Smith invariant factors
 d_1 | ... | d_r of A - lambda*B (the characteristic polynomial is
 d_2*d_4*...*d_r, and the finite Jordan data are read from their
-elementary divisors), and one stream of regular values per seed with the
-kernel of each member, one elimination per candidate value.  When B is
+elementary divisors).  No random numbers are drawn.  When B is
 irregular, the infinite Jordan blocks are the powers of mu in the
 invariant factors of the reversed pencil B - mu*A, a second Smith form
 with the same count and pair checks.  A pencil is held as one integer
@@ -275,27 +277,50 @@ class CharPoly:
 # -- basic pencil quantities ---------------------------------------------
 
 
-def pencil_rank(p: SkewPencil, rank_b: int | None = None) -> int:
-    """Rank of A + lambda*B over Q(lambda); always even.  rank_b is rank(B).
+class _Members:
+    """Kernels of the members A + mu*B at mu = 0, 1, -1, 2, -2, ..., in that
+    order; member i is eliminated once, with kernel_basis, when first read."""
 
-    The largest of rank(B) and the ranks of A + mu*B, mu = 0, 1, ...,
-    rank(B)/2.  This is exact: the rank r is at least rank(B), B being the
-    leading coefficient, and no member exceeds it.  Some principal r x r
-    Pfaffian is a nonzero polynomial in lambda, by minor summation
-    (Ishikawa-Wakayama)
+    def __init__(self, p: SkewPencil):
+        self.p = p
+        self._kernels: list[Subspace] = []
+
+    @staticmethod
+    def value(i: int) -> int:
+        """mu of member i."""
+        return (i + 1) // 2 if i % 2 else -(i // 2)
+
+    def kernel(self, i: int) -> Subspace:
+        while len(self._kernels) <= i:
+            mu = self.value(len(self._kernels))
+            self._kernels.append(kernel_basis(self.p._scaled_member(mu)))
+        return self._kernels[i]
+
+
+def pencil_rank(p: SkewPencil, rank_b: int | None = None, members: _Members | None = None) -> int:
+    """Rank of A + lambda*B over Q(lambda); always even.  rank_b is rank(B),
+    members the pencil's member table.
+
+    The largest of rank(B) and the ranks n - dim ker of the first
+    rank(B)/2 + 1 members.  This is exact: the rank r is at least rank(B),
+    B being the leading coefficient, and no member exceeds it.  Some
+    principal r x r Pfaffian is a nonzero polynomial in lambda, by minor
+    summation (Ishikawa-Wakayama)
         Pf((A + lambda*B)_I) = sum_(J in I) +-lambda^(|J|/2) Pf(B_J) Pf(A_(I-J)),
     and Pf(B_J) = 0 once |J| > rank(B); so it vanishes at no more than
-    rank(B)/2 of these values, and the member at another has rank r.  No
+    rank(B)/2 distinct values, and the member at another has rank r.  No
     member is eliminated once the rank is n - n mod 2, as when B is.
     """
     if rank_b is None:
         rank_b = rank(p._scaled[1])
+    if members is None:
+        members = _Members(p)
     full = p.n - p.n % 2
     r = rank_b
-    for mu in range(rank_b // 2 + 1):
+    for i in range(rank_b // 2 + 1):
         if r == full:
             break
-        r = max(r, rank(p._scaled_member(mu)))
+        r = max(r, p.n - members.kernel(i).dim)
     if r % 2 != 0:
         raise InternalConsistencyError("skew pencil with odd rank")
     return r
@@ -309,49 +334,55 @@ def is_regular_value(p: SkewPencil, value) -> bool:
 
 
 class RegularValueSampler:
-    """Draws distinct regular rational values for a pencil of rank r.
+    """Regular values of a pencil of rank r: the members of full rank, in
+    the order 0, 1, -1, 2, -2, ... of the member table.
 
-    Candidates are integers from [-10n, 10n], 20n + 1 of them for n >= 1.
-    A candidate's member is eliminated once: it is regular iff its kernel
-    has dimension n - r, and `used` keeps that kernel under the value.  At
-    most r/2 candidates are non-regular (see pencil_rank), so draw t (from
-    0), whose attempts fail on those and on the t used values, exhausts its
-    50 attempts with probability at most ((t + r/2) / (20n + 1))^50.
+    A member is regular iff its kernel has dimension n - r; `used` keeps
+    that kernel under the value.  A + mu*B drops rank exactly when -mu is
+    a root of the characteristic polynomial (finite eigenvalues), whose
+    degree, the sum of the finite Jordan half-sizes, is at most r/2.  So
+    at most r/2 candidates are irregular, and draw t (from 0) returns
+    within the first t + r/2 + 1 candidates: t regular values before it
+    and at most r/2 irregular ones.  Past that bound r is not the pencil
+    rank, which raises InternalConsistencyError.
     """
 
-    def __init__(self, p: SkewPencil, rng: random.Random, r: int | None = None):
+    def __init__(self, p: SkewPencil, r: int | None = None, members: _Members | None = None):
         self.p = p
-        self.rng = rng
-        self.r = pencil_rank(p) if r is None else r
+        self.members = _Members(p) if members is None else members
+        self.r = pencil_rank(p, members=self.members) if r is None else r
         self.used: dict[Fraction, Subspace] = {}
+        self._next = 0
 
     def draw(self) -> Fraction:
-        bound = max(10 * self.p.n, 10)
-        for _ in range(50):
-            cand = Fraction(self.rng.randint(-bound, bound))
-            if cand in self.used:
-                continue
-            kernel = kernel_basis(self.p._scaled_member(int(cand)))
+        while self._next <= len(self.used) + self.r // 2:
+            i = self._next
+            self._next += 1
+            kernel = self.members.kernel(i)
             if self.p.n - kernel.dim == self.r:
-                self.used[cand] = kernel
-                return cand
-        raise InternalConsistencyError("failed to sample a regular value in 50 draws")
+                mu = Fraction(_Members.value(i))
+                self.used[mu] = kernel
+                return mu
+        raise InternalConsistencyError(
+            f"{self.r // 2 + 1} irregular members: the pencil rank is not {self.r}"
+        )
 
 
 # -- one analysis per pencil ----------------------------------------------
 
 
 class _KernelStream:
-    """Regular values drawn from one seed, each with the kernel of its member.
+    """Regular values drawn from one sampler, each with the kernel of its
+    member.
 
     Values are drawn on first use and kept, so the Kronecker increments,
-    the core and the isotropy family read from one stream see the same
-    values in the same order.
+    the core, the isotropy family and the involution certificate read
+    from one stream see the same values in the same order.
     """
 
-    def __init__(self, p: SkewPencil, r: int, seed: int):
-        self.p = p
-        self._sampler = RegularValueSampler(p, random.Random(seed), r=r)
+    def __init__(self, sampler: RegularValueSampler):
+        self.p = sampler.p
+        self._sampler = sampler
         self._draws: list[tuple[Fraction, Subspace]] = []
         self._sums: list[Subspace] = []
 
@@ -419,14 +450,20 @@ def _jordan_groups(halves: list[list[int]]) -> list[tuple[UniPoly, tuple[int, ..
 
 
 class _PencilAnalysis:
-    """The rank, rank(B) and Smith invariant factors of one pencil, each
-    computed once; the characteristic polynomial and the Jordan data are
-    both read from the same factors."""
+    """The rank, rank(B), member table, kernel stream and Smith invariant
+    factors of one pencil, each computed once; the pencil rank and the
+    stream read the same member kernels, and the characteristic
+    polynomial and the Jordan data the same factors."""
 
     def __init__(self, p: SkewPencil):
         self.p = p
         self.rank_b = rank(p._scaled[1])
-        self.rank = pencil_rank(p, self.rank_b)
+        self._members = _Members(p)
+        self.rank = pencil_rank(p, self.rank_b, self._members)
+
+    @cached_property
+    def stream(self) -> _KernelStream:
+        return _KernelStream(RegularValueSampler(self.p, self.rank, self._members))
 
     @cached_property
     def _halves(self) -> list[list[int]]:
@@ -449,10 +486,11 @@ class _PencilAnalysis:
             poly = _int_poly_mul(poly, e)
         return CharPoly.from_poly(_to_unipoly(poly))
 
-    def invariants(self, stream: _KernelStream) -> JKInvariants:
+    def invariants(self) -> JKInvariants:
         """Jordan data from the invariant factors of A - lambda*B (and of
         B - mu*A when B is irregular), Kronecker parameters from the
         kernel-sum growth sequence of the stream."""
+        stream = self.stream
         n = self.p.n
         r = self.rank
         corank = n - r
@@ -513,21 +551,20 @@ def characteristic_polynomial(p: SkewPencil) -> CharPoly:
     return _PencilAnalysis(p).char_poly
 
 
-def core_subspace(p: SkewPencil, seed: int = 0) -> Subspace:
+def core_subspace(p: SkewPencil) -> Subspace:
     """Sum of kernels of regular members, stabilized twice.
 
-    Adds Ker(A + mu*B) at fresh random regular values mu until the
-    dimension is unchanged for two consecutive steps.
+    Adds Ker(A + mu*B) at the regular values mu in the order 0, 1, -1, 2,
+    ... until the dimension is unchanged for two consecutive steps.
     """
-    return _KernelStream(p, pencil_rank(p), seed).core()
+    return _PencilAnalysis(p).stream.core()
 
 
-def jk_invariants(p: SkewPencil, seed: int = 0) -> JKInvariants:
+def jk_invariants(p: SkewPencil) -> JKInvariants:
     """Full block invariants: Jordan data from the Smith normal forms of
     A - lambda*B and, when B is irregular, of B - mu*A, Kronecker
     parameters from the kernel-sum growth sequence at regular values."""
-    analysis = _PencilAnalysis(p)
-    return analysis.invariants(_KernelStream(p, analysis.rank, seed))
+    return _PencilAnalysis(p).invariants()
 
 
 # -- canonical pencils and congruence -------------------------------------
@@ -673,7 +710,7 @@ def _pairings(rows, forms) -> tuple[int, Optional[tuple[int, int, str]]]:
     return pairings, None
 
 
-def isotropy_certificate(p: SkewPencil, extra: int = 2, seed: int = 0) -> IsotropyCertificate:
+def isotropy_certificate(p: SkewPencil, extra: int = 2) -> IsotropyCertificate:
     """Checks that K + sum of sampled regular kernels is isotropic for A
     and for B: every pairing u^T A v and u^T B v is exactly zero."""
-    return _KernelStream(p, pencil_rank(p), seed).isotropy(extra)
+    return _PencilAnalysis(p).stream.isotropy(extra)

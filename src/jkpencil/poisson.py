@@ -12,7 +12,7 @@ and decides the completeness criterion through two independent routes
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -358,6 +358,7 @@ class PointAnalysis:
     core: Subspace
     gradients: tuple[Vector, ...]
     extended: Subspace
+    kernels: _KernelStream = field(compare=False, repr=False)
 
     @property
     def core_dim(self) -> int:
@@ -398,15 +399,13 @@ def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector) -> 
     return analysis
 
 
-def _point_analysis(
-    analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector, seed: int
-) -> PointAnalysis:
-    """Invariants, core (both from one kernel stream, seed) and extended
-    core at a point that passed _require_generic."""
+def _point_analysis(analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector) -> PointAnalysis:
+    """Invariants, core (both from the analysis' kernel stream, which the
+    PointAnalysis keeps for the involution certificate) and extended core
+    at a point that passed _require_generic."""
     sp = analysis.p
-    stream = _KernelStream(sp, analysis.rank, seed)
-    invariants = analysis.invariants(stream)
-    core = stream.core()
+    invariants = analysis.invariants()
+    core = analysis.stream.core()
     grads = tuple(gcp.gradients_at(x0))
     extended = subspace_sum(core, Subspace.from_vectors(sp.n, grads))
     if extended.dim > core.dim + gcp.degree:
@@ -419,6 +418,7 @@ def _point_analysis(
         core=core,
         gradients=grads,
         extended=extended,
+        kernels=analysis.stream,
     )
 
 
@@ -426,7 +426,7 @@ def extended_core(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> PointAna
     """Core plus the span of the coefficient gradients at a generic point."""
     x0 = vector(x0)
     gcp = generic_char_poly(p, seed)
-    return _point_analysis(_require_generic(p, gcp, x0), gcp, x0, seed)
+    return _point_analysis(_require_generic(p, gcp, x0), gcp, x0)
 
 
 @dataclass(frozen=True)
@@ -577,19 +577,21 @@ def involution_check(
     """Exact bi-involution of the covector family at a generic point.
 
     The family is the union of kernel bases of A(x0) + mu_j B(x0) at
-    `samples` distinct regular values (default D + 2, where 2D - 1 is
-    the largest Kronecker block) and the coefficient gradients dp_i(x0).
-    Every pairing under A(x0) and under B(x0) must be exactly zero.
+    the first `samples` regular values of the point's kernel stream
+    (default D + 2, where 2D - 1 is the largest Kronecker block, which
+    are the values its core was read from) and the coefficient gradients
+    dp_i(x0).  Every pairing under A(x0) and under B(x0) must be exactly
+    zero.  The theorem holds for any distinct regular values, so the
+    certificate checks it on the family the point's analysis reports.
     """
-    return _involution(extended_core(p, x0, seed=seed), samples, seed)
+    return _involution(extended_core(p, x0, seed=seed), samples)
 
 
-def _involution(pa: PointAnalysis, samples: int | None, seed: int) -> InvolutionCertificate:
+def _involution(pa: PointAnalysis, samples: int | None) -> InvolutionCertificate:
     sp = pa.pencil_at_point
     if samples is None:
         samples = max(pa.invariants.kronecker, default=0) + 2
-    stream = _KernelStream(sp, pa.invariants.rank, seed + 17)
-    draws = [stream.draw(t) for t in range(samples)]
+    draws = [pa.kernels.draw(t) for t in range(samples)]
     rows = [u for _, ker in draws for u in ker.rows] + _integer_rows(pa.gradients)
     pairings, violation = _pairings(rows, sp._scaled)
     return InvolutionCertificate(

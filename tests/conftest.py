@@ -10,9 +10,10 @@ reduced row echelon forms and Gram matrices in Fraction arithmetic (the
 library eliminates and pairs over the integers), Yun's squarefree
 decomposition, rational roots, the gcd-free basis and the refined factor
 basis in Fraction arithmetic (the library factors primitive integer
-polynomials), and Jordan groups through a Moebius reparametrization to a
+polynomials), Jordan groups through a Moebius reparametrization to a
 regular-B pencil (the library reads the infinite blocks from the reversed
-pencil B - mu*A).
+pencil B - mu*A), and regular values drawn at random (the library takes
+them in the fixed order 0, 1, -1, 2, ...).
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from itertools import combinations, permutations
 from math import gcd
 
 from jkpencil.errors import InternalConsistencyError, SingularMatrixError
-from jkpencil.linalg import Matrix, PfaffianCache, mat_mul, rank, transpose
+from jkpencil.linalg import Matrix, PfaffianCache, Subspace, kernel_basis, mat_mul, rank, transpose
 from jkpencil.pencil import (
     INFINITY,
     JKInvariants,
-    RegularValueSampler,
     SkewPencil,
     _invariant_factors,
     _jordan_groups,
+    _KernelStream,
+    _PencilAnalysis,
     characteristic_polynomial,
     pencil_rank,
 )
@@ -435,10 +437,44 @@ def mobius_jordan_groups(p: SkewPencil, seed: int) -> list:
     _mobius_pullback; mu0 is the first nonzero regular value drawn from
     the seed (mu0 = 0 would give (A, A), every block at infinity)."""
     r = pencil_rank(p)
-    sampler = RegularValueSampler(p, random.Random(seed), r=r)
+    sampler = RandomRegularValueSampler(p, random.Random(seed), r=r)
     mu0 = sampler.draw()
     while mu0 == 0:
         mu0 = sampler.draw()
     regularized = SkewPencil(p.a, p.member(mu0))
     raw = _jordan_groups(_invariant_factors(regularized.lambda_matrix(sign=-1), r))
     return list(JKInvariants.from_blocks([], [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]).jordan)
+
+
+class RandomRegularValueSampler:
+    """Distinct regular integer values drawn from [-10n, 10n] by rng, each
+    with the kernel of its member in `used`; the draw-compatible oracle of
+    pencil.RegularValueSampler.  At most r/2 candidates are irregular, so
+    draw t exhausts its 50 attempts with probability at most
+    ((t + r/2) / (20n + 1))^50."""
+
+    def __init__(self, p: SkewPencil, rng: random.Random, r: int | None = None):
+        self.p = p
+        self.rng = rng
+        self.r = pencil_rank(p) if r is None else r
+        self.used: dict[Fraction, Subspace] = {}
+
+    def draw(self) -> Fraction:
+        bound = max(10 * self.p.n, 10)
+        for _ in range(50):
+            cand = Fraction(self.rng.randint(-bound, bound))
+            if cand in self.used:
+                continue
+            kernel = kernel_basis(self.p._scaled_member(int(cand)))
+            if self.p.n - kernel.dim == self.r:
+                self.used[cand] = kernel
+                return cand
+        raise InternalConsistencyError("failed to sample a regular value in 50 draws")
+
+
+def random_value_analysis(p: SkewPencil, seed: int) -> _PencilAnalysis:
+    """The analysis of p with its kernel stream read from regular values
+    drawn at random from seed instead of in the fixed order."""
+    analysis = _PencilAnalysis(p)
+    analysis.stream = _KernelStream(RandomRegularValueSampler(p, random.Random(seed), analysis.rank))
+    return analysis

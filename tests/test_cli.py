@@ -459,16 +459,46 @@ def test_json_reports_are_byte_identical_for_same_seed(capsys, tmp_path):
 
 
 def test_different_seed_still_same_invariants(capsys, tmp_path):
+    """Regular values are taken in a fixed order, so pencil reports under
+    --seed 1 and --seed 2 differ in their seed key alone."""
     spec = JKInvariants.from_blocks([2], [(UniPoly.linear(3), (1,))])
-    path = write_pencil_doc(tmp_path / "seeds.json", canonical_pencil(spec))
-    outs = []
-    for seed in ("1", "2"):
-        _, out, _ = run(
-            capsys, ["pencil", "analyze", str(path), "--format", "json", "--seed", seed]
-        )
-        outs.append(json.loads(out))
-    assert outs[0]["jk_invariants"]["jordan"] == outs[1]["jk_invariants"]["jordan"]
-    assert outs[0]["jk_invariants"]["kronecker"] == outs[1]["jk_invariants"]["kronecker"]
+    documents = [write_pencil_doc(tmp_path / "seeds.json", canonical_pencil(spec))]
+    documents += sorted(GOLDEN.glob("*.pencil.json"))
+    for path in documents:
+        outs = []
+        for seed in ("1", "2"):
+            _, out, _ = run(
+                capsys, ["pencil", "analyze", str(path), "--format", "json", "--seed", seed]
+            )
+            outs.append(json.loads(out))
+        assert [out.pop("seed") for out in outs] == [1, 2]
+        assert outs[0] == outs[1], path.name
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    """The argparse parser is built on the first main call and kept; a bad
+    argument still exits 2 with a usage message on stderr."""
+    import argparse
+
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        if kwargs.get("prog") == "jkpencil":
+            built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        code, out, _ = run(capsys, ["catalog"])
+        assert code == 0
+        assert "heisenberg3" in out.split()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pencil", "analyze"])
+        assert exc.value.code == 2
+        assert "usage: jkpencil pencil analyze" in capsys.readouterr().err
+    assert len(built) == 1
 
 
 # -- work done once per analysis ---------------------------------------------------
@@ -507,56 +537,34 @@ def test_pencil_analyze_computes_the_pencil_rank_once(capsys, monkeypatch):
 
 
 def test_pencil_analyze_eliminates_each_regular_value_candidate_once(capsys, monkeypatch):
-    """linalg.rank runs for rank(B) and the members A + mu*B, mu = 0, 1, ...,
-    at most rank(B)/2, that pencil_rank evaluates, and never inside a draw;
-    a draw eliminates each candidate that passes its used-value check once,
-    with kernel_basis, and the stream keeps that kernel."""
+    """linalg.rank runs on B alone.  The pencil rank and the regular-value
+    draws read one member table: each member A + mu*B, mu = 0, 1, -1, 2,
+    ..., is eliminated at most once per analysis, with kernel_basis, and
+    the members eliminated are a prefix of that order."""
     import jkpencil.linalg
     import jkpencil.pencil
-    from jkpencil.pencil import RegularValueSampler
+    from jkpencil.pencil import _Members
 
-    original_draw = RegularValueSampler.draw
     for document in sorted(GOLDEN.glob("*.pencil.json")):
         p = cli.load_pencil_document(json.loads(document.read_text()))
-        rank_b = jkpencil.linalg.rank(p._scaled[1])
-        drawing = []
-        checked = []  # candidates that passed the used-value check
-
-        def draw(self):
-            replay = random.Random()
-            replay.setstate(self.rng.getstate())
-            used = set(self.used)
-            drawing.append(True)
-            value = original_draw(self)
-            drawing.pop()
-            bound = max(10 * self.p.n, 10)
-            while not checked or checked[-1] != value:
-                cand = replay.randint(-bound, bound)
-                if cand not in used:
-                    checked.append(cand)
-            return value
-
-        monkeypatch.setattr(RegularValueSampler, "draw", draw)
         modules = [jkpencil.pencil, jkpencil.cli, jkpencil.linalg]
         ranks = record_calls(monkeypatch, "rank", modules)
-        ranks_in_draws = record_calls(monkeypatch, "rank", modules, unless=lambda: not drawing)
         kernels = record_calls(monkeypatch, "kernel_basis", modules)
         code, _, _ = run(capsys, ["pencil", "analyze", str(document), "--format", "json"])
         assert code == 0
-        assert ranks[0] == (p._scaled[1],), document.name
-        members = [args[0] for args in ranks[1:]]
-        assert len(members) <= rank_b // 2 + 1, document.name
-        assert members == [p._scaled_member(mu) for mu in range(len(members))], document.name
-        assert ranks_in_draws == []
-        assert checked and len(kernels) == len(checked), document.name
+        assert ranks == [(p._scaled[1],)], document.name
+        members = [args[0] for args in kernels]
+        assert members, document.name
+        assert members == [p._scaled_member(_Members.value(i)) for i in range(len(members))], document.name
         monkeypatch.undo()
 
 
 def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     """The pointwise char poly and Jordan data are read from one Smith
-    form, the pencil rank is computed once, and the invariants and the core
-    read one kernel stream, per evaluation point.  The involution
-    certificate draws its own stream (seed + 17), whose values it reports.
+    form, the pencil rank is computed once, and the invariants, the core
+    and the involution certificate read one kernel stream, per evaluation
+    point: the certificate eliminates no member and reports the values the
+    point's stream drew for its invariants and core.
     The factors of each Smith form are refined once, for its Jordan groups;
     the completeness test reads those groups rather than factoring the
     char poly again.
@@ -566,6 +574,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     of its own, which may hit an evaluation point; its work is not counted.
     """
     import jkpencil.liealg
+    import jkpencil.linalg
     import jkpencil.pencil
     import jkpencil.poisson
     import jkpencil.smith
@@ -594,8 +603,20 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
         unless=lambda: bool(inside),
     )
     rank_calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil], unless=lambda: bool(inside))
-    stream_calls = record_calls(
-        monkeypatch, "_KernelStream", [jkpencil.pencil, jkpencil.poisson], unless=lambda: bool(inside)
+    stream_calls = record_calls(monkeypatch, "_KernelStream", [jkpencil.pencil], unless=lambda: bool(inside))
+    certifying = []
+    original_involution = jkpencil.cli._involution
+
+    def involution(*args):
+        certifying.append(True)
+        try:
+            return original_involution(*args)
+        finally:
+            certifying.pop()
+
+    monkeypatch.setattr(jkpencil.cli, "_involution", involution)
+    certificate_kernels = record_calls(
+        monkeypatch, "kernel_basis", [jkpencil.linalg, jkpencil.pencil], unless=lambda: not certifying
     )
     document = GOLDEN / "heisenberg3.lie.json"
     code, out, _ = run(capsys, ["lie", "analyze", str(document), "--format", "json"])
@@ -605,12 +626,14 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     points = [p["point"] for p in report["ftilde"]["points"]]
     assert len(points) == 2
     assert len(refined_calls) == len(smith_calls) == 9
-    for x0 in points:
+    for x0, cert in zip(points, report["involution_certificates"], strict=True):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         assert sum(args[0] == _lambda_rows(*at_point._scaled) for args in smith_calls) == 1
         assert sum(args[0] == at_point for args in rank_calls) == 1
-        seeds = sorted(args[2] for args in stream_calls if args[0] == at_point)
-        assert seeds == [report["seed"], report["seed"] + 17]
+        (sampler,) = [args[0] for args in stream_calls if args[0].p == at_point]
+        drawn = [str(mu) for mu in sampler.used]
+        assert cert["kernel_samples"] == drawn[: len(cert["kernel_samples"])]
+    assert certificate_kernels == []
 
 
 def test_lie_analyze_factors_char_polys_only_at_ftilde_points(capsys, monkeypatch):

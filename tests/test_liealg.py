@@ -289,7 +289,7 @@ def test_core_dimension_identity_on_catalog():
                 break
         pencil = lie_pencil(g, a).pencil
         x0 = sample_generic_point(pencil, seed=5)
-        core = core_subspace(evaluate_at(pencil, x0), seed=6)
+        core = core_subspace(evaluate_at(pencil, x0))
         assert max(semi.total_degree(), 0) + r // 2 + core.dim == g.dim, g.name
 
 

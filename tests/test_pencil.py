@@ -15,7 +15,9 @@ from jkpencil.pencil import (
     JKInvariants,
     RegularValueSampler,
     SkewPencil,
+    _Members,
     _pairings,
+    _PencilAnalysis,
     canonical_pencil,
     characteristic_polynomial,
     congruence_transform,
@@ -29,10 +31,12 @@ from jkpencil.pencil import (
 from jkpencil.unipoly import UniPoly
 
 from conftest import (
+    RandomRegularValueSampler,
     fraction_pairings,
     mobius_jordan_groups,
     naive_pfaffian,
     random_jk_spec,
+    random_value_analysis,
     recursion_charpoly_check,
 )
 
@@ -156,13 +160,13 @@ def test_pencil_rank_by_evaluation_matches_fraction_free_rank_oracle():
         spec = random_jk_spec(rng, max_dim=14)
         q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
         assert pencil_rank(q) == fraction_free_rank(q.lambda_matrix()) == spec.rank, spec
-    # singular B (Kronecker and infinite blocks), with eigenvalues 0, -1, -2
-    # that drop the first members scanned
+    # singular B (Kronecker and infinite blocks), with eigenvalues 0, -1, 1
+    # that drop the first members scanned, mu = 0, 1, -1
     singular = 0
     for _ in range(60):
         kronecker = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
         jordan = [(INFINITY, (rng.randint(1, 2),))] if rng.random() < 0.6 else []
-        jordan += [(UniPoly.linear(-i), (1,)) for i in range(rng.randint(0, 3))]
+        jordan += [(UniPoly.linear(-_Members.value(i)), (1,)) for i in range(rng.randint(0, 3))]
         if not kronecker and not jordan:
             continue
         spec = JKInvariants.from_blocks(kronecker, jordan)
@@ -187,17 +191,19 @@ def test_pencil_rank_reaches_the_last_evaluation_point():
 
 
 def test_pencil_rank_reads_the_member_at_half_rank_b():
-    # eigenvalues 0, -1, ..., -(k-1) drop the members at mu = 0, ..., k-1, and
-    # an infinite block of half-size 1 keeps rank(B) = 2k below the rank
-    # 2k + 2: mu = k = rank(B)/2, the last point scanned, is the first regular one
+    # eigenvalues 0, -1, 1, -2, ... drop the first k members, mu = 0, 1, -1,
+    # 2, ..., and an infinite block of half-size 1 keeps rank(B) = 2k below
+    # the rank 2k + 2: member k = rank(B)/2, the last one scanned, is the
+    # first regular one
     rng = random.Random(5)
     for k in range(1, 6):
-        jordan = [(UniPoly.linear(-i), (1,)) for i in range(k)] + [(INFINITY, (1,))]
+        values = [_Members.value(i) for i in range(k + 1)]
+        jordan = [(UniPoly.linear(-mu), (1,)) for mu in values[:k]] + [(INFINITY, (1,))]
         spec = JKInvariants.from_blocks((), jordan)
         q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
         assert rank(q.b) == 2 * k
-        assert all(rank(q.member(mu)) == 2 * k for mu in range(k))
-        assert rank(q.member(k)) == pencil_rank(q) == 2 * k + 2
+        assert all(rank(q.member(mu)) == 2 * k for mu in values[:k])
+        assert rank(q.member(values[k])) == pencil_rank(q) == 2 * k + 2
 
 
 def test_regular_value_sign_convention():
@@ -207,6 +213,36 @@ def test_regular_value_sign_convention():
     assert not is_regular_value(p, -lam0)
     assert is_regular_value(p, -lam0 + 1)
     assert is_regular_value(p, INFINITY)
+
+
+@pytest.mark.parametrize("kronecker", [(1,), (1, 2, 3)], ids=["kronecker-1", "kronecker-1-2-3"])
+def test_regular_values_skip_exactly_the_irregular_members(monkeypatch, kronecker):
+    """Eigenvalues 0, -1, 1 and -2 make the members at mu = 0, 1, -1 and 2,
+    the first four candidates, irregular.  Draw t reads at most
+    t + r/2 + 1 candidates, r/2 = 4 exactly so for Kronecker part (1,), and
+    eliminates each once; the draws are the remaining values in order."""
+    import jkpencil.pencil
+
+    spec = JKInvariants.from_blocks(kronecker, [(UniPoly.linear(v), (1,)) for v in (0, -1, 1, -2)])
+    q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, random.Random(len(kronecker))))
+    r = pencil_rank(q)
+    eliminated = []
+    original = jkpencil.pencil.kernel_basis
+
+    def kernel_basis(m):
+        eliminated.append(m)
+        return original(m)
+
+    monkeypatch.setattr(jkpencil.pencil, "kernel_basis", kernel_basis)
+    sampler = RegularValueSampler(q, r)
+    values = []
+    for t in range(6):
+        values.append(sampler.draw())
+        assert len(eliminated) <= t + r // 2 + 1
+    assert len(eliminated) == 10
+    assert values == [-2, 3, -3, 4, -4, 5]
+    assert eliminated == [q._scaled_member(mu) for mu in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5)]
+    assert all(q.n - kernel.dim == r for kernel in sampler.used.values())
 
 
 # -- characteristic polynomial -------------------------------------------------
@@ -278,7 +314,7 @@ def test_recursion_operator_identity():
 
 def test_core_of_kronecker_k2_is_lower_coordinates():
     p = canonical_pencil(JKInvariants.from_blocks([2], []))
-    core = core_subspace(p, seed=1)
+    core = core_subspace(p)
     assert core.basis == (
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),
@@ -287,13 +323,13 @@ def test_core_of_kronecker_k2_is_lower_coordinates():
 
 def test_core_of_nondegenerate_pencil_is_zero():
     p = canonical_pencil(jordan(Fraction(2), 2))
-    assert core_subspace(p, seed=5).dim == 0
+    assert core_subspace(p).dim == 0
 
 
 def test_core_of_trivial_plus_jordan():
     spec = JKInvariants.from_blocks([1], [(UniPoly.linear(4), (1,))])
     p = canonical_pencil(spec)
-    core = core_subspace(p, seed=2)
+    core = core_subspace(p)
     assert core.dim == 1
     assert core.basis == ((Fraction(1), Fraction(0), Fraction(0)),)
 
@@ -304,7 +340,7 @@ def test_core_stabilizes_within_block_bound_and_stays():
         spec = random_jk_spec(rng, max_dim=9)
         p = canonical_pencil(spec)
         d_bound = max(spec.kronecker, default=0)
-        sampler = RegularValueSampler(p, random.Random(7))
+        sampler = RegularValueSampler(p)
         core = kernel_basis(p.member(sampler.draw()))
         for _ in range(max(d_bound - 1, 0)):
             core = subspace_sum(core, kernel_basis(p.member(sampler.draw())))
@@ -341,22 +377,23 @@ def test_mixed_congruence_roundtrip():
     )
     p = canonical_pencil(spec)
     rng = random.Random(9)
-    for trial in range(5):
+    for _ in range(5):
         q = congruence_transform(p, random_unimodular(p.n, rng))
-        assert jk_invariants(q, seed=trial) == spec
+        assert jk_invariants(q) == spec
 
 
 def test_infinite_blocks_for_every_seed():
     # rank(B) < rank here; the infinite blocks come from the reversed
-    # pencil and use no drawn value, so seeds 33 and 42, which drew 0 for
-    # the former reparametrization, give the spec like every other seed
+    # pencil and use no regular value, so the first one drawn, mu = 0
+    # (which gave (A, A) under the former reparametrization), does no
+    # harm, under every scramble seed
     spec = JKInvariants.from_blocks(
         [1], [(UniPoly.linear(2), (1,)), (INFINITY, (2,))]
     )
     p = canonical_pencil(spec)
-    q = congruence_transform(p, random_unimodular(p.n, random.Random(1)))
     for seed in range(100):
-        assert jk_invariants(q, seed=seed) == spec, seed
+        q = congruence_transform(p, random_unimodular(p.n, random.Random(seed)))
+        assert jk_invariants(q) == spec, seed
 
 
 @pytest.mark.parametrize(
@@ -372,7 +409,7 @@ def test_infinite_blocks_edge_cases_match_the_moebius_oracle(kronecker, jordan):
     spec = JKInvariants.from_blocks(kronecker, jordan)
     p = canonical_pencil(spec)
     for trial, q in enumerate((p, congruence_transform(p, random_unimodular(p.n, random.Random(5))))):
-        inv = jk_invariants(q, seed=trial)
+        inv = jk_invariants(q)
         assert inv == spec
         assert list(inv.jordan) == mobius_jordan_groups(q, seed=trial)
 
@@ -388,7 +425,7 @@ def test_jordan_groups_match_the_moebius_oracle():
             if infinite or trial % 2:
                 break
         q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
-        inv = jk_invariants(q, seed=trial)
+        inv = jk_invariants(q)
         assert inv == spec, spec
         assert list(inv.jordan) == mobius_jordan_groups(q, seed=trial), spec
         with_infinity += infinite
@@ -404,7 +441,7 @@ def test_congruence_identity_and_permutation():
     perm = list(range(n))
     random.Random(4).shuffle(perm)
     pm = [[Fraction(1 if perm[i] == j else 0) for j in range(n)] for i in range(n)]
-    assert jk_invariants(congruence_transform(p, pm), seed=8) == spec
+    assert jk_invariants(congruence_transform(p, pm)) == spec
 
 
 def test_congruence_rejects_singular():
@@ -430,7 +467,7 @@ def test_congruence_by_rational_invertible_matrix():
         ]
         if rank(t) == n:
             break
-    assert jk_invariants(congruence_transform(p, t), seed=5) == spec
+    assert jk_invariants(congruence_transform(p, t)) == spec
 
 
 def test_irrational_eigenvalues_grouped_by_quadratic_factor():
@@ -451,12 +488,12 @@ def test_irrational_eigenvalues_grouped_by_quadratic_factor():
 
 def test_rank_even_and_core_dimension_identity():
     rng = random.Random(55)
-    for trial in range(25):
+    for _ in range(25):
         spec = random_jk_spec(rng, max_dim=10)
         p = canonical_pencil(spec)
         r = pencil_rank(p)
         assert r % 2 == 0
-        inv = jk_invariants(p, seed=trial)
+        inv = jk_invariants(p)
         n = p.n
         # dim K = n - r/2 - (total Jordan degree, infinity included)
         assert inv.core_dim == n - r // 2 - inv.jordan_degree_total
@@ -464,12 +501,12 @@ def test_rank_even_and_core_dimension_identity():
 
 def test_charpoly_equals_smith_reconstruction():
     rng = random.Random(77)
-    for trial in range(20):
+    for _ in range(20):
         spec = random_jk_spec(rng, max_dim=10, allow_infinity=False)
         p = canonical_pencil(spec)
         q = congruence_transform(p, random_unimodular(p.n, rng))
         cp = characteristic_polynomial(q)
-        inv = jk_invariants(q, seed=trial)
+        inv = jk_invariants(q)
         recon = UniPoly.one()
         for group in inv.jordan:
             assert group.descriptor is not INFINITY
@@ -479,21 +516,42 @@ def test_charpoly_equals_smith_reconstruction():
 
 
 def test_invariants_do_not_depend_on_seed():
+    """Regular values drawn at random, from seeds 1 and 2, give the same
+    invariants, core, isotropy family size and pairing count as the fixed
+    order 0, 1, -1, 2, ...: the kernels of m distinct regular values span
+    sum_i min(m, k_i) dimensions, whichever values they are (the kernel of
+    a Kronecker block is spanned by (1, mu, ..., mu^(k-1)); Vandermonde)."""
     rng = random.Random(73)
-    for _ in range(8):
-        spec = random_jk_spec(rng, max_dim=9)
-        q = congruence_transform(
-            canonical_pencil(spec), random_unimodular(spec.n, rng)
-        )
-        assert jk_invariants(q, seed=1) == jk_invariants(q, seed=2) == spec
+    with_infinity = 0
+    for trial in range(16):
+        while True:
+            spec = random_jk_spec(rng, max_dim=10)
+            infinite = any(g.descriptor is INFINITY for g in spec.jordan)
+            if infinite or trial % 2:
+                break
+        q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
+        fixed = _PencilAnalysis(q)
+        core = fixed.stream.core()
+        cert = fixed.stream.isotropy()
+        assert fixed.invariants() == spec
+        assert cert.passed
+        for seed in (1, 2):
+            drawn = random_value_analysis(q, seed)
+            assert drawn.invariants() == spec
+            assert drawn.stream.core() == core
+            drawn_cert = drawn.stream.isotropy()
+            assert (drawn_cert.family_size, drawn_cert.pairings) == (cert.family_size, cert.pairings)
+            assert drawn_cert.passed
+        with_infinity += infinite
+    assert with_infinity >= 8, with_infinity
 
 
 def test_builder_roundtrip_is_idempotent():
     rng = random.Random(81)
-    for trial in range(8):
+    for _ in range(8):
         spec = random_jk_spec(rng, max_dim=10)
-        recovered = jk_invariants(canonical_pencil(spec), seed=trial)
-        again = jk_invariants(canonical_pencil(recovered), seed=trial + 50)
+        recovered = jk_invariants(canonical_pencil(spec))
+        again = jk_invariants(canonical_pencil(recovered))
         assert again == recovered == spec
 
 
@@ -511,10 +569,10 @@ def test_pairing_violation_guard():
 def test_integer_pairings_match_fraction_gram_oracle():
     rng = random.Random(13)
     found = set()
-    for trial in range(40):
+    for _ in range(40):
         spec = random_jk_spec(rng, max_dim=10)
         p = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
-        sampler = RegularValueSampler(p, random.Random(trial))
+        sampler = RegularValueSampler(p)
         family = [
             tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) * x for x in v)
             for _ in range(3)
@@ -532,7 +590,9 @@ def test_integer_pairings_match_fraction_gram_oracle():
     family = [(Fraction(1, 2), 0, 0), (0, Fraction(5), 0)]
     forms = SkewPencil(a, b)._scaled
     assert _pairings(_integer_rows(family), forms) == fraction_pairings(family, a, b) == (4, (0, 1, "B"))
-    assert found == {None, "A"}
+    # the scans agree on families that pass, first fail under A, and first
+    # fail under B
+    assert found == {None, "A", "B"}
 
 
 def test_isotropy_of_core_plus_kernels():
@@ -540,10 +600,11 @@ def test_isotropy_of_core_plus_kernels():
     for trial in range(10):
         spec = random_jk_spec(rng, max_dim=9)
         p = canonical_pencil(spec)
-        cert = isotropy_certificate(p, seed=trial)
+        cert = isotropy_certificate(p)
         assert cert.passed
-        # direct re-check of a fresh kernel pair under both forms
-        sampler = RegularValueSampler(p, random.Random(trial + 1))
+        # direct re-check of a kernel pair at random regular values under
+        # both forms
+        sampler = RandomRegularValueSampler(p, random.Random(trial + 1))
         k1 = kernel_basis(p.member(sampler.draw())).basis
         k2 = kernel_basis(p.member(sampler.draw())).basis
         for u in k1:
