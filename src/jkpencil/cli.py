@@ -9,7 +9,9 @@ a parameter of the former Moebius route to infinite Jordan blocks; every
 other key is unchanged.  Identical input and identical --seed produce
 byte-identical JSON.  The seed drives Lie point sampling only: regular
 values are taken in a fixed order, so a pencil report depends on it
-through its `seed` key alone.
+through its `seed` key alone.  On the Lie path one stream of pairs (x, a)
+serves the generic samples, the semi-invariant certificate and a sampled
+frozen point (the a of the first certified pair).
 
 Exit codes: 0 success, 2 validation error, 3 internal-consistency
 failure.  Diagnostics go to stderr; the report alone goes to stdout.
@@ -21,7 +23,6 @@ import argparse
 import functools
 import hashlib
 import json
-import random
 import re
 import sys
 from fractions import Fraction
@@ -37,14 +38,15 @@ from .errors import (
 )
 from .liealg import (
     LieAlgebra,
-    catalog,
+    _sampled_frozen_point,
+    catalog_names,
     fa_completeness,
     ftilde_completeness,
     fundamental_semiinvariant,
+    get_algebra,
     jk_invariants_generic,
     validate_lie_algebra,
 )
-from .linalg import rank
 from .pencil import INFINITY, SkewPencil, _PencilAnalysis
 from .poisson import _eigenvalue_lemma, _involution
 from .unipoly import UniPoly
@@ -383,24 +385,11 @@ def cmd_lie_analyze(
     semi = fundamental_semiinvariant(g, seed=seed)
     fa = fa_completeness(g, report, semiinvariant=semi)
 
-    sampled_a = False
-    if frozen is None:
-        rng = random.Random(seed + 5)
-        generic = g.generic_rank()
-        for _ in range(50):
-            cand = [Fraction(rng.randint(-9, 9)) for _ in range(g.dim)]
-            if rank(g.frozen_matrix(cand)) == generic:
-                frozen = cand
-                sampled_a = True
-                break
-        else:
-            raise ValidationError("could not sample a regular frozen point")
+    sampled_a = frozen is None
+    if sampled_a:
+        frozen = _sampled_frozen_point(g, seed)
 
-    explicit = None
-    if point_override is not None:
-        explicit = [point_override]
-    elif doc_points:
-        explicit = doc_points
+    explicit = [point_override] if point_override is not None else doc_points or None
     ftilde = ftilde_completeness(
         g, frozen, points=2, seed=seed, explicit_points=explicit
     )
@@ -544,13 +533,9 @@ def _render_lie_text(rep: dict) -> str:
 
 
 def cmd_catalog(name: str | None) -> dict:
-    entries = catalog()
     if name is None:
-        return {"algebras": [g.name for g in entries]}
-    for g in entries:
-        if g.name == name:
-            return lie_document(g)
-    raise ValidationError(f"unknown catalog algebra: {name!r}")
+        return {"algebras": catalog_names()}
+    return lie_document(get_algebra(name))
 
 
 # -- entry point -------------------------------------------------------------

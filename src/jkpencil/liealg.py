@@ -13,12 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from itertools import count, islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .linalg import Matrix, Vector, fraction_free_rank, rank, vector
 from .multipoly import MultiPoly
-from .pencil import JKInvariants, SkewPencil, jk_invariants
+from .pencil import JKInvariants, SkewPencil, _PencilAnalysis
 from .poisson import (
     COMPLETE,
     INCOMPLETE,
@@ -66,6 +67,8 @@ class LieAlgebra:
         self.table = table
         self._generic_rank: Optional[int] = None
         self._semiinvariant: Optional[MultiPoly] = None
+        self._streams: dict[int, tuple[random.Random, list]] = {}
+        self._certified: dict[int, tuple[tuple[Vector, Vector], ...]] = {}
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant with antisymmetry in (i, j)."""
@@ -87,10 +90,10 @@ class LieAlgebra:
         return rows
 
     def frozen_matrix(self, a: Sequence) -> Matrix:
-        """The frozen-argument matrix A(a) at a point of the dual space."""
+        """The frozen-argument matrix A(a) at a point a (or A(x) at x)."""
         a = vector(a)
         if len(a) != self.dim:
-            raise ValidationError("frozen point has wrong length")
+            raise ValidationError(f"point has length {len(a)}, expected {self.dim}")
         n = self.dim
         rows = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), coeffs in self.table.items():
@@ -104,6 +107,23 @@ class LieAlgebra:
         if self._generic_rank is None:
             self._generic_rank = fraction_free_rank(self.poisson_matrix())
         return self._generic_rank
+
+    def _pairs(self, seed: int) -> Iterator[tuple[tuple[Vector, Vector], _PencilAnalysis]]:
+        """The pairs (x, a) drawn by Random(seed), each with the analysis of
+        its pencil (A(x), A(a)), drawn when first read and kept: the generic
+        samples, the semi-invariant certificate and the sampled frozen
+        point read one stream per seed and analyse each pair once."""
+        rng, drawn = self._streams.setdefault(seed, (random.Random(seed), []))
+        for t in count():
+            if t == len(drawn):
+                x0 = _random_point(self.dim, rng)
+                a0 = _random_point(self.dim, rng)
+                # A third draw, once a seed for regular values and now
+                # unused, keeps the pairs of every seed as they were.
+                rng.randrange(1 << 30)
+                at_pair = SkewPencil(self.frozen_matrix(x0), self.frozen_matrix(a0))
+                drawn.append(((x0, a0), _PencilAnalysis(at_pair)))
+            yield drawn[t]
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"
@@ -165,20 +185,18 @@ def lie_pencil(g: LieAlgebra, a: Sequence) -> LiePencilSpec:
     theorems do not apply there.
     """
     a = vector(a)
-    a_rows = g.poisson_matrix()
     n = g.dim
     frozen = g.frozen_matrix(a)
     b_rows = [[MultiPoly.constant(n, frozen[i][j]) for j in range(n)] for i in range(n)]
-    pencil = PolyPoissonPencil(a_rows, b_rows)
-    generic = g.generic_rank()
-    frozen_rank = rank(frozen)
-    regular = frozen_rank == generic
-    warnings = ()
-    if not regular:
-        warnings = (
-            f"IRREGULAR_FROZEN_POINT: rank A(a) = {frozen_rank} < generic rank {generic}",
-        )
-    return LiePencilSpec(g, a, pencil, regular, warnings)
+    pencil = PolyPoissonPencil(g.poisson_matrix(), b_rows)
+    warnings = _irregularity(g, frozen)
+    return LiePencilSpec(g, a, pencil, not warnings, warnings)
+
+
+def _irregularity(g: LieAlgebra, frozen: Matrix) -> tuple[str, ...]:
+    """The IRREGULAR_FROZEN_POINT warning if rank A(a) < generic rank."""
+    r, generic = rank(frozen), g.generic_rank()
+    return () if r == generic else (f"IRREGULAR_FROZEN_POINT: rank A(a) = {r} < generic rank {generic}",)
 
 
 @dataclass(frozen=True)
@@ -199,8 +217,9 @@ class GenericJKReport:
 
 
 def jk_invariants_generic(g: LieAlgebra, samples: int = 7, seed: int = 0) -> GenericJKReport:
-    """Invariants of the constant pencil (A(x), A(a)) at random rational
-    pairs, keeping those achieved at maximal pencil rank.
+    """Invariants of the constant pencil (A(x), A(a)) at the first
+    `samples` pairs of g._pairs(seed), which the semi-invariant certificate
+    reads too, keeping those achieved at maximal pencil rank.
 
     Stability means all max-rank samples agree on the eigenvalue-free
     shape (Kronecker multiset plus degree-expanded half-size multisets);
@@ -208,19 +227,9 @@ def jk_invariants_generic(g: LieAlgebra, samples: int = 7, seed: int = 0) -> Gen
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
-    rng = random.Random(seed)
-    results = []
-    for _ in range(samples):
-        x0 = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim))
-        a0 = tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim))
-        sp = SkewPencil(g.frozen_matrix(x0), g.frozen_matrix(a0))
-        # Regular values no longer come from a seed; this draw, now unused,
-        # keeps the sampled pairs (x0, a0) of every seed as they were.
-        rng.randrange(1 << 30)
-        inv = jk_invariants(sp)
-        results.append((inv.rank, inv, (x0, a0)))
-    max_rank = max(r for r, _, _ in results)
-    top = [(inv, pt) for r, inv, pt in results if r == max_rank]
+    results = [(analysis.invariants(), pair) for pair, analysis in islice(g._pairs(seed), samples)]
+    max_rank = max(inv.rank for inv, _ in results)
+    top = [(inv, pt) for inv, pt in results if inv.rank == max_rank]
     shapes = {inv.shape() for inv, _ in top}
     return GenericJKReport(
         samples=samples,
@@ -237,28 +246,32 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
     """Gcd of the Pfaffians of all principal r x r minors of A(x).
 
     Normalized to content 1 with positive lexicographically-leading
-    coefficient.  Computed on the first call and kept on g; that call
-    certifies the defining identity with poisson._certify at pairs (x, a)
-    drawn by Random(seed + 7): with eigenvalues read from A - lambda*B,
-    the pencil characteristic polynomial at (x, a) equals the monic
-    normalization of p_g restricted to the line x - lambda*a.
+    coefficient.  Computed on the first call and kept on g; the first call
+    at each seed certifies the defining identity with poisson._certify
+    over the analysed pairs (x, a) of g._pairs(seed), the generic samples'
+    pairs, which it reads past the samples only when fewer than three of
+    them certify: with eigenvalues read from A - lambda*B, the pencil
+    characteristic polynomial at (x, a) equals the monic normalization of
+    p_g restricted to the line x - lambda*a.
     """
-    if g._semiinvariant is not None:
-        return g._semiinvariant
-    r = g.generic_rank()
-    result = _pfaffian_gcd(g.poisson_matrix(), r)
-    _certify(_pairs(g, result, random.Random(seed + 7)), r, result.total_degree())
-    g._semiinvariant = result
-    return result
+    if seed not in g._certified:
+        r = g.generic_rank()
+        if g._semiinvariant is None:
+            g._semiinvariant = _pfaffian_gcd(g.poisson_matrix(), r)
+        p_g = g._semiinvariant
+        lines = (
+            (pair, analysis, p_g.eval_on_line(pair[0], tuple(-v for v in pair[1])).monic())
+            for pair, analysis in g._pairs(seed)
+        )
+        g._certified[seed] = _certify(lines, r, p_g.total_degree())
+    return g._semiinvariant
 
 
-def _pairs(g: LieAlgebra, p_g: MultiPoly, rng: random.Random):
-    """Random pairs (x, a) for _certify, with monic p_g(x - lambda*a)."""
-    while True:
-        x0 = _random_point(g.dim, rng)
-        a0 = _random_point(g.dim, rng)
-        expected = p_g.eval_on_line(x0, tuple(-v for v in a0)).monic()
-        yield (x0, a0), SkewPencil(g.frozen_matrix(x0), g.frozen_matrix(a0)), expected
+def _sampled_frozen_point(g: LieAlgebra, seed: int) -> Vector:
+    """The a of the first pair (x, a) that certified p_g at seed: regular,
+    since _certify admits only pairs with rank A(a) = the generic rank."""
+    fundamental_semiinvariant(g, seed)
+    return g._certified[seed][0][1]
 
 
 def _lie_char_poly(g: LieAlgebra, a: Vector, seed: int) -> GenericCharPoly:
@@ -309,7 +322,6 @@ class FTildeReport:
     points: tuple[CompletenessReport, ...]
     witnesses: tuple[str, ...]
     warnings: tuple[str, ...]
-    pencil_spec: Optional[LiePencilSpec] = None
     analyses: tuple[PointAnalysis, ...] = ()
 
 
@@ -328,32 +340,35 @@ def ftilde_completeness(
     reported as UNSTABLE_SAMPLES and the verdict is downgraded.  An
     irregular frozen point downgrades to INDETERMINATE.
     """
-    spec = lie_pencil(g, a)
-    if not spec.frozen_regular:
+    a = vector(a)
+    frozen = g.frozen_matrix(a)
+    warnings = _irregularity(g, frozen)
+    if warnings:
         return FTildeReport(
             verdict=INDETERMINATE,
-            frozen_point=spec.frozen_point,
+            frozen_point=a,
             frozen_regular=False,
             points=(),
             witnesses=(),
-            warnings=spec.warnings,
-            pencil_spec=spec,
+            warnings=warnings,
         )
-    pencil = spec.pencil
-    gcp = _lie_char_poly(g, spec.frozen_point, seed)
+    gcp = _lie_char_poly(g, a, seed)
+
+    def pencil_at(x0: Vector) -> SkewPencil:  # as the pair stream builds it
+        return SkewPencil(g.frozen_matrix(x0), frozen)
+
     # Sampled points are all chosen before the first is analysed; explicit
     # points are checked for genericity one at a time, as they are analysed.
     if explicit_points is None:
-        checked = [_sample_generic(pencil, gcp, seed + 31 * i) for i in range(points)]
+        checked = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(points)]
     else:
-        checked = ((x0, _require_generic(pencil, gcp, x0)) for x0 in map(vector, explicit_points))
+        checked = ((x0, _require_generic(pencil_at(x0), gcp, x0)) for x0 in map(vector, explicit_points))
     analyses = []
     reports = []
     for x0, analysis in checked:
         analyses.append(_point_analysis(analysis, gcp, x0))
         reports.append(_completeness(analyses[-1], gcp))
     verdicts = {r.verdict for r in reports}
-    warnings = spec.warnings
     if len(verdicts) == 1:
         verdict = reports[0].verdict
     else:
@@ -366,12 +381,11 @@ def ftilde_completeness(
                 witnesses.append(w)
     return FTildeReport(
         verdict=verdict,
-        frozen_point=spec.frozen_point,
+        frozen_point=a,
         frozen_regular=True,
         points=tuple(reports),
         witnesses=tuple(witnesses),
         warnings=warnings,
-        pencil_spec=spec,
         analyses=tuple(analyses),
     )
 
@@ -496,4 +510,4 @@ def get_algebra(name: str) -> LieAlgebra:
     for g in catalog():
         if g.name == name:
             return g
-    raise ValidationError(f"unknown catalog algebra: {name}")
+    raise ValidationError(f"unknown catalog algebra: {name!r}")

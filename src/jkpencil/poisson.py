@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegreeJumpError,
@@ -171,7 +172,7 @@ def compatibility_check(p: PolyPoissonPencil) -> JacobiResult:
 
 
 def evaluate_at(p: PolyPoissonPencil, x0: Sequence) -> SkewPencil:
-    """Entrywise evaluation at a rational point."""
+    """Entrywise evaluation at a rational point (general pencils only)."""
     pt = vector(x0)
     if len(pt) != p.n:
         raise ValidationError(f"point has length {len(pt)}, expected {p.n}")
@@ -284,26 +285,27 @@ def _random_point(n: int, rng: random.Random) -> Vector:
 
 
 def _points(p: PolyPoissonPencil, gcp: GenericCharPoly, rng: random.Random):
-    """Random points x0 for _certify, with gcp specialised at x0."""
+    """Random points x0 for _certify, analysed, with gcp specialised at x0."""
     while True:
         x0 = _random_point(p.n, rng)
         expected = None if gcp.denominator.evaluate(x0) == 0 else gcp.poly_at(x0)
-        yield x0, evaluate_at(p, x0), expected
+        yield x0, _PencilAnalysis(evaluate_at(p, x0)), expected
 
 
-def _certify(points: Iterator, rank: int, degree: int) -> None:
+def _certify(points: Iterator, rank: int, degree: int) -> tuple:
     """Certifies that a generic characteristic polynomial of this rank and
-    degree equals the pointwise one at three of the first 80 points.
+    degree equals the pointwise one at three of the first 80 points, and
+    returns those three.
 
-    points yields (point, pencil there, the generic polynomial there or
-    None where its denominator vanishes).  A point is skipped on a rank,
-    rank(B) or denominator drop and on a pointwise degree jump (10 jumps
-    raise DegreeJumpError); a lower degree or another polynomial raises
-    InternalConsistencyError, as does running out of points.
+    points yields (point, the caller's analysis of the pencil there, the
+    generic polynomial there or None where its denominator vanishes).  A
+    point is skipped on a rank, rank(B) or denominator drop and on a
+    pointwise degree jump (10 jumps raise DegreeJumpError); a lower degree
+    or another polynomial raises InternalConsistencyError, as does running
+    out of points.
     """
-    certified = jumps = 0
-    for x0, sp, expected in islice(points, 80):
-        analysis = _PencilAnalysis(sp)
+    certified, jumps = [], 0
+    for x0, analysis, expected in islice(points, 80):
         if analysis.rank != rank or analysis.rank_b != rank or expected is None:
             continue
         if not _matches_generic(analysis.char_poly, degree, expected, x0):
@@ -314,9 +316,9 @@ def _certify(points: Iterator, rank: int, degree: int) -> None:
                     f"{degree} at {x0}"
                 )
             continue
-        certified += 1
-        if certified == 3:
-            return
+        certified.append(x0)
+        if len(certified) == 3:
+            return tuple(certified)
     raise InternalConsistencyError("could not certify the generic degree")
 
 
@@ -369,12 +371,11 @@ class PointAnalysis:
         return self.extended.dim
 
 
-def _require_generic(p: PolyPoissonPencil, gcp: GenericCharPoly, x0: Vector) -> _PencilAnalysis:
-    """Analysis of the pencil at x0, after checking that x0 is generic:
-    rank, rank(B), denominator and char degree as at a generic point.  A
-    higher degree raises NonGenericPointError; see _matches_generic for a
-    lower one."""
-    analysis = _PencilAnalysis(evaluate_at(p, x0))
+def _require_generic(at_point: SkewPencil, gcp: GenericCharPoly, x0: Vector) -> _PencilAnalysis:
+    """Analysis of at_point, the pencil at x0, after checking that x0 is
+    generic: rank, rank(B), denominator and char degree as at a generic
+    point.  A higher degree raises NonGenericPointError; see _matches_generic."""
+    analysis = _PencilAnalysis(at_point)
     r0 = analysis.rank
     if r0 != gcp.rank:
         raise NonGenericPointError(
@@ -426,7 +427,7 @@ def extended_core(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> PointAna
     """Core plus the span of the coefficient gradients at a generic point."""
     x0 = vector(x0)
     gcp = generic_char_poly(p, seed)
-    return _point_analysis(_require_generic(p, gcp, x0), gcp, x0)
+    return _point_analysis(_require_generic(evaluate_at(p, x0), gcp, x0), gcp, x0)
 
 
 @dataclass(frozen=True)
@@ -656,19 +657,19 @@ def sample_generic_point(
     p: PolyPoissonPencil, seed: int = 0, attempts: int = 50
 ) -> Vector:
     """A random small-integer point passing all genericity checks."""
-    return _sample_generic(p, generic_char_poly(p, seed), seed, attempts)[0]
+    return _sample_generic(partial(evaluate_at, p), generic_char_poly(p, seed), seed, attempts)[0]
 
 
 def _sample_generic(
-    p: PolyPoissonPencil, gcp: GenericCharPoly, seed: int, attempts: int = 50
+    pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, seed: int, attempts: int = 50
 ) -> tuple[Vector, _PencilAnalysis]:
-    """A point drawn by Random(seed + 101) that passes _require_generic
-    against gcp, with its analysis."""
+    """A point x0 drawn by Random(seed + 101) at which pencil_at(x0), the
+    pencil there, passes _require_generic against gcp, with its analysis."""
     rng = random.Random(seed + 101)
     for _ in range(attempts):
-        x0 = _random_point(p.n, rng)
+        x0 = _random_point(gcp.nvars, rng)
         try:
-            return x0, _require_generic(p, gcp, x0)
+            return x0, _require_generic(pencil_at(x0), gcp, x0)
         except NonGenericPointError:
             continue
     raise NonGenericPointError(f"no generic point found in {attempts} attempts")

@@ -570,10 +570,9 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     char poly again.
 
     The Smith form of a point reads the integer scaling of its pencil.
-    The certificate of the fundamental semi-invariant draws random points
-    of its own, which may hit an evaluation point; its work is not counted.
+    The certificate of the fundamental semi-invariant reads the analyses
+    of the generic samples, so its work is counted with theirs.
     """
-    import jkpencil.liealg
     import jkpencil.linalg
     import jkpencil.pencil
     import jkpencil.poisson
@@ -582,28 +581,12 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     from jkpencil.liealg import get_algebra, lie_pencil
     from jkpencil.pencil import _lambda_rows
 
-    inside = []
-    original_certify = jkpencil.liealg._certify
-
-    def certify(*args, **kwargs):
-        inside.append(True)
-        try:
-            return original_certify(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(jkpencil.liealg, "_certify", certify)
-    smith_calls = record_calls(
-        monkeypatch, "smith_normal_form", [jkpencil.smith, jkpencil.pencil], unless=lambda: bool(inside)
-    )
+    smith_calls = record_calls(monkeypatch, "smith_normal_form", [jkpencil.smith, jkpencil.pencil])
     refined_calls = record_calls(
-        monkeypatch,
-        "refined_factors",
-        [jkpencil.unipoly, jkpencil.pencil, jkpencil.poisson],
-        unless=lambda: bool(inside),
+        monkeypatch, "refined_factors", [jkpencil.unipoly, jkpencil.pencil, jkpencil.poisson]
     )
-    rank_calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil], unless=lambda: bool(inside))
-    stream_calls = record_calls(monkeypatch, "_KernelStream", [jkpencil.pencil], unless=lambda: bool(inside))
+    rank_calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil])
+    stream_calls = record_calls(monkeypatch, "_KernelStream", [jkpencil.pencil])
     certifying = []
     original_involution = jkpencil.cli._involution
 
@@ -634,6 +617,30 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
         drawn = [str(mu) for mu in sampler.used]
         assert cert["kernel_samples"] == drawn[: len(cert["kernel_samples"])]
     assert certificate_kernels == []
+
+
+@pytest.mark.parametrize("document", sorted(GOLDEN.glob("*.lie.json")), ids=lambda p: p.name.split(".")[0])
+def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeypatch):
+    """One _PencilAnalysis per sampled pair (x, a) and per F~_a point: the
+    generic invariants, the semi-invariant certificate and the sampled
+    frozen point read one stream of pairs, whose first 7 (--samples)
+    certify p_g on every golden document, and the pencil at an F~_a point
+    is built from the structure constants, not by evaluating polynomial
+    entries."""
+    import jkpencil.liealg
+    import jkpencil.pencil
+    import jkpencil.poisson
+
+    modules = [jkpencil.pencil, jkpencil.poisson, jkpencil.liealg, jkpencil.cli]
+    analyses = record_calls(monkeypatch, "_PencilAnalysis", modules)
+    evaluations = record_calls(monkeypatch, "evaluate_at", modules[1:])
+    code, out, _ = run(capsys, ["lie", "analyze", str(document), "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["generic_invariants"]["samples"] == 7
+    assert len(report["ftilde"]["points"]) == 2
+    assert len(analyses) == 7 + 2
+    assert evaluations == []
 
 
 def test_lie_analyze_factors_char_polys_only_at_ftilde_points(capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from jkpencil import cli
 from jkpencil.errors import ValidationError
 from jkpencil.liealg import (
     LieAlgebra,
@@ -163,6 +165,22 @@ def test_dual_number_aff1_has_4x4_jordan_block():
     assert rep.stable
     assert rep.representative.kronecker == ()
     assert rep.shape[1] == ((2,),)  # one Jordan block of half-size 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: at seed 20 a max-rank sample of aff1 x Q[eps]/eps^2 has Jordan "
+    "shape (1, 1), not (2), with generic rank(B) and characteristic polynomial, so the "
+    "generic invariants are unstable and F_a is INDETERMINATE",
+)
+def test_dual_number_aff1_fa_incomplete_at_seed_20(tmp_path, capsys):
+    document = tmp_path / "aff1_dual.lie.json"
+    document.write_text(json.dumps(cli.lie_document(dual_number_aff1())))
+    code = cli.main(["lie", "analyze", str(document), "--seed", "20", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["generic_invariants"]["stable"]
+    assert report["fa"]["verdict"] == INCOMPLETE
 
 
 # -- fundamental semi-invariant -------------------------------------------------------

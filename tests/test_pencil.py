@@ -567,31 +567,41 @@ def test_pairing_violation_guard():
 
 
 def test_integer_pairings_match_fraction_gram_oracle():
+    # Each family is kernel vectors at three regular values, each vector
+    # scaled by a rational factor of its own, so it is bi-isotropic and
+    # passes; a planted random row may break that, and the integer scan
+    # must report the same first violation as the Fraction Gram matrices.
     rng = random.Random(13)
     found = set()
+    unplanted = 0
     for _ in range(40):
         spec = random_jk_spec(rng, max_dim=10)
         p = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
         sampler = RegularValueSampler(p)
         family = [
-            tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) * x for x in v)
+            tuple(c * x for x in v)
             for _ in range(3)
             for v in kernel_basis(p.member(sampler.draw())).basis
+            for c in [Fraction(rng.randint(1, 9), rng.randint(1, 9))]
         ]
-        if rng.random() < 0.7:
-            planted = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p.n))
-            family.insert(rng.randint(0, len(family)), planted)
+        planted = rng.random() < 0.7
+        if planted:
+            row = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p.n))
+            family.insert(rng.randint(0, len(family)), row)
         expected = fraction_pairings(family, p.a, p.b)
         assert _pairings(_integer_rows(family), p._scaled) == expected
+        if not planted:
+            assert expected[1] is None, spec
+            unplanted += bool(family)
         found.add(None if expected[1] is None else expected[1][2])
+    assert unplanted >= 8  # nonempty unplanted families
     # a violation under B alone: e1, e2 pair under B but not under A
     a = frac_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
     b = frac_rows([[0, Fraction(1, 3), 0], [Fraction(-1, 3), 0, 0], [0, 0, 0]])
     family = [(Fraction(1, 2), 0, 0), (0, Fraction(5), 0)]
     forms = SkewPencil(a, b)._scaled
     assert _pairings(_integer_rows(family), forms) == fraction_pairings(family, a, b) == (4, (0, 1, "B"))
-    # the scans agree on families that pass, first fail under A, and first
-    # fail under B
+    # the random families pass or first fail under A and under B
     assert found == {None, "A", "B"}
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -290,17 +291,17 @@ def test_pointwise_degree_below_generic_is_inconsistent():
     pencil = lie_pencil(heisenberg3(), [0, 0, 1]).pencil
     gcp = generic_char_poly(pencil)
     x0 = sample_generic_point(pencil, seed=5)
-    assert _require_generic(pencil, gcp, x0).char_poly.degree == gcp.degree
+    assert _require_generic(evaluate_at(pencil, x0), gcp, x0).char_poly.degree == gcp.degree
     higher = dataclasses.replace(
         gcp, degree=gcp.degree + 1, numerators=gcp.numerators + (gcp.denominator,)
     )
     with pytest.raises(InternalConsistencyError):
-        _require_generic(pencil, higher, x0)
+        _require_generic(evaluate_at(pencil, x0), higher, x0)
     with pytest.raises(InternalConsistencyError):
-        _sample_generic(pencil, higher, seed=5)
+        _sample_generic(partial(evaluate_at, pencil), higher, seed=5)
     lower = dataclasses.replace(gcp, degree=gcp.degree - 1, numerators=gcp.numerators[1:])
     with pytest.raises(NonGenericPointError):
-        _require_generic(pencil, lower, x0)
+        _require_generic(evaluate_at(pencil, x0), lower, x0)
 
 
 def test_completeness_verdicts():
