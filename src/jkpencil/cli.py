@@ -1,5 +1,11 @@
 """Command-line interface: pencil analyze, lie analyze, catalog.
 
+`pencil_report` and `lie_report` map a document's bytes to its report, a
+dict; both parse the bytes the same way and open with the same header
+keys (`input_digest` is the SHA-256 of the bytes).  `main` parses the
+arguments, reads the file, builds the report and writes it as text or
+JSON.
+
 Input documents are JSON with all rationals as integers or as strings
 "-?[0-9]+" or "-?[0-9]+/[0-9]+" ("3", "-3/4"); reports are emitted as
 human-readable text or as a stable JSON schema (schema_version 2) in
@@ -32,7 +38,6 @@ from .errors import (
     InfiniteEigenvalueError,
     InternalConsistencyError,
     JKPencilError,
-    NonGenericPointError,
     PairingViolationError,
     ValidationError,
 )
@@ -52,6 +57,7 @@ from .poisson import _eigenvalue_lemma, _involution
 from .unipoly import UniPoly
 
 DEFAULT_SEED = 1729
+DEFAULT_SAMPLES = 7
 
 # Largest Lie algebra dimension a document may declare.  The Jacobi check
 # alone visits every triple i < j < k, and the generic layer grows faster
@@ -99,36 +105,38 @@ def _parse_matrix(doc, key: str, n: int):
     return rows
 
 
-def _read_document(path: str) -> tuple[bytes, object]:
-    """The raw bytes of a JSON document and its parsed value.  A file that
-    cannot be read, or bytes that are not UTF-8 JSON within the interpreter's
-    integer-size and nesting limits, raise ValidationError; other malformed
-    JSON raises json.JSONDecodeError."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ValidationError(str(exc)) from exc
+def _parse_document(raw: bytes):
+    """The parsed value of a JSON document's bytes.  Bytes that are not
+    UTF-8 JSON within the interpreter's integer-size and nesting limits
+    raise ValidationError."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"document is not UTF-8: {exc}") from exc
     try:
-        return raw, json.loads(text)
-    except json.JSONDecodeError:
-        raise
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
     except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
         raise ValidationError(f"unreadable JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError("unreadable JSON: nested too deeply") from exc
 
 
-def load_pencil_document(doc) -> SkewPencil:
+def _document_dimension(doc) -> int:
+    """The `dimension` of a document whose root is a JSON object."""
     if not isinstance(doc, dict):
         raise ValidationError("document root must be a JSON object")
     n = doc.get("dimension")
     if type(n) is not int or n < 1:  # a JSON boolean is a Python int
         raise ValidationError("dimension: expected a positive integer")
+    return n
+
+
+def load_pencil_document(doc) -> SkewPencil:
+    n = _document_dimension(doc)
     a = _parse_matrix(doc, "A", n)
     b = _parse_matrix(doc, "B", n)
     return SkewPencil(a, b)
@@ -136,11 +144,7 @@ def load_pencil_document(doc) -> SkewPencil:
 
 def load_lie_document(doc) -> tuple[LieAlgebra, list | None, list | None]:
     """Returns (algebra, frozen point or None, evaluation points or None)."""
-    if not isinstance(doc, dict):
-        raise ValidationError("document root must be a JSON object")
-    n = doc.get("dimension")
-    if type(n) is not int or n < 1:  # a JSON boolean is a Python int
-        raise ValidationError("dimension: expected a positive integer")
+    n = _document_dimension(doc)
     if n > MAX_LIE_DIMENSION:
         raise ValidationError(f"dimension: {n} exceeds the limit of {MAX_LIE_DIMENSION}")
     brackets_raw = doc.get("brackets", [])
@@ -274,16 +278,28 @@ def _completeness_dict(rep) -> dict:
     }
 
 
-def _digest(raw: bytes) -> str:
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
+def _header(command: str, raw: bytes, seed: int) -> dict:
+    """The keys every report opens with; `raw` is the document's bytes."""
+    return {
+        "schema_version": 2,
+        "tool": "jkpencil",
+        "version": __version__,
+        "command": command,
+        "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
+        "seed": seed,
+        "conventions": {
+            "eigenvalues": "roots of the characteristic polynomial of A - lambda*B",
+            "degenerate_members": "A + lambda*B drops rank exactly at lambda = -(root)",
+        },
+    }
 
 
 # -- pencil analyze ----------------------------------------------------------
 
 
-def cmd_pencil_analyze(path: str, seed: int) -> dict:
-    raw, doc = _read_document(path)
-    pencil = load_pencil_document(doc)
+def pencil_report(raw: bytes, seed: int = DEFAULT_SEED) -> dict:
+    """The `pencil analyze` report of a pencil document's bytes."""
+    pencil = load_pencil_document(_parse_document(raw))
     analysis = _PencilAnalysis(pencil)
     r = analysis.rank
     stream = analysis.stream
@@ -297,20 +313,11 @@ def cmd_pencil_analyze(path: str, seed: int) -> dict:
     except InfiniteEigenvalueError as exc:
         char = {"status": "INFINITE_EIGENVALUE", "note": str(exc)}
     return {
-        "schema_version": 2,
-        "tool": "jkpencil",
-        "version": __version__,
-        "command": "pencil analyze",
-        "input_digest": _digest(raw),
-        "seed": seed,
+        **_header("pencil analyze", raw, seed),
         "dimension": pencil.n,
         "pencil_rank": r,
         "corank": pencil.n - r,
         "rank_b": analysis.rank_b,
-        "conventions": {
-            "eigenvalues": "roots of the characteristic polynomial of A - lambda*B",
-            "degenerate_members": "A + lambda*B drops rank exactly at lambda = -(root)",
-        },
         "char_poly": char,
         "jk_invariants": _invariants_dict(inv),
         "core": {"dimension": core.dim, "basis": [_vec(v) for v in core.basis]},
@@ -373,11 +380,12 @@ def _render_pencil_text(rep: dict) -> str:
 # -- lie analyze -------------------------------------------------------------
 
 
-def cmd_lie_analyze(
-    path: str, seed: int, samples: int, point_override: list | None
+def lie_report(
+    raw: bytes, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES, point: list | None = None
 ) -> dict:
-    raw, doc = _read_document(path)
-    g, frozen, doc_points = load_lie_document(doc)
+    """The `lie analyze` report of a Lie algebra document's bytes; `point`
+    replaces the document's evaluation points."""
+    g, frozen, doc_points = load_lie_document(_parse_document(raw))
     valid = validate_lie_algebra(g)
     if not valid:
         raise ValidationError(f"Jacobi identity fails at quadruple {valid.witness}")
@@ -389,7 +397,7 @@ def cmd_lie_analyze(
     if sampled_a:
         frozen = _sampled_frozen_point(g, seed)
 
-    explicit = [point_override] if point_override is not None else doc_points or None
+    explicit = [point] if point is not None else doc_points or None
     ftilde = ftilde_completeness(
         g, frozen, points=2, seed=seed, explicit_points=explicit
     )
@@ -429,18 +437,9 @@ def cmd_lie_analyze(
         )
 
     return {
-        "schema_version": 2,
-        "tool": "jkpencil",
-        "version": __version__,
-        "command": "lie analyze",
-        "input_digest": _digest(raw),
-        "seed": seed,
+        **_header("lie analyze", raw, seed),
         "samples": samples,
         "algebra": {"name": g.name, "dimension": g.dim, "jacobi_valid": True},
-        "conventions": {
-            "eigenvalues": "roots of the characteristic polynomial of A - lambda*B",
-            "degenerate_members": "A + lambda*B drops rank exactly at lambda = -(root)",
-        },
         "frozen_point": {
             "a": _vec(frozen),
             "regular": ftilde.frozen_regular,
@@ -538,6 +537,10 @@ def cmd_catalog(name: str | None) -> dict:
     return lie_document(get_algebra(name))
 
 
+def _render_catalog_text(rep: dict) -> str:
+    return "\n".join(rep["algebras"]) + "\n"
+
+
 # -- entry point -------------------------------------------------------------
 
 
@@ -581,8 +584,8 @@ def _build_parser() -> argparse.ArgumentParser:
     la.add_argument(
         "--samples",
         type=int,
-        default=7,
-        help="random (x, a) samples for the generic invariants (default 7)",
+        default=DEFAULT_SAMPLES,
+        help=f"random (x, a) samples for the generic invariants (default {DEFAULT_SAMPLES})",
     )
     la.add_argument(
         "--point",
@@ -599,50 +602,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, fmt: str, text_renderer) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(text_renderer(report))
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "pencil":
-            report = cmd_pencil_analyze(args.file, args.seed)
-            _emit(report, args.format, _render_pencil_text)
-        elif args.command == "lie":
-            override = None
-            if args.point is not None:
-                override = [
-                    _parse_rational(tok.strip(), "--point")
-                    for tok in args.point.split(",")
-                ]
-            report = cmd_lie_analyze(args.file, args.seed, args.samples, override)
-            _emit(report, args.format, _render_lie_text)
-        elif args.command == "catalog":
-            report = cmd_catalog(args.name)
-            if args.format == "json" or args.name is not None:
-                sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        if args.command == "catalog":
+            report, render = cmd_catalog(args.name), _render_catalog_text
+        else:
+            point = None
+            if args.command == "lie" and args.point is not None:
+                point = [_parse_rational(tok.strip(), "--point") for tok in args.point.split(",")]
+            try:
+                with open(args.file, "rb") as fh:
+                    raw = fh.read()
+            except OSError as exc:
+                raise ValidationError(str(exc)) from exc
+            if args.command == "pencil":
+                report, render = pencil_report(raw, args.seed), _render_pencil_text
             else:
-                sys.stdout.write("\n".join(report["algebras"]) + "\n")
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except (ValidationError, NonGenericPointError, InfiniteEigenvalueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+                report, render = lie_report(raw, args.seed, args.samples, point), _render_lie_text
     except (InternalConsistencyError, PairingViolationError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     except JKPencilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # a named catalog algebra is written as its JSON document in either format
+    if args.format == "json" or args.command == "catalog" and args.name is not None:
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write(render(report))
     return 0
 
 

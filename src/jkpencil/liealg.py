@@ -6,6 +6,18 @@ together with a frozen-argument matrix A(a) forms a compatible Poisson
 pencil; its generic Jordan-Kronecker invariants, the fundamental
 semi-invariant, and the completeness verdicts for the argument-shift
 family and its extension are computed here.
+
+One analysis checks the Jacobi identity once, on the structure constants
+(which makes the pencil compatible, since A(x) + A(a) = A(x + a); the
+Poisson-matrix check is its test oracle), and
+keeps the generic rank of A(x) and the fundamental semi-invariant p_g
+(one Pfaffian gcd) on the algebra.  The pencil's generic characteristic
+polynomial is read off p_g: A(x) - lambda*A(a) = A(x - lambda*a), so
+p(lambda) = monic(p_g(x - lambda*a)), and every sampled point is checked
+against it.  One stream of analysed pairs (x, a) per seed serves the
+generic samples, the semi-invariant certificate and a sampled frozen
+point.  The pencil at an F~_a point is built from the structure
+constants.
 """
 
 from __future__ import annotations
@@ -209,7 +221,6 @@ class GenericJKReport:
     stable: bool
     representative: JKInvariants
     shape: tuple
-    sample_points: tuple[tuple[Vector, Vector], ...]
 
     @property
     def has_jordan_blocks(self) -> bool:
@@ -227,18 +238,17 @@ def jk_invariants_generic(g: LieAlgebra, samples: int = 7, seed: int = 0) -> Gen
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
-    results = [(analysis.invariants(), pair) for pair, analysis in islice(g._pairs(seed), samples)]
-    max_rank = max(inv.rank for inv, _ in results)
-    top = [(inv, pt) for inv, pt in results if inv.rank == max_rank]
-    shapes = {inv.shape() for inv, _ in top}
+    results = [analysis.invariants() for _, analysis in islice(g._pairs(seed), samples)]
+    max_rank = max(inv.rank for inv in results)
+    top = [inv for inv in results if inv.rank == max_rank]
+    shapes = {inv.shape() for inv in top}
     return GenericJKReport(
         samples=samples,
         seed=seed,
         max_rank=max_rank,
         stable=len(shapes) == 1,
-        representative=top[0][0],
-        shape=top[0][0].shape(),
-        sample_points=tuple(pt for _, pt in top),
+        representative=top[0],
+        shape=top[0].shape(),
     )
 
 

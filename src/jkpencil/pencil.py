@@ -12,7 +12,13 @@ rank(B)/2 + 1 of those kernels, the regular values as the members of
 full rank in that order, and the Smith invariant factors
 d_1 | ... | d_r of A - lambda*B (the characteristic polynomial is
 d_2*d_4*...*d_r, and the finite Jordan data are read from their
-elementary divisors).  No random numbers are drawn.  When B is
+elementary divisors).  The rank is exact because a nonzero principal
+r x r Pfaffian has degree at most rank(B)/2 in lambda (pencil_rank); at
+most r/2 members are irregular, so regular value t is among the first
+t + r/2 + 1 members.  The core, the Kronecker parameters, the isotropy
+certificate and, at a Lie evaluation point, the involution certificate
+share the regular values and their kernels, and every pairing is an
+integer dot product with D*(A, B).  No random numbers are drawn.  When B is
 irregular, the infinite Jordan blocks are the powers of mu in the
 invariant factors of the reversed pencil B - mu*A, a second Smith form
 with the same count and pair checks.  A pencil is held as one integer

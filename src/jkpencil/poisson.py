@@ -6,7 +6,11 @@ and compatibility, computes the generic characteristic polynomial over
 Q(x), differentiates its coefficients, assembles the extended core
 subspace at a point, certifies bi-involution of the covector family,
 and decides the completeness criterion through two independent routes
-(dimension count vs block structure) that must agree.
+(dimension count vs block structure) that must agree.  The generic
+characteristic polynomial is computed once per pencil and seed; on a
+Lie pencil it is the test oracle of liealg's route.  One certificate
+checks a generic characteristic polynomial against pointwise analyses,
+for it and for the fundamental semi-invariant.
 """
 
 from __future__ import annotations

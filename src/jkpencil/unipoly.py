@@ -144,12 +144,6 @@ class UniPoly:
         c = _as_fraction(c)
         return UniPoly(tuple(a * c for a in self.coeffs))
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x**k."""
-        if self.is_zero or k == 0:
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
-
     def __divmod__(self, other: "UniPoly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -181,11 +175,6 @@ class UniPoly:
         if not r.is_zero:
             raise ArithmeticError(f"inexact division of {self} by {other}")
         return q
-
-    def divides(self, other: "UniPoly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
 
     def monic(self) -> "UniPoly":
         if self.is_zero or self.leading == 1:

@@ -168,6 +168,27 @@ def test_lie_analyze_deep_nesting_exit_2(capsys, tmp_path):
     assert_one_line_exit_2(capsys, ["lie", "analyze", str(path)], "nested too deeply")
 
 
+@pytest.mark.parametrize(
+    "kind, raw, message",
+    [
+        ("pencil", '{"dimension": 1, "name": "\u00e9"}'.encode("latin-1"), "document is not UTF-8: "),
+        ("pencil", b'{"dimension": 2, "A": [[0, 1], [-1, 0]],', "malformed JSON at line 1, column 41: "),
+        ("pencil", b'{"dimension": 1, "A": [[' + b"7" * 5000 + b']], "B": [[0]]}', "unreadable JSON: "),
+        ("lie", b"[" * 100000 + b"]" * 100000, "unreadable JSON: nested too deeply"),
+    ],
+    ids=["non-utf8", "malformed", "overlong-integer", "deep-nesting"],
+)
+def test_report_functions_raise_what_main_prints(capsys, tmp_path, kind, raw, message):
+    """The report functions read bytes, so they meet unreadable documents
+    themselves and raise the ValidationError whose text `main` prints."""
+    with pytest.raises(ValidationError) as info:
+        {"pencil": cli.pencil_report, "lie": cli.lie_report}[kind](raw)
+    assert str(info.value).startswith(message)
+    path = tmp_path / "document.json"
+    path.write_bytes(raw)
+    assert run(capsys, [kind, "analyze", str(path)]) == (2, "", f"error: {info.value}\n")
+
+
 def test_pencil_analyze_directory_exit_2(capsys, tmp_path):
     assert_one_line_exit_2(capsys, ["pencil", "analyze", str(tmp_path)], "Is a directory")
 
@@ -431,11 +452,12 @@ def test_lie_analyze_noncanonical_coefficient_index_exit_2(capsys, tmp_path, dim
 def test_internal_consistency_maps_to_exit_3(capsys, monkeypatch):
     from jkpencil.errors import InternalConsistencyError
 
-    def boom(path, seed):
+    def boom(raw, seed):
         raise InternalConsistencyError("routes disagree")
 
-    monkeypatch.setattr(cli, "cmd_pencil_analyze", boom)
-    code, out, err = run(capsys, ["pencil", "analyze", "whatever.json"])
+    monkeypatch.setattr(cli, "pencil_report", boom)
+    document = Path(__file__).resolve().parent / "golden" / "zero.pencil.json"
+    code, out, err = run(capsys, ["pencil", "analyze", str(document)])
     assert code == 3
     assert out == ""
     assert "internal consistency" in err

@@ -2,11 +2,12 @@
 
 Each document `tests/golden/<name>.<kind>.json` is analysed with
 `jkpencil <kind> analyze --format json` at the default seed, and stdout
-must equal `tests/golden/<name>.report.json` exactly.  The pencils cover
-a pure Jordan pencil, a scrambled Kronecker+Jordan pencil, a corank-2
-pencil with two eigenvalues, the zero pencil and a pencil with infinite
-Jordan blocks (read from the reversed pencil); the Lie documents are
-catalog algebras.  To refresh after an intended report change, rerun the
+must equal `tests/golden/<name>.report.json` exactly; so must the JSON of
+`cli.pencil_report` or `cli.lie_report` on the document's bytes.  The
+pencils cover a pure Jordan pencil, a scrambled Kronecker+Jordan pencil,
+a corank-2 pencil with two eigenvalues, the zero pencil and a pencil with
+infinite Jordan blocks (read from the reversed pencil); the Lie documents
+are catalog algebras.  To refresh after an intended report change, rerun the
 command on each document and review the diff:
 
     for doc in tests/golden/*.json; do
@@ -17,6 +18,7 @@ command on each document and review the diff:
     git diff tests/golden
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,10 @@ def test_golden_set_is_complete():
 @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda p: p.name.rsplit(".", 1)[0])
 def test_report_matches_golden(document, capsys):
     stem, kind = document.name.split(".")[:2]
+    golden = (GOLDEN / f"{stem}.report.json").read_text()
     code = cli.main([kind, "analyze", str(document), "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out == (GOLDEN / f"{stem}.report.json").read_text()
+    assert out == golden
+    report = {"pencil": cli.pencil_report, "lie": cli.lie_report}[kind](document.read_bytes())
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden
