@@ -391,16 +391,14 @@ def lie_report(
         raise ValidationError(f"Jacobi identity fails at quadruple {valid.witness}")
     report = jk_invariants_generic(g, samples=samples, seed=seed)
     semi = fundamental_semiinvariant(g, seed=seed)
-    fa = fa_completeness(g, report, semiinvariant=semi)
+    fa = fa_completeness(g, report)
 
     sampled_a = frozen is None
     if sampled_a:
         frozen = _sampled_frozen_point(g, seed)
 
     explicit = [point] if point is not None else doc_points or None
-    ftilde = ftilde_completeness(
-        g, frozen, points=2, seed=seed, explicit_points=explicit
-    )
+    ftilde = ftilde_completeness(g, frozen, seed=seed, explicit_points=explicit)
 
     involution_certs = []
     eigen_certs = []

@@ -305,17 +305,14 @@ def _lie_char_poly(g: LieAlgebra, a: Vector, seed: int) -> GenericCharPoly:
     return GenericCharPoly(g.dim, g.generic_rank(), degree, tuple(coeffs[:-1]), coeffs[-1])
 
 
-def fa_completeness(
-    g: LieAlgebra,
-    report: GenericJKReport,
-    semiinvariant: Optional[MultiPoly] = None,
-) -> str:
+def fa_completeness(g: LieAlgebra, report: GenericJKReport) -> str:
     """Argument-shift family verdict: COMPLETE iff the generic invariants
-    contain no Jordan blocks (equivalently the semi-invariant is constant)."""
+    contain no Jordan blocks, checked against the equivalent test that the
+    fundamental semi-invariant at the report's seed is constant."""
     if not report.stable:
         return INDETERMINATE
     no_jordan = not report.has_jordan_blocks
-    if semiinvariant is not None and semiinvariant.is_constant != no_jordan:
+    if fundamental_semiinvariant(g, report.seed).is_constant != no_jordan:
         raise InternalConsistencyError(
             "Kronecker-type test disagrees with the semi-invariant degree"
         )
@@ -338,13 +335,12 @@ class FTildeReport:
 def ftilde_completeness(
     g: LieAlgebra,
     a: Sequence,
-    points: int = 3,
     seed: int = 0,
     explicit_points: Sequence[Sequence] | None = None,
 ) -> FTildeReport:
     """Extended family verdict via the pointwise completeness criterion.
 
-    Runs completeness_check at `points` sampled generic points of the
+    Runs completeness_check at two sampled generic points of the
     pencil (A(x), A(a)), or at the explicitly supplied points; by
     analyticity all generic points must agree, so disagreement is
     reported as UNSTABLE_SAMPLES and the verdict is downgraded.  An
@@ -370,7 +366,7 @@ def ftilde_completeness(
     # Sampled points are all chosen before the first is analysed; explicit
     # points are checked for genericity one at a time, as they are analysed.
     if explicit_points is None:
-        checked = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(points)]
+        checked = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
     else:
         checked = ((x0, _require_generic(pencil_at(x0), gcp, x0)) for x0 in map(vector, explicit_points))
     analyses = []

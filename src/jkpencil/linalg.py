@@ -2,12 +2,12 @@
 
 Rational matrices are tuples of tuples of Fraction.  Elimination over Q
 runs on Python integers: each row is scaled by the lcm of its
-denominators (a row of ints is copied as it is), the rank comes from
-one-step Bareiss elimination, and the RREF from fraction-free
-Gauss-Jordan elimination that keeps rows primitive with positive
-pivots.  A subspace holds these integer rows of its RREF, one form per
-span, so kernels, sums and membership stay on integers; its Fraction
-RREF basis is built only when read.  Rank over
+denominators (a row of ints is copied as it is), and one fraction-free
+Gauss-Jordan elimination, which keeps rows primitive with positive
+pivots, gives the RREF; the rank is its number of pivots.  A subspace
+holds these integer rows of its RREF, one form per span, so kernels,
+sums and membership stay on integers; its Fraction RREF basis, each row
+over its pivot, is built only when read.  Rank over
 polynomial fraction fields, by fraction-free (Bareiss) elimination,
 serves the generic (multivariate) layer and is the test oracle of the
 constant pencil's rank.  Memoized Pfaffians of principal minors serve
@@ -88,32 +88,6 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return out
 
 
-def _bareiss_rank(work: list[list[int]]) -> int:
-    """Rank of an integer matrix by one-step Bareiss elimination (in place).
-
-    After the step on the k-th pivot each remaining entry is a (k+1) x (k+1)
-    minor, so the division by the previous pivot is exact."""
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i in range(r + 1, nrows):
-            f = work[i][c]
-            work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def _gauss_jordan(work: list[list[int]]) -> list[int]:
     """Fraction-free Gauss-Jordan elimination of integer rows (in place).
 
@@ -153,21 +127,10 @@ def _gauss_jordan(work: list[list[int]]) -> list[int]:
     return pivots
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    The elimination runs on the rows scaled to integers, so it gives the
-    same unique RREF over Q as rational Gauss-Jordan elimination."""
-    work = _integer_rows(rows)
-    pivots = _gauss_jordan(work)
-    red = [[Fraction(x, work[t][c]) for x in work[t]] for t, c in enumerate(pivots)]
-    red.extend([Fraction(0)] * len(row) for row in rows[len(pivots):])
-    return red, pivots
-
-
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of a matrix with Fraction or int entries."""
-    return _bareiss_rank(_integer_rows(m))
+    """Rank over Q of a matrix with Fraction or int entries: the number of
+    pivots of its integer rows."""
+    return len(_gauss_jordan(_integer_rows(m)))
 
 
 # -- subspaces ----------------------------------------------------------
@@ -209,7 +172,11 @@ class Subspace:
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
         """The reduced-row-echelon basis over Q: each row over its pivot."""
-        return tuple(map(tuple, rref(self.rows)[0]))
+        return tuple(
+            tuple(Fraction(x, pivot) for x in row)
+            for row in self.rows
+            for pivot in [next(x for x in row if x)]
+        )
 
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient:

@@ -291,8 +291,11 @@ def _main_variable(f: MultiPoly, g: MultiPoly) -> int | None:
     return None
 
 
-def _coeffs_in(p: MultiPoly, var: int) -> list[MultiPoly]:
-    """Coefficient list of p viewed as a polynomial in x_var, low degree first."""
+def coefficients_in(p: MultiPoly, var: int) -> list[MultiPoly]:
+    """Coefficients of p as a polynomial in x_var, low degree first.
+
+    The coefficients stay in the full variable ring with x_var absent.
+    """
     deg = max(p.degree_in(var), 0)
     buckets: list[dict] = [dict() for _ in range(deg + 1)]
     for exp, c in p.terms.items():
@@ -361,8 +364,8 @@ def multi_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if var is None:
         return MultiPoly.one(f.nvars)
     nvars = f.nvars
-    fc = _coeffs_in(f, var)
-    gc = _coeffs_in(g, var)
+    fc = coefficients_in(f, var)
+    gc = coefficients_in(g, var)
     cont_f = _list_gcd(fc, nvars)
     cont_g = _list_gcd(gc, nvars)
     cont = multi_gcd(cont_f, cont_g)
@@ -397,14 +400,6 @@ def multi_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def multi_gcd_list(polys: Iterable[MultiPoly], nvars: int) -> MultiPoly:
     """Gcd of a collection, ignoring zeros; zero if all inputs are zero."""
     return _list_gcd(polys, nvars)
-
-
-def coefficients_in(p: MultiPoly, var: int) -> list[MultiPoly]:
-    """Coefficients of p as a polynomial in x_var, low degree first.
-
-    The coefficients stay in the full variable ring with x_var absent.
-    """
-    return _coeffs_in(p, var)
 
 
 def drop_last_variable(p: MultiPoly) -> MultiPoly:

@@ -5,25 +5,24 @@ the characteristic polynomial, the core subspace (sum of kernels of
 regular members), and the full block invariants (Kronecker parameters
 plus Jordan half-sizes grouped by eigenvalue).
 
-One analysis computes each quantity once: rank(B), the kernels of the
-members A + mu*B at mu = 0, 1, -1, 2, -2, ... (one elimination per
-member, when first read), the pencil rank from rank(B) and the first
-rank(B)/2 + 1 of those kernels, the regular values as the members of
-full rank in that order, and the Smith invariant factors
-d_1 | ... | d_r of A - lambda*B (the characteristic polynomial is
-d_2*d_4*...*d_r, and the finite Jordan data are read from their
-elementary divisors).  The rank is exact because a nonzero principal
-r x r Pfaffian has degree at most rank(B)/2 in lambda (pencil_rank); at
-most r/2 members are irregular, so regular value t is among the first
-t + r/2 + 1 members.  The core, the Kronecker parameters, the isotropy
-certificate and, at a Lie evaluation point, the involution certificate
-share the regular values and their kernels, and every pairing is an
-integer dot product with D*(A, B).  No random numbers are drawn.  When B is
-irregular, the infinite Jordan blocks are the powers of mu in the
-invariant factors of the reversed pencil B - mu*A, a second Smith form
-with the same count and pair checks.  A pencil is held as one integer
-form D*(A, B), so the members at integer values are built and eliminated
-without Fractions, and both Smith forms read their integer
+One analysis computes each quantity once.  Its RegularValueSampler
+holds the one member table: rank(B), then the kernels of the members
+A + mu*B at mu = 0, 1, -1, 2, -2, ..., each eliminated once, when first
+read.  The pencil rank is read from rank(B) and the first rank(B)/2 + 1
+of those kernels, and the regular values are the members of full rank
+in that order (its docstring proves both bounds), kept with their
+kernels and kernel sums in one record.  The core, the Kronecker
+parameters, the isotropy certificate and, at a Lie evaluation point,
+the involution certificate read that one record, and every pairing is
+an integer dot product with D*(A, B).  No random numbers are drawn.
+The Smith invariant factors d_1 | ... | d_r of A - lambda*B are
+computed once too: the characteristic polynomial is d_2*d_4*...*d_r,
+and the finite Jordan data are read from their elementary divisors.
+When B is irregular, the infinite Jordan blocks are the powers of mu in
+the invariant factors of the reversed pencil B - mu*A, a second Smith
+form with the same count and pair checks.  A pencil is held as one
+integer form D*(A, B), so the members at integer values are built and
+eliminated without Fractions, and both Smith forms read their integer
 lambda-matrices DA - lambda*DB and DB - mu*DA off it.  The Smith
 factors are kept as primitive integer polynomials: the characteristic
 polynomial is their product, and the Jordan groups their refined factor
@@ -283,53 +282,118 @@ class CharPoly:
 # -- basic pencil quantities ---------------------------------------------
 
 
-class _Members:
-    """Kernels of the members A + mu*B at mu = 0, 1, -1, 2, -2, ..., in that
-    order; member i is eliminated once, with kernel_basis, when first read."""
-
-    def __init__(self, p: SkewPencil):
-        self.p = p
-        self._kernels: list[Subspace] = []
-
-    @staticmethod
-    def value(i: int) -> int:
-        """mu of member i."""
-        return (i + 1) // 2 if i % 2 else -(i // 2)
-
-    def kernel(self, i: int) -> Subspace:
-        while len(self._kernels) <= i:
-            mu = self.value(len(self._kernels))
-            self._kernels.append(kernel_basis(self.p._scaled_member(mu)))
-        return self._kernels[i]
+def _member_value(i: int) -> int:
+    """mu of member i in the order 0, 1, -1, 2, -2, ..."""
+    return (i + 1) // 2 if i % 2 else -(i // 2)
 
 
-def pencil_rank(p: SkewPencil, rank_b: int | None = None, members: _Members | None = None) -> int:
-    """Rank of A + lambda*B over Q(lambda); always even.  rank_b is rank(B),
-    members the pencil's member table.
+class RegularValueSampler:
+    """The member kernels of one pencil, its rank, and its regular values.
 
-    The largest of rank(B) and the ranks n - dim ker of the first
-    rank(B)/2 + 1 members.  This is exact: the rank r is at least rank(B),
-    B being the leading coefficient, and no member exceeds it.  Some
-    principal r x r Pfaffian is a nonzero polynomial in lambda, by minor
-    summation (Ishikawa-Wakayama)
+    Member i is A + mu*B at mu = _member_value(i) = 0, 1, -1, 2, -2, ...;
+    its kernel is eliminated once, with kernel_basis, when first read.
+
+    The pencil rank r is the largest of rank(B) and the ranks n - dim ker
+    of the first rank(B)/2 + 1 members.  This is exact: r is at least
+    rank(B), B being the leading coefficient, and no member exceeds it.
+    Some principal r x r Pfaffian is a nonzero polynomial in lambda, by
+    minor summation (Ishikawa-Wakayama)
         Pf((A + lambda*B)_I) = sum_(J in I) +-lambda^(|J|/2) Pf(B_J) Pf(A_(I-J)),
     and Pf(B_J) = 0 once |J| > rank(B); so it vanishes at no more than
     rank(B)/2 distinct values, and the member at another has rank r.  No
     member is eliminated once the rank is n - n mod 2, as when B is.
+
+    The regular values are the members of full rank, in member order:
+    member i is regular iff its kernel has dimension n - r.  A + mu*B drops
+    rank exactly when -mu is a root of the characteristic polynomial
+    (finite eigenvalues), whose degree, the sum of the finite Jordan
+    half-sizes, is at most r/2.  So at most r/2 members are irregular, and
+    draw t (from 0) returns within the first t + r/2 + 1 members: t regular
+    values before it and at most r/2 irregular ones.  Past that bound r is
+    not the pencil rank, which raises InternalConsistencyError.
+
+    Each draw is kept with its kernel in `drawn`, and the kernel sums in
+    draw order, so the Kronecker increments, the core, the isotropy family
+    and the involution certificate read from one sampler see the same
+    values in the same order.
     """
-    if rank_b is None:
-        rank_b = rank(p._scaled[1])
-    if members is None:
-        members = _Members(p)
-    full = p.n - p.n % 2
-    r = rank_b
-    for i in range(rank_b // 2 + 1):
-        if r == full:
-            break
-        r = max(r, p.n - members.kernel(i).dim)
-    if r % 2 != 0:
-        raise InternalConsistencyError("skew pencil with odd rank")
-    return r
+
+    def __init__(self, p: SkewPencil):
+        self.p = p
+        self._kernels: list[Subspace] = []
+        self.rank_b = rank(p._scaled[1])
+        full = p.n - p.n % 2
+        r = self.rank_b
+        for i in range(self.rank_b // 2 + 1):
+            if r == full:
+                break
+            r = max(r, p.n - self._member_kernel(i).dim)
+        if r % 2 != 0:
+            raise InternalConsistencyError("skew pencil with odd rank")
+        self.r = r
+        self.drawn: list[tuple[Fraction, Subspace]] = []
+        self._sums: list[Subspace] = []
+        self._next = 0
+
+    def _member_kernel(self, i: int) -> Subspace:
+        while len(self._kernels) <= i:
+            mu = _member_value(len(self._kernels))
+            self._kernels.append(kernel_basis(self.p._scaled_member(mu)))
+        return self._kernels[i]
+
+    def draw(self) -> Fraction:
+        """The next regular value, appended with its kernel to `drawn`."""
+        while self._next <= len(self.drawn) + self.r // 2:
+            i = self._next
+            self._next += 1
+            kernel = self._member_kernel(i)
+            if self.p.n - kernel.dim == self.r:
+                mu = Fraction(_member_value(i))
+                self.drawn.append((mu, kernel))
+                return mu
+        raise InternalConsistencyError(
+            f"{self.r // 2 + 1} irregular members: the pencil rank is not {self.r}"
+        )
+
+    def regular(self, t: int) -> tuple[Fraction, Subspace]:
+        """Regular value t (from 0) and the kernel of its member."""
+        while len(self.drawn) <= t:
+            self.draw()
+        return self.drawn[t]
+
+    def kernel_sum(self, t: int) -> Subspace:
+        """Sum of the kernels of regular values 0..t."""
+        while len(self._sums) <= t:
+            prev = self._sums[-1] if self._sums else Subspace.zero(self.p.n)
+            self._sums.append(subspace_sum(prev, self.regular(len(self._sums))[1]))
+        return self._sums[t]
+
+    def stable_count(self, run: int) -> int:
+        """Number of values after which the kernel sum has kept its
+        dimension for `run` values in a row."""
+        stable = dim = t = 0
+        while stable < run:
+            grown = self.kernel_sum(t).dim
+            stable = stable + 1 if grown == dim else 0
+            dim = grown
+            t += 1
+        return t
+
+    def core(self) -> Subspace:
+        return self.kernel_sum(self.stable_count(2) - 1)
+
+    def isotropy(self) -> "IsotropyCertificate":
+        """Pairs the kernels of the values read until the kernel sum has kept
+        its dimension for 4 values in a row, two more than the core needs."""
+        rows = [u for t in range(self.stable_count(4)) for u in self.regular(t)[1].rows]
+        pairings, violation = _pairings(rows, self.p._scaled)
+        return IsotropyCertificate(len(rows), pairings, violation is None, violation)
+
+
+def pencil_rank(p: SkewPencil) -> int:
+    """Rank of A + lambda*B over Q(lambda); always even.  See
+    RegularValueSampler for how it is read off the member kernels."""
+    return RegularValueSampler(p).r
 
 
 def is_regular_value(p: SkewPencil, value) -> bool:
@@ -339,91 +403,7 @@ def is_regular_value(p: SkewPencil, value) -> bool:
     return rank(m) == r
 
 
-class RegularValueSampler:
-    """Regular values of a pencil of rank r: the members of full rank, in
-    the order 0, 1, -1, 2, -2, ... of the member table.
-
-    A member is regular iff its kernel has dimension n - r; `used` keeps
-    that kernel under the value.  A + mu*B drops rank exactly when -mu is
-    a root of the characteristic polynomial (finite eigenvalues), whose
-    degree, the sum of the finite Jordan half-sizes, is at most r/2.  So
-    at most r/2 candidates are irregular, and draw t (from 0) returns
-    within the first t + r/2 + 1 candidates: t regular values before it
-    and at most r/2 irregular ones.  Past that bound r is not the pencil
-    rank, which raises InternalConsistencyError.
-    """
-
-    def __init__(self, p: SkewPencil, r: int | None = None, members: _Members | None = None):
-        self.p = p
-        self.members = _Members(p) if members is None else members
-        self.r = pencil_rank(p, members=self.members) if r is None else r
-        self.used: dict[Fraction, Subspace] = {}
-        self._next = 0
-
-    def draw(self) -> Fraction:
-        while self._next <= len(self.used) + self.r // 2:
-            i = self._next
-            self._next += 1
-            kernel = self.members.kernel(i)
-            if self.p.n - kernel.dim == self.r:
-                mu = Fraction(_Members.value(i))
-                self.used[mu] = kernel
-                return mu
-        raise InternalConsistencyError(
-            f"{self.r // 2 + 1} irregular members: the pencil rank is not {self.r}"
-        )
-
-
 # -- one analysis per pencil ----------------------------------------------
-
-
-class _KernelStream:
-    """Regular values drawn from one sampler, each with the kernel of its
-    member.
-
-    Values are drawn on first use and kept, so the Kronecker increments,
-    the core, the isotropy family and the involution certificate read
-    from one stream see the same values in the same order.
-    """
-
-    def __init__(self, sampler: RegularValueSampler):
-        self.p = sampler.p
-        self._sampler = sampler
-        self._draws: list[tuple[Fraction, Subspace]] = []
-        self._sums: list[Subspace] = []
-
-    def draw(self, t: int) -> tuple[Fraction, Subspace]:
-        """Value t (from 0) and the kernel of A + value*B."""
-        while len(self._draws) <= t:
-            mu = self._sampler.draw()
-            self._draws.append((mu, self._sampler.used[mu]))
-        return self._draws[t]
-
-    def kernel_sum(self, t: int) -> Subspace:
-        """Sum of the kernels of values 0..t."""
-        while len(self._sums) <= t:
-            prev = self._sums[-1] if self._sums else Subspace.zero(self.p.n)
-            self._sums.append(subspace_sum(prev, self.draw(len(self._sums))[1]))
-        return self._sums[t]
-
-    def stable_count(self, extra: int = 0) -> int:
-        """Number of values after which the kernel sum has kept its
-        dimension for 2 + extra values in a row."""
-        stable = dim = t = 0
-        while stable < 2 + extra:
-            grown = self.kernel_sum(t).dim
-            stable = stable + 1 if grown == dim else 0
-            dim = grown
-            t += 1
-        return t
-
-    def core(self) -> Subspace:
-        return self.kernel_sum(self.stable_count() - 1)
-
-    def isotropy(self, extra: int = 2) -> "IsotropyCertificate":
-        rows = [u for t in range(self.stable_count(extra)) for u in self.draw(t)[1].rows]
-        pairings, violation = _pairings(rows, self.p._scaled)
-        return IsotropyCertificate(len(rows), pairings, violation is None, violation)
 
 
 def _lambda_rows(a: list[list[int]], b: list[list[int]]) -> list[list[list[int]]]:
@@ -456,20 +436,16 @@ def _jordan_groups(halves: list[list[int]]) -> list[tuple[UniPoly, tuple[int, ..
 
 
 class _PencilAnalysis:
-    """The rank, rank(B), member table, kernel stream and Smith invariant
-    factors of one pencil, each computed once; the pencil rank and the
-    stream read the same member kernels, and the characteristic
-    polynomial and the Jordan data the same factors."""
+    """The sampler and the Smith invariant factors of one pencil, each
+    computed once: rank(B), the pencil rank, the Kronecker increments, the
+    core and the isotropy family read the sampler's member kernels, and
+    the characteristic polynomial and the Jordan data the same factors."""
 
     def __init__(self, p: SkewPencil):
         self.p = p
-        self.rank_b = rank(p._scaled[1])
-        self._members = _Members(p)
-        self.rank = pencil_rank(p, self.rank_b, self._members)
-
-    @cached_property
-    def stream(self) -> _KernelStream:
-        return _KernelStream(RegularValueSampler(self.p, self.rank, self._members))
+        self.stream = RegularValueSampler(p)
+        self.rank_b = self.stream.rank_b
+        self.rank = self.stream.r
 
     @cached_property
     def _halves(self) -> list[list[int]]:
@@ -716,7 +692,7 @@ def _pairings(rows, forms) -> tuple[int, Optional[tuple[int, int, str]]]:
     return pairings, None
 
 
-def isotropy_certificate(p: SkewPencil, extra: int = 2) -> IsotropyCertificate:
+def isotropy_certificate(p: SkewPencil) -> IsotropyCertificate:
     """Checks that K + sum of sampled regular kernels is isotropic for A
     and for B: every pairing u^T A v and u^T B v is exactly zero."""
-    return _PencilAnalysis(p).stream.isotropy(extra)
+    return _PencilAnalysis(p).stream.isotropy()

@@ -49,8 +49,8 @@ from .multipoly import (
 from .pencil import (
     CharPoly,
     JKInvariants,
+    RegularValueSampler,
     SkewPencil,
-    _KernelStream,
     _pairings,
     _PencilAnalysis,
 )
@@ -364,7 +364,7 @@ class PointAnalysis:
     core: Subspace
     gradients: tuple[Vector, ...]
     extended: Subspace
-    kernels: _KernelStream = field(compare=False, repr=False)
+    kernels: RegularValueSampler = field(compare=False, repr=False)
 
     @property
     def core_dim(self) -> int:
@@ -405,9 +405,9 @@ def _require_generic(at_point: SkewPencil, gcp: GenericCharPoly, x0: Vector) -> 
 
 
 def _point_analysis(analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector) -> PointAnalysis:
-    """Invariants, core (both from the analysis' kernel stream, which the
-    PointAnalysis keeps for the involution certificate) and extended core
-    at a point that passed _require_generic."""
+    """Invariants, core (both from the analysis' regular-value sampler,
+    which the PointAnalysis keeps for the involution certificate) and
+    extended core at a point that passed _require_generic."""
     sp = analysis.p
     invariants = analysis.invariants()
     core = analysis.stream.core()
@@ -582,7 +582,7 @@ def involution_check(
     """Exact bi-involution of the covector family at a generic point.
 
     The family is the union of kernel bases of A(x0) + mu_j B(x0) at
-    the first `samples` regular values of the point's kernel stream
+    the first `samples` regular values of the point's sampler
     (default D + 2, where 2D - 1 is the largest Kronecker block, which
     are the values its core was read from) and the coefficient gradients
     dp_i(x0).  Every pairing under A(x0) and under B(x0) must be exactly
@@ -596,7 +596,7 @@ def _involution(pa: PointAnalysis, samples: int | None) -> InvolutionCertificate
     sp = pa.pencil_at_point
     if samples is None:
         samples = max(pa.invariants.kronecker, default=0) + 2
-    draws = [pa.kernels.draw(t) for t in range(samples)]
+    draws = [pa.kernels.regular(t) for t in range(samples)]
     rows = [u for _, ker in draws for u in ker.rows] + _integer_rows(pa.gradients)
     pairings, violation = _pairings(rows, sp._scaled)
     return InvolutionCertificate(
@@ -657,23 +657,22 @@ def _eigenvalue_lemma(pa: PointAnalysis) -> EigenvalueLemmaCertificate:
     return EigenvalueLemmaCertificate(pa.point, "PASS" if all_pass else "FAIL", tuple(checks))
 
 
-def sample_generic_point(
-    p: PolyPoissonPencil, seed: int = 0, attempts: int = 50
-) -> Vector:
+def sample_generic_point(p: PolyPoissonPencil, seed: int = 0) -> Vector:
     """A random small-integer point passing all genericity checks."""
-    return _sample_generic(partial(evaluate_at, p), generic_char_poly(p, seed), seed, attempts)[0]
+    return _sample_generic(partial(evaluate_at, p), generic_char_poly(p, seed), seed)[0]
 
 
 def _sample_generic(
-    pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, seed: int, attempts: int = 50
+    pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, seed: int
 ) -> tuple[Vector, _PencilAnalysis]:
-    """A point x0 drawn by Random(seed + 101) at which pencil_at(x0), the
-    pencil there, passes _require_generic against gcp, with its analysis."""
+    """A point x0, among 50 drawn by Random(seed + 101), at which
+    pencil_at(x0), the pencil there, passes _require_generic against gcp,
+    with its analysis."""
     rng = random.Random(seed + 101)
-    for _ in range(attempts):
+    for _ in range(50):
         x0 = _random_point(gcp.nvars, rng)
         try:
             return x0, _require_generic(pencil_at(x0), gcp, x0)
         except NonGenericPointError:
             continue
-    raise NonGenericPointError(f"no generic point found in {attempts} attempts")
+    raise NonGenericPointError("no generic point found in 50 attempts")

@@ -24,14 +24,14 @@ from itertools import combinations, permutations
 from math import gcd
 
 from jkpencil.errors import InternalConsistencyError, SingularMatrixError
-from jkpencil.linalg import Matrix, PfaffianCache, Subspace, kernel_basis, mat_mul, rank, transpose
+from jkpencil.linalg import Matrix, PfaffianCache, kernel_basis, mat_mul, rank, transpose
 from jkpencil.pencil import (
     INFINITY,
     JKInvariants,
+    RegularValueSampler,
     SkewPencil,
     _invariant_factors,
     _jordan_groups,
-    _KernelStream,
     _PencilAnalysis,
     characteristic_polynomial,
     pencil_rank,
@@ -436,8 +436,8 @@ def mobius_jordan_groups(p: SkewPencil, seed: int) -> list:
     Smith form of the regular-B pencil (A, A + mu0*B) mapped back by
     _mobius_pullback; mu0 is the first nonzero regular value drawn from
     the seed (mu0 = 0 would give (A, A), every block at infinity)."""
-    r = pencil_rank(p)
-    sampler = RandomRegularValueSampler(p, random.Random(seed), r=r)
+    sampler = RandomRegularValueSampler(p, random.Random(seed))
+    r = sampler.r
     mu0 = sampler.draw()
     while mu0 == 0:
         mu0 = sampler.draw()
@@ -446,35 +446,33 @@ def mobius_jordan_groups(p: SkewPencil, seed: int) -> list:
     return list(JKInvariants.from_blocks([], [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]).jordan)
 
 
-class RandomRegularValueSampler:
-    """Distinct regular integer values drawn from [-10n, 10n] by rng, each
-    with the kernel of its member in `used`; the draw-compatible oracle of
-    pencil.RegularValueSampler.  At most r/2 candidates are irregular, so
-    draw t exhausts its 50 attempts with probability at most
-    ((t + r/2) / (20n + 1))^50."""
+class RandomRegularValueSampler(RegularValueSampler):
+    """pencil.RegularValueSampler with its values drawn by rng instead of in
+    the fixed order: distinct regular integer values from [-10n, 10n], each
+    appended with the kernel of its member to `drawn`.  At most r/2
+    candidates are irregular, so draw t exhausts its 50 attempts with
+    probability at most ((t + r/2) / (20n + 1))^50."""
 
-    def __init__(self, p: SkewPencil, rng: random.Random, r: int | None = None):
-        self.p = p
+    def __init__(self, p: SkewPencil, rng: random.Random):
+        super().__init__(p)
         self.rng = rng
-        self.r = pencil_rank(p) if r is None else r
-        self.used: dict[Fraction, Subspace] = {}
 
     def draw(self) -> Fraction:
         bound = max(10 * self.p.n, 10)
         for _ in range(50):
             cand = Fraction(self.rng.randint(-bound, bound))
-            if cand in self.used:
+            if any(cand == mu for mu, _ in self.drawn):
                 continue
             kernel = kernel_basis(self.p._scaled_member(int(cand)))
             if self.p.n - kernel.dim == self.r:
-                self.used[cand] = kernel
+                self.drawn.append((cand, kernel))
                 return cand
         raise InternalConsistencyError("failed to sample a regular value in 50 draws")
 
 
 def random_value_analysis(p: SkewPencil, seed: int) -> _PencilAnalysis:
-    """The analysis of p with its kernel stream read from regular values
-    drawn at random from seed instead of in the fixed order."""
+    """The analysis of p with its sampler's regular values drawn at random
+    from seed instead of in the fixed order."""
     analysis = _PencilAnalysis(p)
-    analysis.stream = _KernelStream(RandomRegularValueSampler(p, random.Random(seed), analysis.rank))
+    analysis.stream = RandomRegularValueSampler(p, random.Random(seed))
     return analysis

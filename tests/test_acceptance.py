@@ -125,7 +125,7 @@ def test_criterion_2_charpoly_dual_algorithm(roundtrip_suite):
             target_inv = inv
         else:
             # reparametrize to a regular-B pencil, then compare there
-            sampler = RandomRegularValueSampler(q, rng, r=r)
+            sampler = RandomRegularValueSampler(q, rng)
             target = SkewPencil(q.a, q.member(sampler.draw()))
             target_inv = jk_invariants(target)
         cp = characteristic_polynomial(target)
@@ -178,7 +178,7 @@ def test_criterion_4_bi_isotropy(roundtrip_suite):
     total_pairings = 0
     violations = 0
     for i, (_, _, q, _) in enumerate(instances):
-        cert = isotropy_certificate(q, extra=2)
+        cert = isotropy_certificate(q)
         total_pairings += cert.pairings
         if not cert.passed:
             violations += 1
@@ -240,12 +240,12 @@ def test_criterion_6_lie_fixtures():
     check(rep.stable and not rep.has_jordan_blocks, "e3 Kronecker type")
     check(fa_completeness(e3(), rep) == COMPLETE, "e3 F_a COMPLETE")
 
-    h3 = ftilde_completeness(heisenberg3(), [0, 0, 1], points=2, seed=SUITE_SEED)
+    h3 = ftilde_completeness(heisenberg3(), [0, 0, 1], seed=SUITE_SEED)
     check(h3.verdict == INCOMPLETE, "h3 ftilde INCOMPLETE")
     check("dp_0 in K" in h3.witnesses, "h3 witness dp_0 in K")
 
     check(
-        ftilde_completeness(aff1(), [0, 1], points=2, seed=SUITE_SEED).verdict
+        ftilde_completeness(aff1(), [0, 1], seed=SUITE_SEED).verdict
         == COMPLETE,
         "aff1 ftilde COMPLETE",
     )

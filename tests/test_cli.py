@@ -546,15 +546,19 @@ def record_calls(monkeypatch, name, modules, unless=lambda: False):
 
 
 def test_pencil_analyze_computes_the_pencil_rank_once(capsys, monkeypatch):
+    """The pencil rank is computed by the one RegularValueSampler of the
+    analysis, and pencil_rank, which builds a sampler of its own, is not
+    called."""
     import jkpencil.pencil
 
     documents = sorted(GOLDEN.glob("*.pencil.json"))
     assert len(documents) == 5
     for document in documents:
-        calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil])
+        samplers = record_calls(monkeypatch, "RegularValueSampler", [jkpencil.pencil])
+        ranks = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil])
         code, _, _ = run(capsys, ["pencil", "analyze", str(document), "--format", "json"])
         assert code == 0
-        assert len(calls) == 1, document.name
+        assert len(samplers) == 1 and ranks == [], document.name
         monkeypatch.undo()
 
 
@@ -565,7 +569,7 @@ def test_pencil_analyze_eliminates_each_regular_value_candidate_once(capsys, mon
     the members eliminated are a prefix of that order."""
     import jkpencil.linalg
     import jkpencil.pencil
-    from jkpencil.pencil import _Members
+    from jkpencil.pencil import _member_value
 
     for document in sorted(GOLDEN.glob("*.pencil.json")):
         p = cli.load_pencil_document(json.loads(document.read_text()))
@@ -577,7 +581,7 @@ def test_pencil_analyze_eliminates_each_regular_value_candidate_once(capsys, mon
         assert ranks == [(p._scaled[1],)], document.name
         members = [args[0] for args in kernels]
         assert members, document.name
-        assert members == [p._scaled_member(_Members.value(i)) for i in range(len(members))], document.name
+        assert members == [p._scaled_member(_member_value(i)) for i in range(len(members))], document.name
         monkeypatch.undo()
 
 
@@ -607,15 +611,16 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     refined_calls = record_calls(
         monkeypatch, "refined_factors", [jkpencil.unipoly, jkpencil.pencil, jkpencil.poisson]
     )
-    rank_calls = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil])
-    stream_calls = record_calls(monkeypatch, "_KernelStream", [jkpencil.pencil])
+    sampler_calls = record_calls(monkeypatch, "RegularValueSampler", [jkpencil.pencil])
     certifying = []
+    certified = []
     original_involution = jkpencil.cli._involution
 
-    def involution(*args):
+    def involution(pa, samples):
         certifying.append(True)
+        certified.append(pa)
         try:
-            return original_involution(*args)
+            return original_involution(pa, samples)
         finally:
             certifying.pop()
 
@@ -631,12 +636,12 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     points = [p["point"] for p in report["ftilde"]["points"]]
     assert len(points) == 2
     assert len(refined_calls) == len(smith_calls) == 9
-    for x0, cert in zip(points, report["involution_certificates"], strict=True):
+    for x0, cert, pa in zip(points, report["involution_certificates"], certified, strict=True):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         assert sum(args[0] == _lambda_rows(*at_point._scaled) for args in smith_calls) == 1
-        assert sum(args[0] == at_point for args in rank_calls) == 1
-        (sampler,) = [args[0] for args in stream_calls if args[0].p == at_point]
-        drawn = [str(mu) for mu in sampler.used]
+        assert sum(args[0] == at_point for args in sampler_calls) == 1
+        assert pa.pencil_at_point == at_point and pa.kernels.p == at_point
+        drawn = [str(mu) for mu, _ in pa.kernels.drawn]
         assert cert["kernel_samples"] == drawn[: len(cert["kernel_samples"])]
     assert certificate_kernels == []
 

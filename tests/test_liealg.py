@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jkpencil import cli
-from jkpencil.errors import ValidationError
+from jkpencil.errors import InternalConsistencyError, ValidationError
 from jkpencil.liealg import (
     LieAlgebra,
     abelian,
@@ -256,27 +256,38 @@ def test_fa_verdicts():
         (dual_number_aff1(), INCOMPLETE),
     ):
         rep = jk_invariants_generic(g, samples=5, seed=2)
-        semi = fundamental_semiinvariant(g)
-        assert fa_completeness(g, rep, semiinvariant=semi) == expected, g.name
+        assert fa_completeness(g, rep) == expected, g.name
+
+
+def test_fa_verdict_is_checked_against_the_semiinvariant(monkeypatch):
+    # heisenberg3 has Jordan blocks, so its p_g is not constant; with p_g
+    # read as a constant the two tests disagree
+    import jkpencil.liealg
+
+    g = heisenberg3()
+    rep = jk_invariants_generic(g, samples=5, seed=2)
+    monkeypatch.setattr(jkpencil.liealg, "fundamental_semiinvariant", lambda g, seed=0: MultiPoly.one(g.dim))
+    with pytest.raises(InternalConsistencyError, match="semi-invariant"):
+        fa_completeness(g, rep)
 
 
 def test_ftilde_verdicts():
-    assert ftilde_completeness(aff1(), [0, 1], points=2, seed=4).verdict == COMPLETE
-    h = ftilde_completeness(heisenberg3(), [0, 0, 1], points=2, seed=4)
+    assert ftilde_completeness(aff1(), [0, 1], seed=4).verdict == COMPLETE
+    h = ftilde_completeness(heisenberg3(), [0, 0, 1], seed=4)
     assert h.verdict == INCOMPLETE
     assert "dp_0 in K" in h.witnesses
-    assert ftilde_completeness(so3(), [1, 2, 3], points=2, seed=4).verdict == COMPLETE
+    assert ftilde_completeness(so3(), [1, 2, 3], seed=4).verdict == COMPLETE
 
 
 def test_ftilde_incomplete_when_jordan_blocks_are_large():
     # Cor. NotComp: a half-size >= 2 block forces incompleteness
-    rep = ftilde_completeness(dual_number_aff1(), [1, 1, 1, 1], points=2, seed=4)
+    rep = ftilde_completeness(dual_number_aff1(), [1, 1, 1, 1], seed=4)
     assert rep.verdict == INCOMPLETE
     assert any("repeated eigenvalue" in w or "size > 2x2" in w for w in rep.witnesses)
 
 
 def test_ftilde_irregular_point_is_indeterminate():
-    rep = ftilde_completeness(heisenberg3(), [1, 1, 0], points=2, seed=4)
+    rep = ftilde_completeness(heisenberg3(), [1, 1, 0], seed=4)
     assert rep.verdict == INDETERMINATE
     assert not rep.frozen_regular
 
@@ -292,7 +303,7 @@ def test_fa_complete_implies_ftilde_complete():
             a = [Fraction(rng.randint(-5, 5)) for _ in range(g.dim)]
             if rank(g.frozen_matrix(a)) == r:
                 break
-        assert ftilde_completeness(g, a, points=2, seed=11).verdict == COMPLETE, g.name
+        assert ftilde_completeness(g, a, seed=11).verdict == COMPLETE, g.name
 
 
 def test_core_dimension_identity_on_catalog():

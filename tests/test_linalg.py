@@ -7,13 +7,14 @@ import pytest
 from jkpencil.errors import SingularMatrixError, ValidationError
 from jkpencil.linalg import (
     Subspace,
+    _gauss_jordan,
+    _integer_rows,
     fraction_free_rank,
     kernel_basis,
     mat_mul,
     matrix,
     pfaffian,
     rank,
-    rref,
     subspace_sum,
 )
 from jkpencil.multipoly import MultiPoly
@@ -93,7 +94,11 @@ def test_integer_elimination_matches_fraction_oracle():
     for _ in range(600):
         m = random_rational_matrix(rng)
         red, pivots = fraction_rref(m)
-        assert rref(m) == (red, pivots), m
+        # the integer rows over their pivots are the RREF; the rest are zero
+        work = _integer_rows(m)
+        assert _gauss_jordan(work) == pivots, m
+        assert [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)] == red[: len(pivots)], m
+        assert not any(any(row) for row in work[len(pivots):]), m
         assert rank(m) == len(pivots), m
         assert kernel_basis(m).basis == fraction_kernel(m), m
         ncols = len(m[0])

@@ -17,7 +17,7 @@ from jkpencil.pencil import (
     JKInvariants,
     RegularValueSampler,
     SkewPencil,
-    _Members,
+    _member_value,
     _pairings,
     _PencilAnalysis,
     canonical_pencil,
@@ -168,7 +168,7 @@ def test_pencil_rank_by_evaluation_matches_fraction_free_rank_oracle():
     for _ in range(60):
         kronecker = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
         jordan = [(INFINITY, (rng.randint(1, 2),))] if rng.random() < 0.6 else []
-        jordan += [(UniPoly.linear(-_Members.value(i)), (1,)) for i in range(rng.randint(0, 3))]
+        jordan += [(UniPoly.linear(-_member_value(i)), (1,)) for i in range(rng.randint(0, 3))]
         if not kronecker and not jordan:
             continue
         spec = JKInvariants.from_blocks(kronecker, jordan)
@@ -199,7 +199,7 @@ def test_pencil_rank_reads_the_member_at_half_rank_b():
     # first regular one
     rng = random.Random(5)
     for k in range(1, 6):
-        values = [_Members.value(i) for i in range(k + 1)]
+        values = [_member_value(i) for i in range(k + 1)]
         jordan = [(UniPoly.linear(-mu), (1,)) for mu in values[:k]] + [(INFINITY, (1,))]
         spec = JKInvariants.from_blocks((), jordan)
         q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
@@ -236,7 +236,8 @@ def test_regular_values_skip_exactly_the_irregular_members(monkeypatch, kronecke
         return original(m)
 
     monkeypatch.setattr(jkpencil.pencil, "kernel_basis", kernel_basis)
-    sampler = RegularValueSampler(q, r)
+    sampler = RegularValueSampler(q)
+    assert sampler.r == r
     values = []
     for t in range(6):
         values.append(sampler.draw())
@@ -244,7 +245,8 @@ def test_regular_values_skip_exactly_the_irregular_members(monkeypatch, kronecke
     assert len(eliminated) == 10
     assert values == [-2, 3, -3, 4, -4, 5]
     assert eliminated == [q._scaled_member(mu) for mu in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5)]
-    assert all(q.n - kernel.dim == r for kernel in sampler.used.values())
+    assert [mu for mu, _ in sampler.drawn] == values
+    assert all(q.n - kernel.dim == r for _, kernel in sampler.drawn)
 
 
 # -- characteristic polynomial -------------------------------------------------
