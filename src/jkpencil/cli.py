@@ -53,7 +53,6 @@ from .liealg import (
     validate_lie_algebra,
 )
 from .pencil import INFINITY, SkewPencil, _PencilAnalysis
-from .poisson import _eigenvalue_lemma, _involution
 from .unipoly import UniPoly
 
 DEFAULT_SEED = 1729
@@ -402,8 +401,8 @@ def lie_report(
 
     involution_certs = []
     eigen_certs = []
-    for pa in ftilde.analyses:
-        cert = _involution(pa, None)
+    for pa in ftilde.points:
+        cert = pa.involution
         if not cert.passed:
             raise InternalConsistencyError(
                 f"involution certificate failed at {_vec(pa.point)}: {cert.violation}"
@@ -417,7 +416,7 @@ def lie_report(
                 "passed": cert.passed,
             }
         )
-        ev = _eigenvalue_lemma(pa)
+        ev = pa.eigenvalue_lemma
         eigen_certs.append(
             {
                 "point": _vec(ev.point),
@@ -459,7 +458,7 @@ def lie_report(
             "verdict": ftilde.verdict,
             "witnesses": list(ftilde.witnesses),
             "warnings": list(ftilde.warnings),
-            "points": [_completeness_dict(r) for r in ftilde.points],
+            "points": [_completeness_dict(pa.completeness) for pa in ftilde.points],
         },
         "involution_certificates": involution_certs,
         "eigenvalue_lemma": eigen_certs,

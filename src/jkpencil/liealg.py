@@ -36,16 +36,12 @@ from .poisson import (
     COMPLETE,
     INCOMPLETE,
     INDETERMINATE,
-    CompletenessReport,
     GenericCharPoly,
     PointAnalysis,
     PolyPoissonPencil,
     _certify,
-    _completeness,
     _pfaffian_gcd,
-    _point_analysis,
     _random_point,
-    _require_generic,
     _sample_generic,
 )
 from .unipoly import _as_fraction
@@ -321,15 +317,15 @@ def fa_completeness(g: LieAlgebra, report: GenericJKReport) -> str:
 
 @dataclass(frozen=True)
 class FTildeReport:
-    """Aggregated extended-family completeness verdict over sample points."""
+    """Aggregated extended-family completeness verdict over the analyses
+    of the sample points."""
 
     verdict: str
     frozen_point: Vector
     frozen_regular: bool
-    points: tuple[CompletenessReport, ...]
+    points: tuple[PointAnalysis, ...]
     witnesses: tuple[str, ...]
     warnings: tuple[str, ...]
-    analyses: tuple[PointAnalysis, ...] = ()
 
 
 def ftilde_completeness(
@@ -340,11 +336,12 @@ def ftilde_completeness(
 ) -> FTildeReport:
     """Extended family verdict via the pointwise completeness criterion.
 
-    Runs completeness_check at two sampled generic points of the
-    pencil (A(x), A(a)), or at the explicitly supplied points; by
-    analyticity all generic points must agree, so disagreement is
-    reported as UNSTABLE_SAMPLES and the verdict is downgraded.  An
-    irregular frozen point downgrades to INDETERMINATE.
+    Reads the completeness verdict of the PointAnalysis at two sampled
+    generic points of the pencil (A(x), A(a)), or at the explicitly
+    supplied points, and keeps those analyses; by analyticity all generic
+    points must agree, so disagreement is reported as UNSTABLE_SAMPLES
+    and the verdict is downgraded.  An irregular frozen point downgrades
+    to INDETERMINATE.
     """
     a = vector(a)
     frozen = g.frozen_matrix(a)
@@ -363,17 +360,16 @@ def ftilde_completeness(
     def pencil_at(x0: Vector) -> SkewPencil:  # as the pair stream builds it
         return SkewPencil(g.frozen_matrix(x0), frozen)
 
-    # Sampled points are all chosen before the first is analysed; explicit
-    # points are checked for genericity one at a time, as they are analysed.
+    # Sampled points are all chosen before the first verdict; an explicit
+    # point is checked for genericity after the verdict at the one before.
     if explicit_points is None:
-        checked = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
+        points = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
     else:
-        checked = ((x0, _require_generic(pencil_at(x0), gcp, x0)) for x0 in map(vector, explicit_points))
-    analyses = []
-    reports = []
-    for x0, analysis in checked:
-        analyses.append(_point_analysis(analysis, gcp, x0))
-        reports.append(_completeness(analyses[-1], gcp))
+        points = (PointAnalysis(pencil_at(x0), gcp, x0) for x0 in map(vector, explicit_points))
+    analysed, reports = [], []
+    for pa in points:
+        analysed.append(pa)
+        reports.append(pa.completeness)
     verdicts = {r.verdict for r in reports}
     if len(verdicts) == 1:
         verdict = reports[0].verdict
@@ -389,10 +385,9 @@ def ftilde_completeness(
         verdict=verdict,
         frozen_point=a,
         frozen_regular=True,
-        points=tuple(reports),
+        points=tuple(analysed),
         witnesses=tuple(witnesses),
         warnings=warnings,
-        analyses=tuple(analyses),
     )
 
 

@@ -11,10 +11,13 @@ A + mu*B at mu = 0, 1, -1, 2, -2, ..., each eliminated once, when first
 read.  The pencil rank is read from rank(B) and the first rank(B)/2 + 1
 of those kernels, and the regular values are the members of full rank
 in that order (its docstring proves both bounds), kept with their
-kernels and kernel sums in one record.  The core, the Kronecker
-parameters, the isotropy certificate and, at a Lie evaluation point,
-the involution certificate read that one record, and every pairing is
-an integer dot product with D*(A, B).  No random numbers are drawn.
+kernels and kernel sums in one record.  The sampler reads the growth
+sequence of the kernel sums once; its length D is the largest Kronecker
+parameter.  The Kronecker parameters are read from that sequence, the
+core from the first D + 2 values, the isotropy certificate from the
+first D + 4 and, at a Lie evaluation point, the involution certificate
+from the first D + 2, and every pairing is an integer dot product with
+the pencil's integer form.  No random numbers are drawn.
 The Smith invariant factors d_1 | ... | d_r of A - lambda*B are
 computed once too: the characteristic polynomial is d_2*d_4*...*d_r,
 and the finite Jordan data are read from their elementary divisors.
@@ -313,9 +316,13 @@ class RegularValueSampler:
     not the pencil rank, which raises InternalConsistencyError.
 
     Each draw is kept with its kernel in `drawn`, and the kernel sums in
-    draw order, so the Kronecker increments, the core, the isotropy family
-    and the involution certificate read from one sampler see the same
-    values in the same order.
+    draw order.  The growth sequence, the increments of the kernel sum up
+    to its first zero, is read once: increment t is #{i : k_i >= t + 1}
+    for the Kronecker parameters k_i, so it is positive for t < D = max k_i
+    and zero after, and D is its length.  The core is the sum of the first
+    D + 2 kernels, the isotropy certificate pairs the first D + 4 and, at a
+    Lie evaluation point, the involution certificate reads the first D + 2,
+    so all of them see the same values in the same order.
     """
 
     def __init__(self, p: SkewPencil):
@@ -368,24 +375,25 @@ class RegularValueSampler:
             self._sums.append(subspace_sum(prev, self.regular(len(self._sums))[1]))
         return self._sums[t]
 
-    def stable_count(self, run: int) -> int:
-        """Number of values after which the kernel sum has kept its
-        dimension for `run` values in a row."""
-        stable = dim = t = 0
-        while stable < run:
-            grown = self.kernel_sum(t).dim
-            stable = stable + 1 if grown == dim else 0
-            dim = grown
-            t += 1
-        return t
+    @cached_property
+    def growth(self) -> list[int]:
+        """The increments of the kernel sum over regular values 0, 1, ...,
+        up to the first zero; empty, with no value drawn, at full rank."""
+        increments, dim = [], 0
+        if self.r < self.p.n:
+            while grown := self.kernel_sum(len(increments)).dim - dim:
+                increments.append(grown)
+                dim += grown
+        return increments
 
     def core(self) -> Subspace:
-        return self.kernel_sum(self.stable_count(2) - 1)
+        """Sum of the kernels of the first D + 2 regular values."""
+        return self.kernel_sum(len(self.growth) + 1)
 
     def isotropy(self) -> "IsotropyCertificate":
-        """Pairs the kernels of the values read until the kernel sum has kept
-        its dimension for 4 values in a row, two more than the core needs."""
-        rows = [u for t in range(self.stable_count(4)) for u in self.regular(t)[1].rows]
+        """Pairs the kernels of the first D + 4 regular values, two more
+        than the core reads."""
+        rows = [u for t in range(len(self.growth) + 4) for u in self.regular(t)[1].rows]
         pairings, violation = _pairings(rows, self.p._scaled)
         return IsotropyCertificate(len(rows), pairings, violation is None, violation)
 
@@ -471,30 +479,18 @@ class _PencilAnalysis:
     def invariants(self) -> JKInvariants:
         """Jordan data from the invariant factors of A - lambda*B (and of
         B - mu*A when B is irregular), Kronecker parameters from the
-        kernel-sum growth sequence of the stream."""
-        stream = self.stream
+        growth sequence of the stream."""
         n = self.p.n
         r = self.rank
-        corank = n - r
 
-        # Kronecker parameters: s_t - s_{t-1} = #{i : k_i >= t}.
-        increments: list[int] = []
-        dim = 0
-        if corank > 0:
-            while True:
-                grown = stream.kernel_sum(len(increments)).dim
-                c = grown - dim
-                dim = grown
-                if c == 0:
-                    break
-                increments.append(c)
+        # Kronecker parameters: increment t is #{i : k_i >= t + 1}.
+        increments = self.stream.growth
         if any(b > a for a, b in zip(increments, increments[1:])):
             raise InternalConsistencyError("kernel growth sequence not monotone")
-        if increments and increments[0] != corank:
+        if increments and increments[0] != n - r:
             raise InternalConsistencyError("first kernel increment != corank")
         kronecker: list[int] = []
-        for t, c in enumerate(increments):
-            following = increments[t + 1] if t + 1 < len(increments) else 0
+        for t, (c, following) in enumerate(zip(increments, increments[1:] + [0])):
             kronecker.extend([t + 1] * (c - following))
 
         # Jordan data: the finite blocks are the elementary divisors of
@@ -515,9 +511,9 @@ class _PencilAnalysis:
             raise InternalConsistencyError(
                 f"block dimensions sum to {invariants.n}, expected {n}"
             )
-        if invariants.core_dim != dim:
+        if invariants.core_dim != sum(increments):
             raise InternalConsistencyError(
-                f"Kronecker core dimension {invariants.core_dim} != kernel-sum dimension {dim}"
+                f"Kronecker core dimension {invariants.core_dim} != kernel-sum dimension {sum(increments)}"
             )
         return invariants
 

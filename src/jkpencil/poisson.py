@@ -3,22 +3,27 @@
 A pencil is a pair of n x n skew matrices whose entries are polynomials
 in the coordinates x_1..x_n.  This module verifies the Jacobi identity
 and compatibility, computes the generic characteristic polynomial over
-Q(x), differentiates its coefficients, assembles the extended core
-subspace at a point, certifies bi-involution of the covector family,
-and decides the completeness criterion through two independent routes
-(dimension count vs block structure) that must agree.  The generic
-characteristic polynomial is computed once per pencil and seed; on a
-Lie pencil it is the test oracle of liealg's route.  One certificate
-checks a generic characteristic polynomial against pointwise analyses,
-for it and for the fundamental semi-invariant.
+Q(x) and differentiates its coefficients.  The generic characteristic
+polynomial is computed once per pencil and seed; on a Lie pencil it is
+the test oracle of liealg's route.  One certificate checks a generic
+characteristic polynomial against pointwise analyses, for it and for the
+fundamental semi-invariant, and one rule (_not_generic) decides whether
+a point is generic, for that certificate and for PointAnalysis.
+
+A PointAnalysis is the one object for a generic point: the analysis of
+the pencil there, the extended core subspace, the completeness criterion
+decided through two independent routes (dimension count vs block
+structure) that must agree, the bi-involution certificate of the
+covector family and the eigenvalue-lemma certificate, each computed once,
+when first read.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -47,9 +52,6 @@ from .multipoly import (
     normalize_content,
 )
 from .pencil import (
-    CharPoly,
-    JKInvariants,
-    RegularValueSampler,
     SkewPencil,
     _pairings,
     _PencilAnalysis,
@@ -288,12 +290,56 @@ def _random_point(n: int, rng: random.Random) -> Vector:
     return tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
 
 
+def _generic_poly_at(gcp: GenericCharPoly, x0: Vector) -> Optional[UniPoly]:
+    """gcp specialised at x0, or None where its denominator vanishes."""
+    return None if gcp.denominator.evaluate(x0) == 0 else gcp.poly_at(x0)
+
+
 def _points(p: PolyPoissonPencil, gcp: GenericCharPoly, rng: random.Random):
     """Random points x0 for _certify, analysed, with gcp specialised at x0."""
     while True:
         x0 = _random_point(p.n, rng)
-        expected = None if gcp.denominator.evaluate(x0) == 0 else gcp.poly_at(x0)
-        yield x0, _PencilAnalysis(evaluate_at(p, x0)), expected
+        yield x0, _PencilAnalysis(evaluate_at(p, x0)), _generic_poly_at(gcp, x0)
+
+
+def _not_generic(
+    analysis: _PencilAnalysis, rank: int, degree: int, expected: Optional[UniPoly], x0
+) -> Optional[NonGenericPointError]:
+    """None when x0 is a generic point, else the error that says why not.
+
+    analysis is the pencil at x0, and expected the generic characteristic
+    polynomial of this rank and degree specialised at x0 (None where its
+    denominator vanishes).  The rank, rank(B), the denominator and the
+    pointwise degree are checked in that order; a higher degree makes x0
+    non-generic.  The generic polynomial divides every pointwise principal
+    Pfaffian, so a lower degree, like another polynomial, raises
+    InternalConsistencyError.
+    """
+    if analysis.rank != rank:
+        return NonGenericPointError(
+            f"rank {analysis.rank} at the point differs from generic rank {rank}",
+            {"point": x0, "rank": analysis.rank, "generic_rank": rank},
+        )
+    if analysis.rank_b != rank:
+        return NonGenericPointError(
+            "rank(B) drops at the point (infinite eigenvalue pointwise)",
+            {"point": x0},
+        )
+    if expected is None:
+        return DenominatorVanishesError(
+            "characteristic denominator vanishes at the point", {"point": x0}
+        )
+    pointwise = analysis.char_poly
+    if pointwise.degree > degree:
+        return NonGenericPointError(
+            f"char degree {pointwise.degree} at the point exceeds generic {degree}",
+            {"point": x0, "degree": pointwise.degree, "generic_degree": degree},
+        )
+    if pointwise.degree < degree or pointwise.poly != expected:
+        raise InternalConsistencyError(
+            f"pointwise characteristic polynomial disagrees with the generic one at {x0}"
+        )
+    return None
 
 
 def _certify(points: Iterator, rank: int, degree: int) -> tuple:
@@ -303,44 +349,25 @@ def _certify(points: Iterator, rank: int, degree: int) -> tuple:
 
     points yields (point, the caller's analysis of the pencil there, the
     generic polynomial there or None where its denominator vanishes).  A
-    point is skipped on a rank, rank(B) or denominator drop and on a
-    pointwise degree jump (10 jumps raise DegreeJumpError); a lower degree
-    or another polynomial raises InternalConsistencyError, as does running
-    out of points.
+    point that _not_generic rejects is skipped, and 10 pointwise degree
+    jumps raise DegreeJumpError; running out of points raises
+    InternalConsistencyError.
     """
     certified, jumps = [], 0
     for x0, analysis, expected in islice(points, 80):
-        if analysis.rank != rank or analysis.rank_b != rank or expected is None:
-            continue
-        if not _matches_generic(analysis.char_poly, degree, expected, x0):
+        reason = _not_generic(analysis, rank, degree, expected, x0)
+        if reason is None:
+            certified.append(x0)
+            if len(certified) == 3:
+                return tuple(certified)
+        elif "degree" in reason.details:  # only a degree jump reports the degree
             jumps += 1
             if jumps >= 10:
                 raise DegreeJumpError(
                     f"pointwise degree {analysis.char_poly.degree} exceeds generic degree "
                     f"{degree} at {x0}"
                 )
-            continue
-        certified.append(x0)
-        if len(certified) == 3:
-            return tuple(certified)
     raise InternalConsistencyError("could not certify the generic degree")
-
-
-def _matches_generic(pointwise: CharPoly, degree: int, expected: UniPoly, x0) -> bool:
-    """Whether the characteristic polynomial at x0, a point where the rank,
-    rank(B) and the denominator are generic, is the generic one specialised
-    there (expected, of the given degree); False on a higher degree.
-
-    The generic polynomial divides every pointwise principal Pfaffian, so a
-    lower degree, like another polynomial, raises InternalConsistencyError.
-    """
-    if pointwise.degree > degree:
-        return False
-    if pointwise.degree < degree or pointwise.poly != expected:
-        raise InternalConsistencyError(
-            f"pointwise characteristic polynomial disagrees with the generic one at {x0}"
-        )
-    return True
 
 
 def coefficient_gradients(
@@ -351,87 +378,6 @@ def coefficient_gradients(
 
 
 # -- pointwise analyses ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointAnalysis:
-    """Everything the completeness criterion needs at one generic point."""
-
-    point: Vector
-    pencil_at_point: SkewPencil
-    invariants: JKInvariants
-    char_at_point: CharPoly
-    core: Subspace
-    gradients: tuple[Vector, ...]
-    extended: Subspace
-    kernels: RegularValueSampler = field(compare=False, repr=False)
-
-    @property
-    def core_dim(self) -> int:
-        return self.core.dim
-
-    @property
-    def extended_dim(self) -> int:
-        return self.extended.dim
-
-
-def _require_generic(at_point: SkewPencil, gcp: GenericCharPoly, x0: Vector) -> _PencilAnalysis:
-    """Analysis of at_point, the pencil at x0, after checking that x0 is
-    generic: rank, rank(B), denominator and char degree as at a generic
-    point.  A higher degree raises NonGenericPointError; see _matches_generic."""
-    analysis = _PencilAnalysis(at_point)
-    r0 = analysis.rank
-    if r0 != gcp.rank:
-        raise NonGenericPointError(
-            f"rank {r0} at the point differs from generic rank {gcp.rank}",
-            {"point": x0, "rank": r0, "generic_rank": gcp.rank},
-        )
-    if analysis.rank_b != gcp.rank:
-        raise NonGenericPointError(
-            "rank(B) drops at the point (infinite eigenvalue pointwise)",
-            {"point": x0},
-        )
-    if gcp.denominator.evaluate(x0) == 0:
-        raise DenominatorVanishesError(
-            "characteristic denominator vanishes at the point", {"point": x0}
-        )
-    pointwise = analysis.char_poly
-    if not _matches_generic(pointwise, gcp.degree, gcp.poly_at(x0), x0):
-        raise NonGenericPointError(
-            f"char degree {pointwise.degree} at the point exceeds generic {gcp.degree}",
-            {"point": x0, "degree": pointwise.degree, "generic_degree": gcp.degree},
-        )
-    return analysis
-
-
-def _point_analysis(analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector) -> PointAnalysis:
-    """Invariants, core (both from the analysis' regular-value sampler,
-    which the PointAnalysis keeps for the involution certificate) and
-    extended core at a point that passed _require_generic."""
-    sp = analysis.p
-    invariants = analysis.invariants()
-    core = analysis.stream.core()
-    grads = tuple(gcp.gradients_at(x0))
-    extended = subspace_sum(core, Subspace.from_vectors(sp.n, grads))
-    if extended.dim > core.dim + gcp.degree:
-        raise InternalConsistencyError("extended core exceeds the dimension bound")
-    return PointAnalysis(
-        point=x0,
-        pencil_at_point=sp,
-        invariants=invariants,
-        char_at_point=analysis.char_poly,
-        core=core,
-        gradients=grads,
-        extended=extended,
-        kernels=analysis.stream,
-    )
-
-
-def extended_core(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> PointAnalysis:
-    """Core plus the span of the coefficient gradients at a generic point."""
-    x0 = vector(x0)
-    gcp = generic_char_poly(p, seed)
-    return _point_analysis(_require_generic(evaluate_at(p, x0), gcp, x0), gcp, x0)
 
 
 @dataclass(frozen=True)
@@ -459,6 +405,31 @@ class CompletenessReport:
     witnesses: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class InvolutionCertificate:
+    point: Vector
+    family_size: int
+    kernel_samples: tuple[Fraction, ...]
+    pairings: int
+    passed: bool
+    violation: Optional[tuple[int, int, str]] = None
+
+
+@dataclass(frozen=True)
+class EigenvalueRootCheck:
+    root: Fraction
+    multiplicity: int
+    status: str  # "PASS", "FAIL", "MULTIPLE_ROOT"
+    gradient: Optional[Vector] = None
+
+
+@dataclass(frozen=True)
+class EigenvalueLemmaCertificate:
+    point: Vector
+    status: str  # "PASS", "FAIL", "NO_RATIONAL_ROOT"
+    checks: tuple[EigenvalueRootCheck, ...]
+
+
 def _factor_escapes(factor: UniPoly, gradients, core: Subspace) -> bool:
     """Whether the eigenvalue gradients of a simple irreducible factor
     escape the core.
@@ -482,197 +453,216 @@ def _factor_escapes(factor: UniPoly, gradients, core: Subspace) -> bool:
     return any(not core.contains(row) for row in residue)
 
 
-def completeness_check(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> CompletenessReport:
-    """Completeness of the extended core at a generic point.
+class PointAnalysis:
+    """One generic point x0 of a pencil, with everything the paper reads
+    there, each computed when first read.
 
-    The dimension test (extended core reaches n - r/2) and the
-    block-structure test (all Jordan blocks 2x2, eigenvalues distinct,
-    every factor's gradient escapes the core) are both evaluated and
-    must agree; a mismatch aborts with InternalConsistencyError.
+    It is built from the pencil at x0 and the generic characteristic
+    polynomial gcp, and raises the error of _not_generic when x0 is not a
+    generic point.  `analysis` is the pencil's _PencilAnalysis: its Smith
+    factors give the pointwise characteristic polynomial and Jordan data,
+    and its sampler the core and the kernels of the involution family.
     """
-    pa = extended_core(p, x0, seed=seed)
-    return _completeness(pa, generic_char_poly(p, seed))
 
+    def __init__(self, at_point: SkewPencil, gcp: GenericCharPoly, x0: Vector):
+        self.point = x0
+        self.gcp = gcp
+        self.analysis = _PencilAnalysis(at_point)
+        reason = _not_generic(self.analysis, gcp.rank, gcp.degree, _generic_poly_at(gcp, x0), x0)
+        if reason is not None:
+            raise reason
 
-def _completeness(pa: PointAnalysis, gcp: GenericCharPoly) -> CompletenessReport:
-    n = gcp.nvars
-    target = n - gcp.rank // 2
-    verdict_dim = COMPLETE if pa.extended.dim == target else INCOMPLETE
+    @property
+    def core(self) -> Subspace:
+        return self.analysis.stream.core()
 
-    blocks_2x2 = all(
-        s == 1 for g in pa.invariants.jordan for s in g.half_sizes
-    )
-    single_block_per_eigenvalue = all(
-        len(g.half_sizes) == 1 for g in pa.invariants.jordan
-    )
-    distinct = pa.char_at_point.is_squarefree
-    # two independent routes to "all blocks 2x2 with distinct eigenvalues":
-    # Smith elementary divisors vs squarefree decomposition
-    if (blocks_2x2 and single_block_per_eigenvalue) != distinct:
-        raise InternalConsistencyError(
-            "Smith block structure and squarefree test disagree"
+    @cached_property
+    def gradients(self) -> tuple[Vector, ...]:
+        """dp_i(x0) for the generic characteristic coefficients."""
+        return tuple(self.gcp.gradients_at(self.point))
+
+    @cached_property
+    def extended(self) -> Subspace:
+        """Core plus the span of the coefficient gradients."""
+        core = self.core
+        extended = subspace_sum(core, Subspace.from_vectors(self.analysis.p.n, self.gradients))
+        if extended.dim > core.dim + self.gcp.degree:
+            raise InternalConsistencyError("extended core exceeds the dimension bound")
+        return extended
+
+    @cached_property
+    def completeness(self) -> CompletenessReport:
+        """Completeness of the extended core.
+
+        The dimension test (extended core reaches n - r/2) and the
+        block-structure test (all Jordan blocks 2x2, eigenvalues distinct,
+        every factor's gradient escapes the core) are both evaluated and
+        must agree; a mismatch aborts with InternalConsistencyError.
+        """
+        invariants = self.analysis.invariants()
+        n = self.gcp.nvars
+        target = n - self.gcp.rank // 2
+        verdict_dim = COMPLETE if self.extended.dim == target else INCOMPLETE
+
+        blocks_2x2 = all(
+            s == 1 for g in invariants.jordan for s in g.half_sizes
         )
-
-    factor_tests = []
-    witnesses = []
-    all_escape = True
-    # each Jordan group is one factor of the char poly, to the power of
-    # its summed half-sizes
-    for q, mult in ((g.descriptor, sum(g.half_sizes)) for g in pa.invariants.jordan):
-        if mult > 1:
-            factor_tests.append(FactorEscape(q, mult, None))
-            witnesses.append(f"repeated eigenvalue factor ({q.to_string('lambda')})^{mult}")
-            all_escape = False
-            continue
-        escapes = _factor_escapes(q, pa.gradients, pa.core)
-        factor_tests.append(FactorEscape(q, mult, escapes))
-        if not escapes:
-            witnesses.append(
-                f"dlambda in K for factor {q.to_string('lambda')} (core characteristic number)"
+        single_block_per_eigenvalue = all(
+            len(g.half_sizes) == 1 for g in invariants.jordan
+        )
+        distinct = self.analysis.char_poly.is_squarefree
+        # two independent routes to "all blocks 2x2 with distinct eigenvalues":
+        # Smith elementary divisors vs squarefree decomposition
+        if (blocks_2x2 and single_block_per_eigenvalue) != distinct:
+            raise InternalConsistencyError(
+                "Smith block structure and squarefree test disagree"
             )
-            all_escape = False
-    if not blocks_2x2:
-        witnesses.append("jordan block of size > 2x2 present")
-    verdict_structure = (
-        COMPLETE if (blocks_2x2 and distinct and all_escape) else INCOMPLETE
-    )
-    if verdict_dim != verdict_structure:
-        raise InternalConsistencyError(
-            f"dimension test says {verdict_dim} but block-structure test says {verdict_structure}"
+
+        factor_tests = []
+        witnesses = []
+        all_escape = True
+        # each Jordan group is one factor of the char poly, to the power of
+        # its summed half-sizes
+        for q, mult in ((g.descriptor, sum(g.half_sizes)) for g in invariants.jordan):
+            if mult > 1:
+                factor_tests.append(FactorEscape(q, mult, None))
+                witnesses.append(f"repeated eigenvalue factor ({q.to_string('lambda')})^{mult}")
+                all_escape = False
+                continue
+            escapes = _factor_escapes(q, self.gradients, self.core)
+            factor_tests.append(FactorEscape(q, mult, escapes))
+            if not escapes:
+                witnesses.append(
+                    f"dlambda in K for factor {q.to_string('lambda')} (core characteristic number)"
+                )
+                all_escape = False
+        if not blocks_2x2:
+            witnesses.append("jordan block of size > 2x2 present")
+        verdict_structure = (
+            COMPLETE if (blocks_2x2 and distinct and all_escape) else INCOMPLETE
         )
-    if verdict_dim == INCOMPLETE:
-        for i, grad in enumerate(pa.gradients):
-            if pa.core.contains(grad):
-                witnesses.append(f"dp_{i} in K")
-    return CompletenessReport(
-        verdict=verdict_dim,
-        point=pa.point,
-        n=n,
-        rank=gcp.rank,
-        char_degree=gcp.degree,
-        core_dim=pa.core.dim,
-        extended_dim=pa.extended.dim,
-        target_dim=target,
-        jordan_blocks_2x2=blocks_2x2,
-        distinct_eigenvalues=distinct,
-        factor_tests=tuple(factor_tests),
-        witnesses=tuple(witnesses),
-    )
+        if verdict_dim != verdict_structure:
+            raise InternalConsistencyError(
+                f"dimension test says {verdict_dim} but block-structure test says {verdict_structure}"
+            )
+        if verdict_dim == INCOMPLETE:
+            for i, grad in enumerate(self.gradients):
+                if self.core.contains(grad):
+                    witnesses.append(f"dp_{i} in K")
+        return CompletenessReport(
+            verdict=verdict_dim,
+            point=self.point,
+            n=n,
+            rank=self.gcp.rank,
+            char_degree=self.gcp.degree,
+            core_dim=self.core.dim,
+            extended_dim=self.extended.dim,
+            target_dim=target,
+            jordan_blocks_2x2=blocks_2x2,
+            distinct_eigenvalues=distinct,
+            factor_tests=tuple(factor_tests),
+            witnesses=tuple(witnesses),
+        )
+
+    @cached_property
+    def involution(self) -> InvolutionCertificate:
+        """Exact bi-involution of the covector family.
+
+        The family is the union of kernel bases of A(x0) + mu_j B(x0) at
+        the first D + 2 regular values of the point's sampler, where D is
+        the length of its growth sequence and 2D - 1 the largest Kronecker
+        block (the values its core was read from), and the coefficient
+        gradients dp_i(x0).  Every pairing under A(x0) and under B(x0) must
+        be exactly zero.  The theorem holds for any distinct regular
+        values, so the certificate checks it on the family the point's
+        analysis reports.
+        """
+        stream = self.analysis.stream
+        draws = [stream.regular(t) for t in range(len(stream.growth) + 2)]
+        rows = [u for _, ker in draws for u in ker.rows] + _integer_rows(self.gradients)
+        pairings, violation = _pairings(rows, self.analysis.p._scaled)
+        return InvolutionCertificate(
+            self.point, len(rows), tuple(mu for mu, _ in draws), pairings, violation is None, violation
+        )
+
+    @cached_property
+    def eigenvalue_lemma(self) -> EigenvalueLemmaCertificate:
+        """Verifies (A - lambda_j(x) B) dlambda_j(x) = 0 at rational roots.
+
+        Simple rational roots only: dlambda = -grad_x p / d_lambda p by
+        implicit differentiation; multiple roots are reported as skipped.
+        """
+        pointwise = self.analysis.char_poly
+        if not pointwise.rational_roots:
+            return EigenvalueLemmaCertificate(self.point, "NO_RATIONAL_ROOT", ())
+        sp = self.analysis.p
+        n = sp.n
+        deriv = pointwise.poly.derivative()
+        checks = []
+        all_pass = True
+        for root, mult in pointwise.rational_roots:
+            if mult > 1:
+                checks.append(EigenvalueRootCheck(root, mult, "MULTIPLE_ROOT"))
+                continue
+            slope = deriv(root)
+            grad_lambda = tuple(
+                -sum(g[col] * root**i for i, g in enumerate(self.gradients)) / slope
+                for col in range(n)
+            )
+            member = sp.member(-root)  # A - root*B
+            image = [sum(row[c] * grad_lambda[c] for c in range(n)) for row in member]
+            ok = all(v == 0 for v in image)
+            checks.append(
+                EigenvalueRootCheck(root, mult, "PASS" if ok else "FAIL", grad_lambda)
+            )
+            all_pass = all_pass and ok
+        return EigenvalueLemmaCertificate(self.point, "PASS" if all_pass else "FAIL", tuple(checks))
 
 
-# -- certificates ----------------------------------------------------------
+def extended_core(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> PointAnalysis:
+    """The analysis at a generic point x0, whose `extended` is the core
+    plus the span of the coefficient gradients there."""
+    x0 = vector(x0)
+    gcp = generic_char_poly(p, seed)
+    return PointAnalysis(evaluate_at(p, x0), gcp, x0)
 
 
-@dataclass(frozen=True)
-class InvolutionCertificate:
-    point: Vector
-    family_size: int
-    kernel_samples: tuple[Fraction, ...]
-    pairings: int
-    passed: bool
-    violation: Optional[tuple[int, int, str]] = None
+def completeness_check(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> CompletenessReport:
+    """Completeness of the extended core at a generic point; see
+    PointAnalysis.completeness."""
+    return extended_core(p, x0, seed=seed).completeness
 
 
-def involution_check(
-    p: PolyPoissonPencil,
-    x0: Sequence,
-    samples: int | None = None,
-    seed: int = 0,
-) -> InvolutionCertificate:
-    """Exact bi-involution of the covector family at a generic point.
-
-    The family is the union of kernel bases of A(x0) + mu_j B(x0) at
-    the first `samples` regular values of the point's sampler
-    (default D + 2, where 2D - 1 is the largest Kronecker block, which
-    are the values its core was read from) and the coefficient gradients
-    dp_i(x0).  Every pairing under A(x0) and under B(x0) must be exactly
-    zero.  The theorem holds for any distinct regular values, so the
-    certificate checks it on the family the point's analysis reports.
-    """
-    return _involution(extended_core(p, x0, seed=seed), samples)
-
-
-def _involution(pa: PointAnalysis, samples: int | None) -> InvolutionCertificate:
-    sp = pa.pencil_at_point
-    if samples is None:
-        samples = max(pa.invariants.kronecker, default=0) + 2
-    draws = [pa.kernels.regular(t) for t in range(samples)]
-    rows = [u for _, ker in draws for u in ker.rows] + _integer_rows(pa.gradients)
-    pairings, violation = _pairings(rows, sp._scaled)
-    return InvolutionCertificate(
-        pa.point, len(rows), tuple(mu for mu, _ in draws), pairings, violation is None, violation
-    )
-
-
-@dataclass(frozen=True)
-class EigenvalueRootCheck:
-    root: Fraction
-    multiplicity: int
-    status: str  # "PASS", "FAIL", "MULTIPLE_ROOT"
-    gradient: Optional[Vector] = None
-
-
-@dataclass(frozen=True)
-class EigenvalueLemmaCertificate:
-    point: Vector
-    status: str  # "PASS", "FAIL", "NO_RATIONAL_ROOT"
-    checks: tuple[EigenvalueRootCheck, ...]
+def involution_check(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> InvolutionCertificate:
+    """Exact bi-involution of the covector family at a generic point; see
+    PointAnalysis.involution."""
+    return extended_core(p, x0, seed=seed).involution
 
 
 def eigenvalue_lemma_check(
     p: PolyPoissonPencil, x0: Sequence, seed: int = 0
 ) -> EigenvalueLemmaCertificate:
-    """Verifies (A - lambda_j(x) B) dlambda_j(x) = 0 at rational roots.
-
-    Simple rational roots only: dlambda = -grad_x p / d_lambda p by
-    implicit differentiation; multiple roots are reported as skipped.
-    """
-    return _eigenvalue_lemma(extended_core(p, x0, seed=seed))
-
-
-def _eigenvalue_lemma(pa: PointAnalysis) -> EigenvalueLemmaCertificate:
-    pointwise = pa.char_at_point
-    if not pointwise.rational_roots:
-        return EigenvalueLemmaCertificate(pa.point, "NO_RATIONAL_ROOT", ())
-    n = pa.pencil_at_point.n
-    deriv = pointwise.poly.derivative()
-    checks = []
-    all_pass = True
-    for root, mult in pointwise.rational_roots:
-        if mult > 1:
-            checks.append(EigenvalueRootCheck(root, mult, "MULTIPLE_ROOT"))
-            continue
-        slope = deriv(root)
-        grad_lambda = tuple(
-            -sum(g[col] * root**i for i, g in enumerate(pa.gradients)) / slope
-            for col in range(n)
-        )
-        member = pa.pencil_at_point.member(-root)  # A - root*B
-        image = [sum(row[c] * grad_lambda[c] for c in range(n)) for row in member]
-        ok = all(v == 0 for v in image)
-        checks.append(
-            EigenvalueRootCheck(root, mult, "PASS" if ok else "FAIL", grad_lambda)
-        )
-        all_pass = all_pass and ok
-    return EigenvalueLemmaCertificate(pa.point, "PASS" if all_pass else "FAIL", tuple(checks))
+    """The eigenvalue lemma at the rational roots at a generic point; see
+    PointAnalysis.eigenvalue_lemma."""
+    return extended_core(p, x0, seed=seed).eigenvalue_lemma
 
 
 def sample_generic_point(p: PolyPoissonPencil, seed: int = 0) -> Vector:
     """A random small-integer point passing all genericity checks."""
-    return _sample_generic(partial(evaluate_at, p), generic_char_poly(p, seed), seed)[0]
+    return _sample_generic(partial(evaluate_at, p), generic_char_poly(p, seed), seed).point
 
 
 def _sample_generic(
     pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, seed: int
-) -> tuple[Vector, _PencilAnalysis]:
-    """A point x0, among 50 drawn by Random(seed + 101), at which
-    pencil_at(x0), the pencil there, passes _require_generic against gcp,
-    with its analysis."""
+) -> PointAnalysis:
+    """The analysis at the first point x0, among 50 drawn by
+    Random(seed + 101), at which pencil_at(x0), the pencil there, is
+    generic for gcp."""
     rng = random.Random(seed + 101)
     for _ in range(50):
         x0 = _random_point(gcp.nvars, rng)
         try:
-            return x0, _require_generic(pencil_at(x0), gcp, x0)
+            return PointAnalysis(pencil_at(x0), gcp, x0)
         except NonGenericPointError:
             continue
     raise NonGenericPointError("no generic point found in 50 attempts")

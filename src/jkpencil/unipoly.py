@@ -457,15 +457,21 @@ def _int_rational_roots(f: Sequence[int]) -> tuple[list[tuple[Fraction, int]], l
     linear factors.
 
     Candidates p/q run over divisors of the endpoint coefficients of f
-    without its power of x, capped by _divisors.
+    without its power of x, capped by _divisors.  The denominators are
+    listed once per leading coefficient: dividing out a root p/q with
+    q > 1 changes it, and above the cap the list for the new coefficient
+    can hold divisors that the list for the old one lacks.
     """
     shift = next(k for k, c in enumerate(f) if c)
     roots = [(Fraction(0), shift)] if shift else []
     work = list(f[shift:])
     if len(work) < 2:
         return roots, work
+    lead = None
     for p in _divisors(work[0]):
-        for q in _divisors(work[-1]):
+        if work[-1] != lead:
+            lead, denominators = work[-1], _divisors(work[-1])
+        for q in denominators:
             if int_gcd(p, q) != 1:
                 continue
             for num in (p, -p):

@@ -614,17 +614,17 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     sampler_calls = record_calls(monkeypatch, "RegularValueSampler", [jkpencil.pencil])
     certifying = []
     certified = []
-    original_involution = jkpencil.cli._involution
+    original_involution = jkpencil.poisson.PointAnalysis.involution.func
 
-    def involution(pa, samples):
+    def involution(pa):
         certifying.append(True)
         certified.append(pa)
         try:
-            return original_involution(pa, samples)
+            return original_involution(pa)
         finally:
             certifying.pop()
 
-    monkeypatch.setattr(jkpencil.cli, "_involution", involution)
+    monkeypatch.setattr(jkpencil.poisson.PointAnalysis, "involution", property(involution))
     certificate_kernels = record_calls(
         monkeypatch, "kernel_basis", [jkpencil.linalg, jkpencil.pencil], unless=lambda: not certifying
     )
@@ -640,8 +640,8 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         assert sum(args[0] == _lambda_rows(*at_point._scaled) for args in smith_calls) == 1
         assert sum(args[0] == at_point for args in sampler_calls) == 1
-        assert pa.pencil_at_point == at_point and pa.kernels.p == at_point
-        drawn = [str(mu) for mu, _ in pa.kernels.drawn]
+        assert pa.analysis.p == at_point and pa.analysis.stream.p == at_point
+        drawn = [str(mu) for mu, _ in pa.analysis.stream.drawn]
         assert cert["kernel_samples"] == drawn[: len(cert["kernel_samples"])]
     assert certificate_kernels == []
 

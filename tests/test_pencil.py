@@ -423,6 +423,21 @@ def test_jordan_heavy_n25_pencil_within_budget():
             assert jk_invariants(q) == spec
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect (ROADMAP item 2): the eigenvalues 1/10000019 and 1/10000079 have "
+    "denominators past the divisor cap, so their factors stay together in one reducible "
+    "descriptor of degree 2",
+)
+def test_eigenvalues_with_large_denominators_round_trip():
+    eigenvalues = (2, 3, 4, 5, 6, 7, Fraction(1, 10000019), Fraction(1, 10000079))
+    spec = JKInvariants.from_blocks([1], [(UniPoly.linear(e), (2,)) for e in eigenvalues])
+    p = canonical_pencil(spec)
+    assert p.n == 33
+    assert jk_invariants(p) == spec
+
+
 def test_infinite_blocks_for_every_seed():
     # rank(B) < rank here; the infinite blocks come from the reversed
     # pencil and use no regular value, so the first one drawn, mu = 0
