@@ -27,13 +27,15 @@ form with the same count and pair checks.  A pencil is held as one
 integer form D*(A, B), so the members at integer values are built and
 eliminated without Fractions, and both Smith forms read their integer
 lambda-matrices DA - lambda*DB and DB - mu*DA off it.  The Smith
-factors are kept as primitive integer polynomials: the characteristic
-polynomial is their product, and the Jordan groups their refined factor
-basis; the squarefree parts and rational roots of the characteristic
-polynomial are computed only when read.  The gcd of the principal r x r
-Pfaffians is the second route to the characteristic polynomial, and
-fraction-free elimination over Q[lambda] the second route to the rank;
-both live in the test suite as oracles.
+factors are kept as primitive integer polynomials, and their refined
+factor basis, computed once, gives the finite Jordan groups.  The
+characteristic polynomial, its squarefree parts and its rational roots
+are read from those groups, so each analysis factors once.  The gcd of
+the principal r x r Pfaffians is the second route to the characteristic
+polynomial, Yun's decomposition and the rational-root search on that
+polynomial the second route to its factor structure, and fraction-free
+elimination over Q[lambda] the second route to the rank; all of them
+live in the test suite as oracles.
 
 Sign conventions.  Eigenvalues are the roots of the characteristic
 polynomial of A - lambda*B; the member A + lambda0*B drops rank exactly
@@ -73,12 +75,8 @@ from .smith import smith_normal_form
 from .unipoly import (
     UniPoly,
     _as_fraction,
-    _int_poly_mul,
     _integer_primitive,
-    _to_unipoly,
-    rational_roots,
     refined_factors,
-    squarefree_decompose,
 )
 
 
@@ -256,26 +254,17 @@ class JKInvariants:
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Monic characteristic polynomial; its factor structure is computed
-    on first read."""
+    """Monic characteristic polynomial with its factor structure, read
+    from the finite Jordan groups (see _PencilAnalysis.char_poly).
+
+    squarefree_parts: monic pairwise-coprime squarefree parts with their
+    multiplicities, ascending by multiplicity; rational_roots: the
+    rational roots with their multiplicities, ascending by root."""
 
     poly: UniPoly
     degree: int
-
-    @classmethod
-    def from_poly(cls, poly: UniPoly) -> "CharPoly":
-        poly = poly.monic()
-        if poly.degree < 1:
-            return cls(UniPoly.one(), 0)
-        return cls(poly, poly.degree)
-
-    @cached_property
-    def squarefree_parts(self) -> tuple[tuple[UniPoly, int], ...]:
-        return tuple(squarefree_decompose(self.poly))
-
-    @cached_property
-    def rational_roots(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple(rational_roots(self.poly))
+    squarefree_parts: tuple[tuple[UniPoly, int], ...]
+    rational_roots: tuple[tuple[Fraction, int], ...]
 
     @property
     def is_squarefree(self) -> bool:
@@ -387,8 +376,15 @@ class RegularValueSampler:
         return increments
 
     def core(self) -> Subspace:
-        """Sum of the kernels of the first D + 2 regular values."""
-        return self.kernel_sum(len(self.growth) + 1)
+        """Sum of the kernels of the first D + 2 regular values: the kernel
+        sum must stay at dimension sum(growth) for the second value after
+        it stopped growing, else InternalConsistencyError."""
+        core = self.kernel_sum(len(self.growth) + 1)
+        if core.dim != sum(self.growth):
+            raise InternalConsistencyError(
+                f"core dimension {core.dim} != stabilized kernel-sum dimension {sum(self.growth)}"
+            )
+        return core
 
     def isotropy(self) -> "IsotropyCertificate":
         """Pairs the kernels of the first D + 4 regular values, two more
@@ -437,17 +433,12 @@ def _invariant_factors(lam_matrix, r: int) -> list[list[int]]:
     return [_integer_primitive(f) for f in factors[1::2]]
 
 
-def _jordan_groups(halves: list[list[int]]) -> list[tuple[UniPoly, tuple[int, ...]]]:
-    """Eigenvalue groups from d_2, d_4, ..., d_r: the exponent of a factor
-    q in d_2i is the half-size of one Jordan block of q, or 0."""
-    return [(q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves)]
-
-
 class _PencilAnalysis:
     """The sampler and the Smith invariant factors of one pencil, each
     computed once: rank(B), the pencil rank, the Kronecker increments, the
     core and the isotropy family read the sampler's member kernels, and
-    the characteristic polynomial and the Jordan data the same factors."""
+    the characteristic polynomial and the Jordan data the one refined
+    factor basis of those factors, the finite Jordan groups."""
 
     def __init__(self, p: SkewPencil):
         self.p = p
@@ -456,13 +447,23 @@ class _PencilAnalysis:
         self.rank = self.stream.r
 
     @cached_property
-    def _halves(self) -> list[list[int]]:
-        return _invariant_factors(_lambda_rows(*self.p._scaled), self.rank)
+    def _finite_groups(self) -> tuple[tuple[UniPoly, tuple[int, ...]], ...]:
+        """The finite Jordan groups from d_2, d_4, ..., d_r of A - lambda*B:
+        the exponent of a refined factor q in d_2i is the half-size of one
+        Jordan block of q, or 0."""
+        halves = _invariant_factors(_lambda_rows(*self.p._scaled), self.rank)
+        return tuple((q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves))
 
     @cached_property
     def char_poly(self) -> CharPoly:
         """Monic d_2*d_4*...*d_r of A - lambda*B, which equals the gcd of
-        the Pfaffians of all principal r x r minors.
+        the Pfaffians of all principal r x r minors, read from the finite
+        Jordan groups: a descriptor q with half-sizes h is a factor of
+        multiplicity sum(h), pairwise coprime with the others.  So the
+        polynomial is the product of the q**sum(h), a squarefree part the
+        product of the q that share a multiplicity, and the rational roots
+        are -q(0) for the degree-1 q (refined_factors splits every rational
+        root off as a linear factor).
 
         Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
         eigenvalues finite; raises InfiniteEigenvalueError otherwise.
@@ -471,10 +472,14 @@ class _PencilAnalysis:
             raise InfiniteEigenvalueError(
                 f"rank(B) = {self.rank_b} < pencil rank {self.rank}: infinite eigenvalues present"
             )
-        poly = [1]
-        for e in self._halves:
-            poly = _int_poly_mul(poly, e)
-        return CharPoly.from_poly(_to_unipoly(poly))
+        poly, parts, roots = UniPoly.one(), {}, []
+        for q, halves in self._finite_groups:
+            m = sum(halves)
+            poly = poly * q**m
+            parts[m] = parts.get(m, UniPoly.one()) * q
+            if q.degree == 1:
+                roots.append((-q.coefficient(0), m))
+        return CharPoly(poly, poly.degree, tuple((parts[m], m) for m in sorted(parts)), tuple(sorted(roots)))
 
     def invariants(self) -> JKInvariants:
         """Jordan data from the invariant factors of A - lambda*B (and of
@@ -496,7 +501,7 @@ class _PencilAnalysis:
         # Jordan data: the finite blocks are the elementary divisors of
         # A - lambda*B, the infinite ones the powers of mu in those of the
         # reversed pencil B - mu*A (Gantmacher, vol. II, ch. XII).
-        groups = _jordan_groups(self._halves)
+        groups = list(self._finite_groups)
         if self.rank_b < r:
             a, b = self.p._scaled
             orders = [
@@ -510,10 +515,6 @@ class _PencilAnalysis:
         if invariants.n != n:
             raise InternalConsistencyError(
                 f"block dimensions sum to {invariants.n}, expected {n}"
-            )
-        if invariants.core_dim != sum(increments):
-            raise InternalConsistencyError(
-                f"Kronecker core dimension {invariants.core_dim} != kernel-sum dimension {sum(increments)}"
             )
         return invariants
 

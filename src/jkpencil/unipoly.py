@@ -9,9 +9,12 @@ primitive integer coefficient lists (content 1, positive leading
 coefficient).  The gcd is a subresultant pseudo-remainder sequence, which
 keeps coefficient growth under control; a division by a primitive divisor
 is exact integer division (Gauss's lemma); a root candidate p/q is tested
-by the integer q**d * f(p/q).  `poly_gcd`, `squarefree_decompose` and
-`rational_roots` take and return `UniPoly`; `refined_factors` takes the
-integer lists of the pencil's Smith factors and returns monic factors.
+by the integer q**d * f(p/q).  `refined_factors` takes the integer
+lists of a pencil's Smith factors and returns monic factors; it is the
+one factorisation a pencil analysis runs.  `poly_gcd`,
+`squarefree_decompose` and `rational_roots` take and return `UniPoly`;
+the last two are public functions and the test suite's second route to
+the factor structure of a characteristic polynomial.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ reduced row echelon forms and Gram matrices in Fraction arithmetic (the
 library eliminates and pairs over the integers), Yun's squarefree
 decomposition, rational roots, the gcd-free basis and the refined factor
 basis in Fraction arithmetic (the library factors primitive integer
-polynomials), Jordan groups through a Moebius reparametrization to a
-regular-B pencil (the library reads the infinite blocks from the reversed
-pencil B - mu*A), and regular values drawn at random (the library takes
-them in the fixed order 0, 1, -1, 2, ...).
+polynomials), the squarefree parts and rational roots of a pencil's
+characteristic polynomial by Yun and the root search on the polynomial
+(the library reads them from the Jordan groups), Jordan groups through a
+Moebius reparametrization to a regular-B pencil (the library reads the
+infinite blocks from the reversed pencil B - mu*A), and regular values
+drawn at random (the library takes them in the fixed order 0, 1, -1, 2,
+...).
 """
 
 from __future__ import annotations
@@ -30,13 +33,18 @@ from jkpencil.pencil import (
     JKInvariants,
     RegularValueSampler,
     SkewPencil,
-    _invariant_factors,
-    _jordan_groups,
     _PencilAnalysis,
     characteristic_polynomial,
     pencil_rank,
 )
-from jkpencil.unipoly import UniPoly, _divisors, _integer_primitive, poly_gcd
+from jkpencil.unipoly import (
+    UniPoly,
+    _divisors,
+    _integer_primitive,
+    poly_gcd,
+    rational_roots,
+    squarefree_decompose,
+)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -162,6 +170,18 @@ def random_jk_spec(
 
 
 # -- second routes to library quantities -----------------------------------
+
+
+def assert_char_poly_factors_match_oracle(analysis: _PencilAnalysis) -> None:
+    """The library reads the squarefree parts and rational roots of the
+    characteristic polynomial from the finite Jordan groups; Yun's
+    decomposition and the rational-root search, run on the polynomial
+    itself, are the second route.  The polynomial is squarefree exactly
+    when every Jordan group is one 2x2 block (half-sizes (1,))."""
+    cp = analysis.char_poly
+    assert cp.squarefree_parts == tuple(squarefree_decompose(cp.poly))
+    assert cp.rational_roots == tuple(rational_roots(cp.poly))
+    assert cp.is_squarefree == all(g.half_sizes == (1,) for g in analysis.invariants().jordan)
 
 
 def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -437,12 +457,10 @@ def mobius_jordan_groups(p: SkewPencil, seed: int) -> list:
     _mobius_pullback; mu0 is the first nonzero regular value drawn from
     the seed (mu0 = 0 would give (A, A), every block at infinity)."""
     sampler = RandomRegularValueSampler(p, random.Random(seed))
-    r = sampler.r
     mu0 = sampler.draw()
     while mu0 == 0:
         mu0 = sampler.draw()
-    regularized = SkewPencil(p.a, p.member(mu0))
-    raw = _jordan_groups(_invariant_factors(regularized.lambda_matrix(sign=-1), r))
+    raw = _PencilAnalysis(SkewPencil(p.a, p.member(mu0)))._finite_groups
     return list(JKInvariants.from_blocks([], [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]).jordan)
 
 

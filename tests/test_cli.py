@@ -670,32 +670,59 @@ def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeyp
     assert evaluations == []
 
 
-def test_lie_analyze_factors_char_polys_only_at_ftilde_points(capsys, monkeypatch):
-    """The generic Jordan-Kronecker samples and the certificate points read
-    only the degree and the polynomial of their characteristic polynomials;
-    its squarefree parts and rational roots are computed at the F~_a points
-    alone, once each."""
+def test_analyze_factors_each_pencil_analysis_once(capsys, monkeypatch):
+    """The characteristic polynomial, its squarefree parts and its rational
+    roots are read from the Jordan groups: neither `pencil analyze` nor
+    `lie analyze` runs squarefree_decompose or rational_roots, and each
+    _PencilAnalysis refines its Smith factors at most once."""
+    import jkpencil.liealg
     import jkpencil.pencil
     import jkpencil.poisson
     import jkpencil.unipoly
-    from jkpencil.liealg import get_algebra, lie_pencil
-    from jkpencil.pencil import characteristic_polynomial
 
-    modules = [jkpencil.unipoly, jkpencil.pencil]
-    squarefree_calls = record_calls(monkeypatch, "squarefree_decompose", modules)
-    root_calls = record_calls(monkeypatch, "rational_roots", modules)
-    code, out, _ = run(capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json"), "--format", "json"])
-    assert code == 0
-    report = json.loads(out)
-    pencil = lie_pencil(get_algebra("heisenberg3"), report["frozen_point"]["a"]).pencil
-    points = [p["point"] for p in report["ftilde"]["points"]]
-    assert len(points) == 2
-    expected = sorted(
-        (characteristic_polynomial(jkpencil.poisson.evaluate_at(pencil, x0)).poly for x0 in points),
-        key=UniPoly.sort_key,
-    )
-    for calls in (squarefree_calls, root_calls):
-        assert sorted((args[0] for args in calls), key=UniPoly.sort_key) == expected
+    modules = [jkpencil.unipoly, jkpencil.pencil, jkpencil.poisson, jkpencil.liealg, jkpencil.cli]
+    for document in (GOLDEN / "kronecker_jordan.pencil.json", GOLDEN / "heisenberg3.lie.json"):
+        squarefree_calls = record_calls(monkeypatch, "squarefree_decompose", modules)
+        root_calls = record_calls(monkeypatch, "rational_roots", modules)
+        refined_calls = record_calls(monkeypatch, "refined_factors", modules)
+        analyses = record_calls(monkeypatch, "_PencilAnalysis", modules[1:])
+        kind = document.name.split(".")[1]
+        code, out, _ = run(capsys, [kind, "analyze", str(document), "--format", "json"])
+        assert code == 0
+        assert out == (GOLDEN / document.name.replace(f".{kind}.", ".report.")).read_text()
+        assert squarefree_calls == [] and root_calls == [], document.name
+        assert analyses and len(refined_calls) <= len(analyses), document.name
+        monkeypatch.undo()
+
+
+def test_core_growing_after_stabilization_exits_3(capsys, monkeypatch):
+    """RegularValueSampler.core() checks the second stabilization: when the
+    kernel of the (D + 2)-th regular value adds a vector to the kernel sum,
+    pencil_report raises InternalConsistencyError and `pencil analyze`
+    exits 3."""
+    from jkpencil.errors import InternalConsistencyError
+    from jkpencil.linalg import Subspace, subspace_sum
+    from jkpencil.pencil import RegularValueSampler
+
+    document = GOLDEN / "kronecker_jordan.pencil.json"
+    raw = document.read_bytes()
+    stream = RegularValueSampler(cli.load_pencil_document(json.loads(raw)))
+    n, d, core = stream.p.n, len(stream.growth), stream.core()
+    extra = next(e for e in ([int(i == j) for j in range(n)] for i in range(n)) if not core.contains(e))
+    original = RegularValueSampler.regular
+
+    def regular(self, t):
+        mu, kernel = original(self, t)
+        if t == d + 1:
+            kernel = subspace_sum(kernel, Subspace.from_vectors(n, [extra]))
+        return mu, kernel
+
+    monkeypatch.setattr(RegularValueSampler, "regular", regular)
+    with pytest.raises(InternalConsistencyError, match="core dimension"):
+        cli.pencil_report(raw)
+    code, out, err = run(capsys, ["pencil", "analyze", str(document)])
+    assert code == 3 and out == ""
+    assert "core dimension" in err
 
 
 def test_pencil_analyze_builds_one_skew_pencil(capsys, monkeypatch):

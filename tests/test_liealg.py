@@ -40,6 +40,8 @@ from jkpencil.poisson import (
     sample_generic_point,
 )
 
+from conftest import assert_char_poly_factors_match_oracle
+
 
 def dual_number_aff1() -> LieAlgebra:
     """aff(1) tensored with Q[eps]/eps^2; its generic pencil has a single
@@ -304,6 +306,24 @@ def test_fa_complete_implies_ftilde_complete():
             if rank(g.frozen_matrix(a)) == r:
                 break
         assert ftilde_completeness(g, a, seed=11).verdict == COMPLETE, g.name
+
+
+def test_ftilde_point_char_poly_factors_match_oracle_on_catalog():
+    """At the F~_a points of every catalog algebra the pointwise char poly's
+    squarefree parts and rational roots, read from the Jordan groups, equal
+    Yun's decomposition and the root search on the polynomial; so they do
+    at the points of aff1 (x) Q[eps]/eps^2, whose eigenvalue is double."""
+    reports = [
+        ftilde_completeness(g, cli._sampled_frozen_point(g, seed), seed=seed)
+        for g in catalog()
+        for seed in (0, 1)
+    ]
+    reports.append(ftilde_completeness(dual_number_aff1(), [1, 1, 1, 1], seed=4))
+    points = [pa for report in reports for pa in report.points]
+    assert len(points) == 2 * len(reports)
+    assert not points[-1].analysis.char_poly.is_squarefree
+    for pa in points:
+        assert_char_poly_factors_match_oracle(pa.analysis)
 
 
 def test_core_dimension_identity_on_catalog():

@@ -1,3 +1,4 @@
+import json
 import random
 import signal
 from contextlib import contextmanager
@@ -34,6 +35,7 @@ from jkpencil.unipoly import UniPoly
 
 from conftest import (
     RandomRegularValueSampler,
+    assert_char_poly_factors_match_oracle,
     fraction_pairings,
     mobius_jordan_groups,
     naive_pfaffian,
@@ -569,6 +571,57 @@ def test_charpoly_equals_smith_reconstruction():
             for half in group.half_sizes:
                 recon = recon * group.descriptor**half
         assert cp.poly == recon.monic()
+
+
+def _companion_pencil(f: UniPoly) -> SkewPencil:
+    """((0, M), (-M^T, 0)) and ((0, I), (-I, 0)) for the companion matrix M
+    of a monic f: the one invariant factor of M - lambda*I is f, so the
+    characteristic polynomial is f and its Jordan groups are the factors
+    of f with their powers as half-sizes."""
+    d = f.degree
+    m = [[Fraction(int(i == j + 1)) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        m[i][d - 1] = -f.coefficient(i)
+    z = [Fraction(0)] * d
+    a = [z + row for row in m] + [[-m[j][i] for j in range(d)] + z for i in range(d)]
+    b = [z + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    b += [[-Fraction(int(i == j)) for j in range(d)] + z for i in range(d)]
+    return SkewPencil(a, b)
+
+
+def test_char_poly_factors_match_yun_and_root_search_oracle():
+    """On the golden pencils, scrambled canonical pencils with finite
+    eigenvalues and companion pencils with nonlinear and repeated factors,
+    the squarefree parts and rational roots read from the Jordan groups
+    equal Yun's decomposition and the root search on the polynomial."""
+    from jkpencil.cli import load_pencil_document
+    from test_cli import GOLDEN
+
+    analyses = []
+    for document in sorted(GOLDEN.glob("*.pencil.json")):
+        analysis = _PencilAnalysis(load_pencil_document(json.loads(document.read_text())))
+        if analysis.rank_b < analysis.rank:
+            with pytest.raises(InfiniteEigenvalueError):
+                analysis.char_poly
+        else:
+            analyses.append(analysis)
+    assert len(analyses) == 4
+    rng = random.Random(171)
+    for _ in range(20):
+        p = canonical_pencil(random_jk_spec(rng, max_dim=10, allow_infinity=False))
+        analyses.append(_PencilAnalysis(congruence_transform(p, random_unimodular(p.n, rng))))
+    x, one = UniPoly.x(), UniPoly.one()
+    two, three = UniPoly.constant(2), UniPoly.constant(3)
+    for f in (
+        (x * x + one) ** 2 * (x - three),
+        (x * x - two) * (x + two) ** 3 * (x * x + one),
+        (x - UniPoly.constant(Fraction(1, 2))) ** 2 * (x * x * x - two),
+    ):
+        analysis = _PencilAnalysis(_companion_pencil(f))
+        assert analysis.char_poly.poly == f
+        analyses.append(analysis)
+    for analysis in analyses:
+        assert_char_poly_factors_match_oracle(analysis)
 
 
 def test_invariants_do_not_depend_on_seed():
