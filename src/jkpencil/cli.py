@@ -19,8 +19,10 @@ through its `seed` key alone.  On the Lie path one stream of pairs (x, a)
 serves the generic samples, the semi-invariant certificate and a sampled
 frozen point (the a of the first certified pair).
 
-Exit codes: 0 success, 2 validation error, 3 internal-consistency
-failure.  Diagnostics go to stderr; the report alone goes to stdout.
+Exit codes: 0 success, 2 validation error (also 10 degree jumps in a
+search for generic points), 3 internal-consistency failure (also too few
+generic points among the 80 a search draws).
+Diagnostics go to stderr; the report alone goes to stdout.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .errors import (
 )
 from .liealg import (
     LieAlgebra,
-    _sampled_frozen_point,
     catalog_names,
     fa_completeness,
     ftilde_completeness,
@@ -392,10 +393,6 @@ def lie_report(
     semi = fundamental_semiinvariant(g, seed=seed)
     fa = fa_completeness(g, report)
 
-    sampled_a = frozen is None
-    if sampled_a:
-        frozen = _sampled_frozen_point(g, seed)
-
     explicit = [point] if point is not None else doc_points or None
     ftilde = ftilde_completeness(g, frozen, seed=seed, explicit_points=explicit)
 
@@ -438,9 +435,9 @@ def lie_report(
         "samples": samples,
         "algebra": {"name": g.name, "dimension": g.dim, "jacobi_valid": True},
         "frozen_point": {
-            "a": _vec(frozen),
+            "a": _vec(ftilde.frozen_point),
             "regular": ftilde.frozen_regular,
-            "sampled": sampled_a,
+            "sampled": frozen is None,
         },
         "generic_invariants": {
             "samples": report.samples,

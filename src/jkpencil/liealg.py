@@ -16,8 +16,9 @@ polynomial is read off p_g: A(x) - lambda*A(a) = A(x - lambda*a), so
 p(lambda) = monic(p_g(x - lambda*a)), and every sampled point is checked
 against it.  One stream of analysed pairs (x, a) per seed serves the
 generic samples, the semi-invariant certificate and a sampled frozen
-point.  The pencil at an F~_a point is built from the structure
-constants.
+point, the a of the first pair that certified p_g.  The F~_a points are
+sampled by poisson's one search, which also certifies p_g, and the
+pencil at an F~_a point is built from the structure constants.
 """
 
 from __future__ import annotations
@@ -258,7 +259,9 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
     pairs, which it reads past the samples only when fewer than three of
     them certify: with eigenvalues read from A - lambda*B, the pencil
     characteristic polynomial at (x, a) equals the monic normalization of
-    p_g restricted to the line x - lambda*a.
+    p_g restricted to the line x - lambda*a.  The three certified pairs
+    are kept on g; the first one's a is the sampled frozen point of
+    ftilde_completeness.
     """
     if seed not in g._certified:
         r = g.generic_rank()
@@ -269,15 +272,8 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
             (pair, analysis, p_g.eval_on_line(pair[0], tuple(-v for v in pair[1])).monic())
             for pair, analysis in g._pairs(seed)
         )
-        g._certified[seed] = _certify(lines, r, p_g.total_degree())
+        g._certified[seed] = tuple(pair for pair, _, _ in _certify(lines, r, p_g.total_degree(), 3))
     return g._semiinvariant
-
-
-def _sampled_frozen_point(g: LieAlgebra, seed: int) -> Vector:
-    """The a of the first pair (x, a) that certified p_g at seed: regular,
-    since _certify admits only pairs with rank A(a) = the generic rank."""
-    fundamental_semiinvariant(g, seed)
-    return g._certified[seed][0][1]
 
 
 def _lie_char_poly(g: LieAlgebra, a: Vector, seed: int) -> GenericCharPoly:
@@ -330,7 +326,7 @@ class FTildeReport:
 
 def ftilde_completeness(
     g: LieAlgebra,
-    a: Sequence,
+    a: Sequence | None,
     seed: int = 0,
     explicit_points: Sequence[Sequence] | None = None,
 ) -> FTildeReport:
@@ -340,12 +336,18 @@ def ftilde_completeness(
     generic points of the pencil (A(x), A(a)), or at the explicitly
     supplied points, and keeps those analyses; by analyticity all generic
     points must agree, so disagreement is reported as UNSTABLE_SAMPLES
-    and the verdict is downgraded.  An irregular frozen point downgrades
-    to INDETERMINATE.
+    and the verdict is downgraded.  With a = None the frozen point is the
+    a of the first pair that certified p_g at seed, which is regular:
+    _certify admits a pair only when rank A(a) equals the generic rank.
+    A given a is ranked, and an irregular one downgrades to INDETERMINATE.
     """
+    sampled = a is None
+    if sampled:
+        fundamental_semiinvariant(g, seed)
+        a = g._certified[seed][0][1]
     a = vector(a)
     frozen = g.frozen_matrix(a)
-    warnings = _irregularity(g, frozen)
+    warnings = () if sampled else _irregularity(g, frozen)
     if warnings:
         return FTildeReport(
             verdict=INDETERMINATE,
@@ -365,7 +367,8 @@ def ftilde_completeness(
     if explicit_points is None:
         points = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
     else:
-        points = (PointAnalysis(pencil_at(x0), gcp, x0) for x0 in map(vector, explicit_points))
+        explicit = map(vector, explicit_points)
+        points = (PointAnalysis(_PencilAnalysis(pencil_at(x0)), gcp, x0) for x0 in explicit)
     analysed, reports = [], []
     for pa in points:
         analysed.append(pa)

@@ -4,11 +4,12 @@ A pencil is a pair of n x n skew matrices whose entries are polynomials
 in the coordinates x_1..x_n.  This module verifies the Jacobi identity
 and compatibility, computes the generic characteristic polynomial over
 Q(x) and differentiates its coefficients.  The generic characteristic
-polynomial is computed once per pencil and seed; on a Lie pencil it is
-the test oracle of liealg's route.  One certificate checks a generic
-characteristic polynomial against pointwise analyses, for it and for the
-fundamental semi-invariant, and one rule (_not_generic) decides whether
-a point is generic, for that certificate and for PointAnalysis.
+polynomial is computed and certified once per pencil; on a Lie pencil it
+is the test oracle of liealg's route.  One rule (_not_generic) decides
+whether a point is generic, and one search (_certify) draws points and
+keeps the generic ones: it certifies a generic characteristic polynomial
+against pointwise analyses, for it and for the fundamental
+semi-invariant, and it finds the sampled points of PointAnalysis.
 
 A PointAnalysis is the one object for a generic point: the analysis of
 the pencil there, the extended core subspace, the completeness criterion
@@ -125,9 +126,10 @@ class PolyPoissonPencil:
     Skew-symmetry is validated on construction; the Jacobi identity for
     A, B and A+B is checked by compatibility_check on request (lie_pencil
     needs no check: a valid structure table makes its pencil compatible).
-    Instances are immutable and cache the generic characteristic
-    polynomial per seed; the Lie path never builds it here, it reads the
-    polynomial off the fundamental semi-invariant (liealg).
+    Instances are immutable and keep the generic characteristic
+    polynomial once generic_char_poly has computed it; the Lie path never
+    builds it here, it reads the polynomial off the fundamental
+    semi-invariant (liealg).
     """
 
     def __init__(self, a_rows, b_rows):
@@ -140,7 +142,7 @@ class PolyPoissonPencil:
         self.a = a
         self.b = b
         self.n = len(a)
-        self._gcp_cache: dict[int, GenericCharPoly] = {}
+        self._generic: Optional[GenericCharPoly] = None
 
     def sum_matrix(self):
         return tuple(
@@ -256,15 +258,16 @@ def _pfaffian_gcd(rows, r: int) -> MultiPoly:
     return g
 
 
-def generic_char_poly(p: PolyPoissonPencil, seed: int = 0) -> GenericCharPoly:
-    """Generic characteristic polynomial over Q(x)[lambda], certified by
-    _certify at points drawn by Random(seed).
+def generic_char_poly(p: PolyPoissonPencil) -> GenericCharPoly:
+    """Generic characteristic polynomial over Q(x)[lambda], computed on the
+    first call, certified by _certify at points drawn by Random(0), and
+    kept on p.
 
     The one route for general pencils; a Lie pencil's polynomial is read
     off the fundamental semi-invariant instead (liealg), and this route is
     its test oracle."""
-    if seed in p._gcp_cache:
-        return p._gcp_cache[seed]
+    if p._generic is not None:
+        return p._generic
     r = p.generic_rank()
     rank_b = fraction_free_rank([[e for e in row] for row in p.b])
     if rank_b < r:
@@ -281,8 +284,8 @@ def generic_char_poly(p: PolyPoissonPencil, seed: int = 0) -> GenericCharPoly:
     denominator = drop_last_variable(lam_coeffs[-1])
     numerators = tuple(drop_last_variable(c) for c in lam_coeffs[:-1])
     gcp = GenericCharPoly(p.n, r, degree, numerators, denominator)
-    _certify(_points(p, gcp, random.Random(seed)), r, degree)
-    p._gcp_cache[seed] = gcp
+    _certify(_points(partial(evaluate_at, p), gcp, random.Random(0)), r, degree, 3)
+    p._generic = gcp
     return gcp
 
 
@@ -295,11 +298,12 @@ def _generic_poly_at(gcp: GenericCharPoly, x0: Vector) -> Optional[UniPoly]:
     return None if gcp.denominator.evaluate(x0) == 0 else gcp.poly_at(x0)
 
 
-def _points(p: PolyPoissonPencil, gcp: GenericCharPoly, rng: random.Random):
-    """Random points x0 for _certify, analysed, with gcp specialised at x0."""
+def _points(pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, rng: random.Random):
+    """Random points x0 for _certify, each with the analysis of
+    pencil_at(x0), the pencil there, and gcp specialised at x0."""
     while True:
-        x0 = _random_point(p.n, rng)
-        yield x0, _PencilAnalysis(evaluate_at(p, x0)), _generic_poly_at(gcp, x0)
+        x0 = _random_point(gcp.nvars, rng)
+        yield x0, _PencilAnalysis(pencil_at(x0)), _generic_poly_at(gcp, x0)
 
 
 def _not_generic(
@@ -342,23 +346,24 @@ def _not_generic(
     return None
 
 
-def _certify(points: Iterator, rank: int, degree: int) -> tuple:
-    """Certifies that a generic characteristic polynomial of this rank and
-    degree equals the pointwise one at three of the first 80 points, and
-    returns those three.
+def _certify(points: Iterator, rank: int, degree: int, count: int) -> tuple:
+    """The first `count` of the first 80 points at which a generic
+    characteristic polynomial of this rank and degree equals the pointwise
+    one, each as the (point, analysis, expected) item points yielded.
 
-    points yields (point, the caller's analysis of the pencil there, the
-    generic polynomial there or None where its denominator vanishes).  A
-    point that _not_generic rejects is skipped, and 10 pointwise degree
-    jumps raise DegreeJumpError; running out of points raises
-    InternalConsistencyError.
+    This is the one search for generic points: the certificates read
+    three, the sampler one.  points yields (point, the caller's analysis
+    of the pencil there, the generic polynomial there or None where its
+    denominator vanishes).  A point that _not_generic rejects is skipped,
+    and 10 pointwise degree jumps raise DegreeJumpError; fewer than
+    `count` generic points among the 80 raise InternalConsistencyError.
     """
     certified, jumps = [], 0
     for x0, analysis, expected in islice(points, 80):
         reason = _not_generic(analysis, rank, degree, expected, x0)
         if reason is None:
-            certified.append(x0)
-            if len(certified) == 3:
+            certified.append((x0, analysis, expected))
+            if len(certified) == count:
                 return tuple(certified)
         elif "degree" in reason.details:  # only a degree jump reports the degree
             jumps += 1
@@ -367,14 +372,12 @@ def _certify(points: Iterator, rank: int, degree: int) -> tuple:
                     f"pointwise degree {analysis.char_poly.degree} exceeds generic degree "
                     f"{degree} at {x0}"
                 )
-    raise InternalConsistencyError("could not certify the generic degree")
+    raise InternalConsistencyError(f"found {len(certified)} of {count} generic points in 80 draws")
 
 
-def coefficient_gradients(
-    p: PolyPoissonPencil, x0: Sequence, seed: int = 0
-) -> list[Vector]:
+def coefficient_gradients(p: PolyPoissonPencil, x0: Sequence) -> list[Vector]:
     """dp_i(x0) for the generic characteristic coefficients p_0..p_{N-1}."""
-    return generic_char_poly(p, seed).gradients_at(x0)
+    return generic_char_poly(p).gradients_at(x0)
 
 
 # -- pointwise analyses ----------------------------------------------------
@@ -457,17 +460,18 @@ class PointAnalysis:
     """One generic point x0 of a pencil, with everything the paper reads
     there, each computed when first read.
 
-    It is built from the pencil at x0 and the generic characteristic
-    polynomial gcp, and raises the error of _not_generic when x0 is not a
-    generic point.  `analysis` is the pencil's _PencilAnalysis: its Smith
-    factors give the pointwise characteristic polynomial and Jordan data,
-    and its sampler the core and the kernels of the involution family.
+    It is built from `analysis`, the _PencilAnalysis of the pencil at x0
+    (the one _certify made for a sampled point), and the generic
+    characteristic polynomial gcp, and raises the error of _not_generic
+    when x0 is not a generic point.  The analysis's Smith factors give the
+    pointwise characteristic polynomial and Jordan data, and its sampler
+    the core and the kernels of the involution family.
     """
 
-    def __init__(self, at_point: SkewPencil, gcp: GenericCharPoly, x0: Vector):
+    def __init__(self, analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector):
         self.point = x0
         self.gcp = gcp
-        self.analysis = _PencilAnalysis(at_point)
+        self.analysis = analysis
         reason = _not_generic(self.analysis, gcp.rank, gcp.degree, _generic_poly_at(gcp, x0), x0)
         if reason is not None:
             raise reason
@@ -612,50 +616,42 @@ class PointAnalysis:
         return EigenvalueLemmaCertificate(self.point, "PASS" if all_pass else "FAIL", tuple(checks))
 
 
-def extended_core(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> PointAnalysis:
+def extended_core(p: PolyPoissonPencil, x0: Sequence) -> PointAnalysis:
     """The analysis at a generic point x0, whose `extended` is the core
     plus the span of the coefficient gradients there."""
     x0 = vector(x0)
-    gcp = generic_char_poly(p, seed)
-    return PointAnalysis(evaluate_at(p, x0), gcp, x0)
+    return PointAnalysis(_PencilAnalysis(evaluate_at(p, x0)), generic_char_poly(p), x0)
 
 
-def completeness_check(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> CompletenessReport:
+def completeness_check(p: PolyPoissonPencil, x0: Sequence) -> CompletenessReport:
     """Completeness of the extended core at a generic point; see
     PointAnalysis.completeness."""
-    return extended_core(p, x0, seed=seed).completeness
+    return extended_core(p, x0).completeness
 
 
-def involution_check(p: PolyPoissonPencil, x0: Sequence, seed: int = 0) -> InvolutionCertificate:
+def involution_check(p: PolyPoissonPencil, x0: Sequence) -> InvolutionCertificate:
     """Exact bi-involution of the covector family at a generic point; see
     PointAnalysis.involution."""
-    return extended_core(p, x0, seed=seed).involution
+    return extended_core(p, x0).involution
 
 
-def eigenvalue_lemma_check(
-    p: PolyPoissonPencil, x0: Sequence, seed: int = 0
-) -> EigenvalueLemmaCertificate:
+def eigenvalue_lemma_check(p: PolyPoissonPencil, x0: Sequence) -> EigenvalueLemmaCertificate:
     """The eigenvalue lemma at the rational roots at a generic point; see
     PointAnalysis.eigenvalue_lemma."""
-    return extended_core(p, x0, seed=seed).eigenvalue_lemma
+    return extended_core(p, x0).eigenvalue_lemma
 
 
 def sample_generic_point(p: PolyPoissonPencil, seed: int = 0) -> Vector:
-    """A random small-integer point passing all genericity checks."""
-    return _sample_generic(partial(evaluate_at, p), generic_char_poly(p, seed), seed).point
+    """The first small-integer point drawn by Random(seed + 101) that is generic."""
+    return _sample_generic(partial(evaluate_at, p), generic_char_poly(p), seed).point
 
 
 def _sample_generic(
     pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, seed: int
 ) -> PointAnalysis:
-    """The analysis at the first point x0, among 50 drawn by
-    Random(seed + 101), at which pencil_at(x0), the pencil there, is
-    generic for gcp."""
-    rng = random.Random(seed + 101)
-    for _ in range(50):
-        x0 = _random_point(gcp.nvars, rng)
-        try:
-            return PointAnalysis(pencil_at(x0), gcp, x0)
-        except NonGenericPointError:
-            continue
-    raise NonGenericPointError("no generic point found in 50 attempts")
+    """The analysis at the first point x0 drawn by Random(seed + 101) at
+    which pencil_at(x0), the pencil there, is generic for gcp: one
+    _certify search, which raises as it does."""
+    points = _points(pencil_at, gcp, random.Random(seed + 101))
+    [(x0, analysis, _)] = _certify(points, gcp.rank, gcp.degree, 1)
+    return PointAnalysis(analysis, gcp, x0)

@@ -191,7 +191,7 @@ def test_criterion_4_bi_isotropy(roundtrip_suite):
         pencil = lie_pencil(g, a).pencil
         for s in range(3):
             x0 = sample_generic_point(pencil, seed=s)
-            cert = involution_check(pencil, x0, seed=s)
+            cert = involution_check(pencil, x0)
             total_pairings += cert.pairings
             if not cert.passed:
                 violations += 1
@@ -339,7 +339,7 @@ def test_criterion_9_verdict_cross_consistency():
         pencil = lie_pencil(g, a).pencil
         for s in range(3):
             x0 = sample_generic_point(pencil, seed=s + 11)
-            rep = completeness_check(pencil, x0, seed=s)
+            rep = completeness_check(pencil, x0)
             assert rep.verdict in (COMPLETE, INCOMPLETE)
             instances += 1
     # constant pencil with a repeated eigenvalue (both routes INCOMPLETE)

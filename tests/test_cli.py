@@ -670,6 +670,55 @@ def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeyp
     assert evaluations == []
 
 
+def test_lie_analyze_ranks_only_a_given_frozen_point(capsys, monkeypatch):
+    """A sampled a is the a of a pair that certified p_g, whose rank the
+    certificate already read, so liealg ranks A(a) only when the document
+    gives a."""
+    import jkpencil.liealg
+
+    g = get_algebra("heisenberg3")
+    for stem, expected in (("heisenberg3", []), ("heisenberg3_frozen", [[0, 0, 1]])):
+        rank_calls = record_calls(monkeypatch, "rank", [jkpencil.liealg])
+        document = GOLDEN / f"{stem}.lie.json"
+        code, out, _ = run(capsys, ["lie", "analyze", str(document), "--format", "json"])
+        assert code == 0
+        assert out == (GOLDEN / f"{stem}.report.json").read_text()
+        assert rank_calls == [(g.frozen_matrix(a),) for a in expected], stem
+        monkeypatch.undo()
+
+
+def _patch_lie_char_poly(monkeypatch, change):
+    """Makes ftilde_completeness search with change(gcp) for the pencil's
+    generic characteristic polynomial gcp."""
+    import dataclasses
+
+    import jkpencil.liealg
+
+    original = jkpencil.liealg._lie_char_poly
+
+    def changed(*args):
+        gcp = original(*args)
+        return dataclasses.replace(gcp, **change(gcp))
+
+    monkeypatch.setattr(jkpencil.liealg, "_lie_char_poly", changed)
+
+
+def test_lie_analyze_exits_2_on_the_tenth_degree_jump(capsys, monkeypatch):
+    _patch_lie_char_poly(
+        monkeypatch, lambda gcp: {"degree": gcp.degree - 1, "numerators": gcp.numerators[1:]}
+    )
+    code, out, err = run(capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: pointwise degree 1 exceeds generic degree 0 at ")
+
+
+def test_lie_analyze_exits_3_when_no_generic_point_is_found(capsys, monkeypatch):
+    _patch_lie_char_poly(monkeypatch, lambda gcp: {"rank": gcp.rank + 2})
+    code, out, err = run(capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json")])
+    assert (code, out) == (3, "")
+    assert err == "internal consistency failure: found 0 of 1 generic points in 80 draws\n"
+
+
 def test_analyze_factors_each_pencil_analysis_once(capsys, monkeypatch):
     """The characteristic polynomial, its squarefree parts and its rational
     roots are read from the Jordan groups: neither `pencil analyze` nor

@@ -7,7 +7,8 @@ must equal `tests/golden/<name>.report.json` exactly; so must the JSON of
 pencils cover a pure Jordan pencil, a scrambled Kronecker+Jordan pencil,
 a corank-2 pencil with two eigenvalues, the zero pencil and a pencil with
 infinite Jordan blocks (read from the reversed pencil); the Lie documents
-are catalog algebras.  To refresh after an intended report change, rerun the
+are catalog algebras, one of them (heisenberg3_frozen) with a given
+frozen point and evaluation points.  To refresh after an intended report change, rerun the
 command on each document and review the diff:
 
     for doc in tests/golden/*.json; do
@@ -33,7 +34,7 @@ def test_golden_set_is_complete():
     names = {p.name for p in DOCUMENTS}
     for stem in ("pure_jordan", "kronecker_jordan", "corank2_two_eigenvalues", "zero", "infinite_jordan"):
         assert f"{stem}.pencil.json" in names
-    for stem in ("heisenberg3", "aff1", "aff1_abelian2", "abelian3", "so3"):
+    for stem in ("heisenberg3", "heisenberg3_frozen", "aff1", "aff1_abelian2", "abelian3", "so3"):
         assert f"{stem}.lie.json" in names
 
 

@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from jkpencil.errors import (
+    DegreeJumpError,
     DenominatorVanishesError,
     InfiniteEigenvalueError,
     InternalConsistencyError,
@@ -14,7 +15,13 @@ from jkpencil.errors import (
 )
 from jkpencil.liealg import aff1, heisenberg3, lie_pencil, so3
 from jkpencil.multipoly import MultiPoly
-from jkpencil.pencil import canonical_pencil, JKInvariants, characteristic_polynomial
+from jkpencil.pencil import (
+    JKInvariants,
+    SkewPencil,
+    _PencilAnalysis,
+    canonical_pencil,
+    characteristic_polynomial,
+)
 from jkpencil.poisson import (
     COMPLETE,
     INCOMPLETE,
@@ -291,17 +298,73 @@ def test_pointwise_degree_below_generic_is_inconsistent():
     pencil = lie_pencil(heisenberg3(), [0, 0, 1]).pencil
     gcp = generic_char_poly(pencil)
     x0 = sample_generic_point(pencil, seed=5)
-    assert PointAnalysis(evaluate_at(pencil, x0), gcp, x0).analysis.char_poly.degree == gcp.degree
+    analysis = _PencilAnalysis(evaluate_at(pencil, x0))
+    assert PointAnalysis(analysis, gcp, x0).analysis.char_poly.degree == gcp.degree
     higher = dataclasses.replace(
         gcp, degree=gcp.degree + 1, numerators=gcp.numerators + (gcp.denominator,)
     )
     with pytest.raises(InternalConsistencyError):
-        PointAnalysis(evaluate_at(pencil, x0), higher, x0)
+        PointAnalysis(analysis, higher, x0)
     with pytest.raises(InternalConsistencyError):
         _sample_generic(partial(evaluate_at, pencil), higher, seed=5)
     lower = dataclasses.replace(gcp, degree=gcp.degree - 1, numerators=gcp.numerators[1:])
     with pytest.raises(NonGenericPointError):
-        PointAnalysis(evaluate_at(pencil, x0), lower, x0)
+        PointAnalysis(analysis, lower, x0)
+
+
+def test_sample_generic_raises_on_the_tenth_degree_jump():
+    # a generic polynomial one degree below the pencil's makes every point
+    # of generic rank a degree jump, and the search gives up at the tenth
+    pencil = lie_pencil(heisenberg3(), [0, 0, 1]).pencil
+    gcp = generic_char_poly(pencil)
+    lower = dataclasses.replace(gcp, degree=gcp.degree - 1, numerators=gcp.numerators[1:])
+    drawn = []
+
+    def pencil_at(x0):
+        drawn.append(x0)
+        return evaluate_at(pencil, x0)
+
+    with pytest.raises(DegreeJumpError, match="pointwise degree 1 exceeds generic degree 0"):
+        _sample_generic(pencil_at, lower, seed=5)
+    assert 10 <= len(drawn) < 80
+
+
+def test_sample_generic_gives_up_after_80_points():
+    # the zero pencil never reaches the generic rank 2 of heisenberg3's
+    gcp = generic_char_poly(lie_pencil(heisenberg3(), [0, 0, 1]).pencil)
+    zero = [[0] * 3 for _ in range(3)]
+    drawn = []
+
+    def pencil_at(x0):
+        drawn.append(x0)
+        return SkewPencil(zero, zero)
+
+    with pytest.raises(InternalConsistencyError, match="found 0 of 1 generic points in 80 draws"):
+        _sample_generic(pencil_at, gcp, seed=5)
+    assert len(drawn) == 80
+
+
+def test_generic_char_poly_is_computed_once_per_pencil(monkeypatch):
+    # the Pfaffian gcd does not depend on the seed; only the sampler's
+    # stream does, and each seed's point is the one a fresh pencil gives
+    import jkpencil.poisson
+
+    calls = []
+    original = jkpencil.poisson._pfaffian_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(jkpencil.poisson, "_pfaffian_gcd", counted)
+    pencil = lie_pencil(so3(), [1, 2, 3]).pencil
+    points = [sample_generic_point(pencil, seed=s) for s in range(4)]
+    assert len(calls) == 1
+    assert generic_char_poly(pencil) is generic_char_poly(pencil)
+    assert len(calls) == 1
+    fresh = [sample_generic_point(lie_pencil(so3(), [1, 2, 3]).pencil, seed=s) for s in range(4)]
+    assert points == fresh
+    assert len(calls) == 1 + 4
 
 
 def test_completeness_verdicts():
