@@ -41,6 +41,7 @@ from .poisson import (
     PointAnalysis,
     PolyPoissonPencil,
     _certify,
+    _generic_poly_at,
     _pfaffian_gcd,
     _random_point,
     _sample_generic,
@@ -368,7 +369,10 @@ def ftilde_completeness(
         points = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
     else:
         explicit = map(vector, explicit_points)
-        points = (PointAnalysis(_PencilAnalysis(pencil_at(x0)), gcp, x0) for x0 in explicit)
+        points = (
+            PointAnalysis(_PencilAnalysis(pencil_at(x0)), gcp, x0, _generic_poly_at(gcp, x0))
+            for x0 in explicit
+        )
     analysed, reports = [], []
     for pa in points:
         analysed.append(pa)

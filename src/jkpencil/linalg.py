@@ -170,6 +170,11 @@ class Subspace:
         return len(self.rows)
 
     @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each row."""
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.rows)
+
+    @cached_property
     def basis(self) -> tuple[Vector, ...]:
         """The reduced-row-echelon basis over Q: each row over its pivot."""
         return tuple(
@@ -182,8 +187,7 @@ class Subspace:
         if len(v) != self.ambient:
             raise ValidationError("vector length does not match ambient dimension")
         (out,) = _integer_rows([vector(v)])
-        for row in self.rows:
-            c = next(i for i, x in enumerate(row) if x)
+        for row, c in zip(self.rows, self.pivots):
             if out[c]:
                 out = [row[c] * x - out[c] * y for x, y in zip(out, row)]
         return not any(out)

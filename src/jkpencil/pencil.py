@@ -18,15 +18,21 @@ core from the first D + 2 values, the isotropy certificate from the
 first D + 4 and, at a Lie evaluation point, the involution certificate
 from the first D + 2, and every pairing is an integer dot product with
 the pencil's integer form.  No random numbers are drawn.
-The Smith invariant factors d_1 | ... | d_r of A - lambda*B are
-computed once too: the characteristic polynomial is d_2*d_4*...*d_r,
-and the finite Jordan data are read from their elementary divisors.
-When B is irregular, the infinite Jordan blocks are the powers of mu in
-the invariant factors of the reversed pencil B - mu*A, a second Smith
-form with the same count and pair checks.  A pencil is held as one
-integer form D*(A, B), so the members at integer values are built and
-eliminated without Fractions, and both Smith forms read their integer
-lambda-matrices DA - lambda*DB and DB - mu*DA off it.  The Smith
+The Smith invariant factors of A - lambda*B are computed once too,
+on its Jordan part: the pencil restricted to M/K, where K is the core
+and M = K^perp the mantle.  The Kronecker blocks add only unit
+invariant factors, so this regular pencil of size J, the total size of
+the Jordan blocks, has the elementary divisors of the whole one, and
+its Smith form runs on J x J matrices instead of n x n
+(_PencilAnalysis._jordan_part).  The characteristic polynomial is
+d_2*d_4*...*d_J of its invariant factors d_1 | ... | d_J, and the
+finite Jordan data are read from their elementary divisors.  When B is
+irregular, the infinite Jordan blocks are the powers of mu in the
+invariant factors of the reversed Jordan part B' - mu*A', a second
+Smith form with the same count and pair checks.  A pencil is held as
+one integer form D*(A, B), so the members at integer values are built
+and eliminated without Fractions, and the Jordan part is an integer
+pair read off it.  The Smith
 factors are kept as primitive integer polynomials, and their refined
 factor basis, computed once, gives the finite Jordan groups.  The
 characteristic polynomial, its squarefree parts and its rational roots
@@ -418,13 +424,16 @@ def _lambda_rows(a: list[list[int]], b: list[list[int]]) -> list[list[list[int]]
     ]
 
 
-def _invariant_factors(lam_matrix, r: int) -> list[list[int]]:
-    """d_2, d_4, ..., d_r, as primitive integer coefficient lists, for the
-    nonzero Smith invariant factors d_1 | ... | d_r of a skew lambda-matrix
-    of rank r, which come in equal pairs."""
-    factors = [f for f in smith_normal_form(lam_matrix) if not f.is_zero]
-    if len(factors) != r:
-        raise InternalConsistencyError(f"Smith form rank {len(factors)} != pencil rank {r}")
+def _invariant_factors(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """d_2, d_4, ..., d_J, as primitive integer coefficient lists, for the
+    Smith invariant factors d_1 | ... | d_J of a - lambda*b, a regular skew
+    pencil of integer J x J matrices, which come in equal pairs.  J = 0
+    needs no Smith form."""
+    if not a:
+        return []
+    factors = [f for f in smith_normal_form(_lambda_rows(a, b)) if not f.is_zero]
+    if len(factors) != len(a):
+        raise InternalConsistencyError(f"Smith form rank {len(factors)} != Jordan part size {len(a)}")
     if factors[0::2] != factors[1::2]:
         raise PairingViolationError(
             "Smith invariant factors are not equal in pairs: "
@@ -438,7 +447,9 @@ class _PencilAnalysis:
     computed once: rank(B), the pencil rank, the Kronecker increments, the
     core and the isotropy family read the sampler's member kernels, and
     the characteristic polynomial and the Jordan data the one refined
-    factor basis of those factors, the finite Jordan groups."""
+    factor basis of those factors, the finite Jordan groups.  Both Smith
+    forms run on the Jordan part, the pencil restricted to M/K, where K is
+    the core and M = K^perp the mantle (see _jordan_part)."""
 
     def __init__(self, p: SkewPencil):
         self.p = p
@@ -447,23 +458,64 @@ class _PencilAnalysis:
         self.rank = self.stream.r
 
     @cached_property
+    def _jordan_part(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The integer pencil D*(A, B) restricted to M/K: the Gram matrices
+        (C*DA*C^T, C*DB*C^T) of rows C that span a complement of K in M.
+
+        K is the stabilised kernel sum that `growth` formed and M its
+        orthogonal under S, the member at the first regular value; M is the
+        same under every regular member, so A and B, combinations of two of
+        them, vanish on K x M and descend to M/K.  In the normal form
+        (Thompson, LAA 147, 1991) a Kronecker block of parameter k meets K
+        and M in the same k dimensions, so M/K is the sum of the Jordan
+        blocks, finite and infinite: a regular pencil of size J, the sum of
+        their sizes.  The Kronecker blocks add only unit invariant factors,
+        so the elementary divisors, and the Jordan groups, are those of the
+        whole pencil.  K <= M, so the pivots of K are pivots of M, and the
+        RREF rows of M at the other pivots span a complement of K.
+
+        At full rank K = 0 and the pair is D*(A, B) itself.  When every
+        Kronecker parameter is 1 (growth of length 1), K is ker S and M all
+        of Q^n, so C is unit vectors and the restriction deletes the rows
+        and columns at K's pivots."""
+        a, b = self.p._scaled
+        depth = len(self.stream.growth)
+        if not depth:
+            return a, b
+        core = self.stream.kernel_sum(depth)
+        core_pivots = set(core.pivots)
+        if depth == 1:
+            keep = [j for j in range(self.p.n) if j not in core_pivots]
+            return tuple([[m[i][j] for j in keep] for i in keep] for m in (a, b))
+        s = self.p._scaled_member(int(self.stream.regular(0)[0]))
+        # S is skew, so S*u = 0 exactly when u^T S = 0.
+        mantle = kernel_basis([[sum(map(mul, row, u)) for row in s] for u in core.rows])
+        c = [row for row, pc in zip(mantle.rows, mantle.pivots) if pc not in core_pivots]
+
+        def restrict(m):
+            images = [[sum(map(mul, row, v)) for row in m] for v in c]
+            return [[sum(map(mul, u, image)) for image in images] for u in c]
+
+        return restrict(a), restrict(b)
+
+    @cached_property
     def _finite_groups(self) -> tuple[tuple[UniPoly, tuple[int, ...]], ...]:
-        """The finite Jordan groups from d_2, d_4, ..., d_r of A - lambda*B:
-        the exponent of a refined factor q in d_2i is the half-size of one
-        Jordan block of q, or 0."""
-        halves = _invariant_factors(_lambda_rows(*self.p._scaled), self.rank)
+        """The finite Jordan groups from d_2, d_4, ..., d_J of the Jordan
+        part A' - lambda*B': the exponent of a refined factor q in d_2i is
+        the half-size of one Jordan block of q, or 0."""
+        halves = _invariant_factors(*self._jordan_part)
         return tuple((q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves))
 
     @cached_property
     def char_poly(self) -> CharPoly:
-        """Monic d_2*d_4*...*d_r of A - lambda*B, which equals the gcd of
-        the Pfaffians of all principal r x r minors, read from the finite
-        Jordan groups: a descriptor q with half-sizes h is a factor of
-        multiplicity sum(h), pairwise coprime with the others.  So the
-        polynomial is the product of the q**sum(h), a squarefree part the
-        product of the q that share a multiplicity, and the rational roots
-        are -q(0) for the degree-1 q (refined_factors splits every rational
-        root off as a linear factor).
+        """Monic d_2*d_4*...*d_J of the Jordan part A' - lambda*B', which
+        equals that of A - lambda*B and the gcd of the Pfaffians of all
+        principal r x r minors, read from the finite Jordan groups: a
+        descriptor q with half-sizes h is a factor of multiplicity sum(h),
+        pairwise coprime with the others.  So the polynomial is the product
+        of the q**sum(h), a squarefree part the product of the q that share
+        a multiplicity, and the rational roots are -q(0) for the degree-1 q
+        (refined_factors splits every rational root off as a linear factor).
 
         Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
         eigenvalues finite; raises InfiniteEigenvalueError otherwise.
@@ -482,9 +534,9 @@ class _PencilAnalysis:
         return CharPoly(poly, poly.degree, tuple((parts[m], m) for m in sorted(parts)), tuple(sorted(roots)))
 
     def invariants(self) -> JKInvariants:
-        """Jordan data from the invariant factors of A - lambda*B (and of
-        B - mu*A when B is irregular), Kronecker parameters from the
-        growth sequence of the stream."""
+        """Jordan data from the invariant factors of the Jordan part
+        A' - lambda*B' (and of B' - mu*A' when B is irregular), Kronecker
+        parameters from the growth sequence of the stream."""
         n = self.p.n
         r = self.rank
 
@@ -499,18 +551,17 @@ class _PencilAnalysis:
             kronecker.extend([t + 1] * (c - following))
 
         # Jordan data: the finite blocks are the elementary divisors of
-        # A - lambda*B, the infinite ones the powers of mu in those of the
-        # reversed pencil B - mu*A (Gantmacher, vol. II, ch. XII).
+        # A' - lambda*B', the infinite ones the powers of mu in those of the
+        # reversed pencil B' - mu*A' (Gantmacher, vol. II, ch. XII).
         groups = list(self._finite_groups)
         if self.rank_b < r:
-            a, b = self.p._scaled
-            orders = [
-                next(i for i, c in enumerate(d) if c)
-                for d in _invariant_factors(_lambda_rows(b, a), r)
-            ]
+            a, b = self._jordan_part
+            orders = [next(i for i, c in enumerate(d) if c) for d in _invariant_factors(b, a)]
             if any(orders):
                 groups.append((INFINITY, tuple(e for e in orders if e)))
 
+        # The blocks read from the Jordan part fill its dim M - dim K rows,
+        # so this checks dim M - dim K against the Kronecker parameters.
         invariants = JKInvariants.from_blocks(kronecker, groups)
         if invariants.n != n:
             raise InternalConsistencyError(
@@ -520,8 +571,9 @@ class _PencilAnalysis:
 
 
 def characteristic_polynomial(p: SkewPencil) -> CharPoly:
-    """Monic characteristic polynomial of A - lambda*B, read from its Smith
-    invariant factors.
+    """Monic characteristic polynomial of A - lambda*B, read from the Smith
+    invariant factors of its Jordan part, the pencil restricted to the
+    mantle modulo the core (the Kronecker blocks add only unit factors).
 
     Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
     eigenvalues finite; raises InfiniteEigenvalueError otherwise
@@ -541,8 +593,10 @@ def core_subspace(p: SkewPencil) -> Subspace:
 
 def jk_invariants(p: SkewPencil) -> JKInvariants:
     """Full block invariants: Jordan data from the Smith normal forms of
-    A - lambda*B and, when B is irregular, of B - mu*A, Kronecker
-    parameters from the kernel-sum growth sequence at regular values."""
+    the Jordan part A' - lambda*B' (the pencil restricted to the mantle
+    modulo the core, which drops only unit invariant factors) and, when B
+    is irregular, of B' - mu*A', Kronecker parameters from the kernel-sum
+    growth sequence at regular values."""
     return _PencilAnalysis(p).invariants()
 
 

@@ -461,18 +461,22 @@ class PointAnalysis:
     there, each computed when first read.
 
     It is built from `analysis`, the _PencilAnalysis of the pencil at x0
-    (the one _certify made for a sampled point), and the generic
-    characteristic polynomial gcp, and raises the error of _not_generic
-    when x0 is not a generic point.  The analysis's Smith factors give the
-    pointwise characteristic polynomial and Jordan data, and its sampler
-    the core and the kernels of the involution family.
+    (the one _certify made for a sampled point), the generic
+    characteristic polynomial gcp and `expected`, gcp specialised at x0
+    by _generic_poly_at (a sampled point passes the one _certify
+    compared, so it is not evaluated twice), and raises the error of
+    _not_generic when x0 is not a generic point.  The analysis's Smith
+    factors give the pointwise characteristic polynomial and Jordan data,
+    and its sampler the core and the kernels of the involution family.
     """
 
-    def __init__(self, analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector):
+    def __init__(
+        self, analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector, expected: Optional[UniPoly]
+    ):
         self.point = x0
         self.gcp = gcp
         self.analysis = analysis
-        reason = _not_generic(self.analysis, gcp.rank, gcp.degree, _generic_poly_at(gcp, x0), x0)
+        reason = _not_generic(self.analysis, gcp.rank, gcp.degree, expected, x0)
         if reason is not None:
             raise reason
 
@@ -619,8 +623,8 @@ class PointAnalysis:
 def extended_core(p: PolyPoissonPencil, x0: Sequence) -> PointAnalysis:
     """The analysis at a generic point x0, whose `extended` is the core
     plus the span of the coefficient gradients there."""
-    x0 = vector(x0)
-    return PointAnalysis(_PencilAnalysis(evaluate_at(p, x0)), generic_char_poly(p), x0)
+    x0, gcp = vector(x0), generic_char_poly(p)
+    return PointAnalysis(_PencilAnalysis(evaluate_at(p, x0)), gcp, x0, _generic_poly_at(gcp, x0))
 
 
 def completeness_check(p: PolyPoissonPencil, x0: Sequence) -> CompletenessReport:
@@ -653,5 +657,5 @@ def _sample_generic(
     which pencil_at(x0), the pencil there, is generic for gcp: one
     _certify search, which raises as it does."""
     points = _points(pencil_at, gcp, random.Random(seed + 101))
-    [(x0, analysis, _)] = _certify(points, gcp.rank, gcp.degree, 1)
-    return PointAnalysis(analysis, gcp, x0)
+    [(x0, analysis, expected)] = _certify(points, gcp.rank, gcp.degree, 1)
+    return PointAnalysis(analysis, gcp, x0, expected)

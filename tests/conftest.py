@@ -14,7 +14,9 @@ polynomials), the squarefree parts and rational roots of a pencil's
 characteristic polynomial by Yun and the root search on the polynomial
 (the library reads them from the Jordan groups), Jordan groups through a
 Moebius reparametrization to a regular-B pencil (the library reads the
-infinite blocks from the reversed pencil B - mu*A), and regular values
+infinite blocks from the reversed pencil B - mu*A), Jordan groups from
+the Smith forms of the whole pencil, Kronecker part included (the
+library restricts the pencil to its Jordan part first), and regular values
 drawn at random (the library takes them in the fixed order 0, 1, -1, 2,
 ...).
 """
@@ -33,10 +35,15 @@ from jkpencil.pencil import (
     JKInvariants,
     RegularValueSampler,
     SkewPencil,
+    _lambda_rows,
     _PencilAnalysis,
+    canonical_pencil,
     characteristic_polynomial,
+    congruence_transform,
     pencil_rank,
+    random_unimodular,
 )
+from jkpencil.smith import smith_normal_form
 from jkpencil.unipoly import (
     UniPoly,
     _divisors,
@@ -167,6 +174,51 @@ def random_jk_spec(
         for eig, sizes in groups.items()
     ]
     return JKInvariants.from_blocks(kron, jordan)
+
+
+def companion_pencil(f: UniPoly) -> SkewPencil:
+    """((0, M), (-M^T, 0)) and ((0, I), (-I, 0)) for the companion matrix M
+    of a monic f: the one invariant factor of M - lambda*I is f, so the
+    characteristic polynomial is f and its Jordan groups are the factors
+    of f with their powers as half-sizes."""
+    d = f.degree
+    m = [[Fraction(int(i == j + 1)) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        m[i][d - 1] = -f.coefficient(i)
+    z = [Fraction(0)] * d
+    a = [z + row for row in m] + [[-m[j][i] for j in range(d)] + z for i in range(d)]
+    b = [z + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    b += [[-Fraction(int(i == j)) for j in range(d)] + z for i in range(d)]
+    return SkewPencil(a, b)
+
+
+def block_sum(*pencils: SkewPencil) -> SkewPencil:
+    """The block-diagonal pencil of the given pencils."""
+    n = sum(p.n for p in pencils)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    b = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for p in pencils:
+        for i in range(p.n):
+            a[offset + i][offset : offset + p.n] = p.a[i]
+            b[offset + i][offset : offset + p.n] = p.b[i]
+        offset += p.n
+    return SkewPencil(a, b)
+
+
+def kronecker_companion_pencil(
+    kronecker, rational, infinite, scramble: str, shears: int | None = None
+) -> tuple[SkewPencil, JKInvariants]:
+    """A scrambled pencil with the given Kronecker parameters, one block of
+    half-size 1 at the companion of x^2 - 2, the half-sizes `rational` at
+    the eigenvalue 3 and `infinite` at infinity, with its invariants.  The
+    congruence is random_unimodular(n, Random(scramble), shears)."""
+    x2m2 = UniPoly((-2, 0, 1))
+    groups = [(UniPoly.linear(3), tuple(rational))] if rational else []
+    groups += [(INFINITY, tuple(infinite))] if infinite else []
+    p = block_sum(canonical_pencil(JKInvariants.from_blocks(kronecker, groups)), companion_pencil(x2m2))
+    spec = JKInvariants.from_blocks(kronecker, groups + [(x2m2, (1,))])
+    return congruence_transform(p, random_unimodular(p.n, random.Random(scramble), shears)), spec
 
 
 # -- second routes to library quantities -----------------------------------
@@ -358,6 +410,28 @@ def fraction_split_rational_linear_factors(f: UniPoly) -> list[UniPoly]:
         out.append(rest)
     out.sort(key=UniPoly.sort_key)
     return out
+
+
+def whole_smith_jordan_groups(p: SkewPencil) -> tuple:
+    """The Jordan groups of p from the Smith forms of the whole n x n
+    lambda-matrices DA - lambda*DB and, when B is irregular, DB - mu*DA,
+    Kronecker part included, factored over Fractions; the library runs its
+    Smith forms on the Jordan part, restricted to M/K.  The nonzero factors
+    come in equal pairs, and the exponents of a refined factor in d_2, d_4,
+    ..., d_r are its half-sizes; infinity's are the powers of mu."""
+    a, b = p._scaled
+    r = pencil_rank(p)
+    factors = [f for f in smith_normal_form(_lambda_rows(a, b)) if not f.is_zero]
+    assert len(factors) == r and factors[0::2] == factors[1::2]
+    groups = [
+        (q, tuple(e for e in exps if e)) for q, exps in fraction_refined_factors(factors[1::2])
+    ]
+    if rank(b) < r:
+        reversed_factors = [f for f in smith_normal_form(_lambda_rows(b, a)) if not f.is_zero]
+        assert len(reversed_factors) == r and reversed_factors[0::2] == reversed_factors[1::2]
+        orders = [next(i for i, c in enumerate(f.coeffs) if c) for f in reversed_factors[1::2]]
+        groups.append((INFINITY, tuple(e for e in orders if e)))
+    return JKInvariants.from_blocks([], groups).jordan
 
 
 def fraction_refined_factors(polys) -> list[tuple[UniPoly, tuple[int, ...]]]:

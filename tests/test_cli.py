@@ -552,7 +552,7 @@ def test_pencil_analyze_computes_the_pencil_rank_once(capsys, monkeypatch):
     import jkpencil.pencil
 
     documents = sorted(GOLDEN.glob("*.pencil.json"))
-    assert len(documents) == 5
+    assert len(documents) == 6
     for document in documents:
         samplers = record_calls(monkeypatch, "RegularValueSampler", [jkpencil.pencil])
         ranks = record_calls(monkeypatch, "pencil_rank", [jkpencil.pencil])
@@ -579,7 +579,10 @@ def test_pencil_analyze_eliminates_each_regular_value_candidate_once(capsys, mon
         code, _, _ = run(capsys, ["pencil", "analyze", str(document), "--format", "json"])
         assert code == 0
         assert ranks == [(p._scaled[1],)], document.name
-        members = [args[0] for args in kernels]
+        # Past the members, only the dim K x n matrix whose kernel is the
+        # mantle is eliminated, once, when the core K has dim K < n.
+        members = [args[0] for args in kernels if len(args[0]) == p.n]
+        assert len(kernels) - len(members) <= 1, document.name
         assert members, document.name
         assert members == [p._scaled_member(_member_value(i)) for i in range(len(members))], document.name
         monkeypatch.undo()
@@ -595,7 +598,8 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     the completeness test reads those groups rather than factoring the
     char poly again.
 
-    The Smith form of a point reads the integer scaling of its pencil.
+    The Smith form of a point reads the integer scaling of its pencil
+    restricted to M/K, its Jordan part, here 2 x 2.
     The certificate of the fundamental semi-invariant reads the analyses
     of the generic samples, so its work is counted with theirs.
     """
@@ -638,12 +642,29 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     assert len(refined_calls) == len(smith_calls) == 9
     for x0, cert, pa in zip(points, report["involution_certificates"], certified, strict=True):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
-        assert sum(args[0] == _lambda_rows(*at_point._scaled) for args in smith_calls) == 1
+        jordan_part = pa.analysis._jordan_part
+        assert len(jordan_part[0]) == 2
+        assert sum(args[0] == _lambda_rows(*jordan_part) for args in smith_calls) == 1
         assert sum(args[0] == at_point for args in sampler_calls) == 1
         assert pa.analysis.p == at_point and pa.analysis.stream.p == at_point
         drawn = [str(mu) for mu, _ in pa.analysis.stream.drawn]
         assert cert["kernel_samples"] == drawn[: len(cert["kernel_samples"])]
     assert certificate_kernels == []
+
+
+def test_sampled_points_specialise_the_generic_polynomial_once(capsys, monkeypatch):
+    """A sampled F~_a point is specialised once, by the search that admits
+    it; its PointAnalysis takes that polynomial rather than evaluating the
+    generic one there again."""
+    import jkpencil.liealg
+    import jkpencil.poisson
+
+    calls = record_calls(monkeypatch, "_generic_poly_at", [jkpencil.poisson, jkpencil.liealg])
+    code, out, _ = run(capsys, ["lie", "analyze", str(GOLDEN / "so3.lie.json"), "--format", "json"])
+    assert code == 0
+    points = json.loads(out)["ftilde"]["points"]
+    assert len(points) == 2
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("document", sorted(GOLDEN.glob("*.lie.json")), ids=lambda p: p.name.split(".")[0])

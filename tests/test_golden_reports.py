@@ -5,8 +5,11 @@ Each document `tests/golden/<name>.<kind>.json` is analysed with
 must equal `tests/golden/<name>.report.json` exactly; so must the JSON of
 `cli.pencil_report` or `cli.lie_report` on the document's bytes.  The
 pencils cover a pure Jordan pencil, a scrambled Kronecker+Jordan pencil,
-a corank-2 pencil with two eigenvalues, the zero pencil and a pencil with
-infinite Jordan blocks (read from the reversed pencil); the Lie documents
+a corank-2 pencil with two eigenvalues, the zero pencil, a pencil with
+infinite Jordan blocks (read from the reversed pencil) and a scrambled
+pencil with a Kronecker block of parameter 2, a companion block of
+x^2 - 2, the eigenvalue 3 and an infinite block (its Smith forms run on
+the restriction to the mantle modulo the core); the Lie documents
 are catalog algebras, one of them (heisenberg3_frozen) with a given
 frozen point and evaluation points.  To refresh after an intended report change, rerun the
 command on each document and review the diff:
@@ -32,7 +35,14 @@ DOCUMENTS = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".rep
 
 def test_golden_set_is_complete():
     names = {p.name for p in DOCUMENTS}
-    for stem in ("pure_jordan", "kronecker_jordan", "corank2_two_eigenvalues", "zero", "infinite_jordan"):
+    for stem in (
+        "pure_jordan",
+        "kronecker_jordan",
+        "corank2_two_eigenvalues",
+        "zero",
+        "infinite_jordan",
+        "kronecker_companion",
+    ):
         assert f"{stem}.pencil.json" in names
     for stem in ("heisenberg3", "heisenberg3_frozen", "aff1", "aff1_abelian2", "abelian3", "so3"):
         assert f"{stem}.lie.json" in names

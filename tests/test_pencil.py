@@ -36,12 +36,15 @@ from jkpencil.unipoly import UniPoly
 from conftest import (
     RandomRegularValueSampler,
     assert_char_poly_factors_match_oracle,
+    companion_pencil,
     fraction_pairings,
+    kronecker_companion_pencil,
     mobius_jordan_groups,
     naive_pfaffian,
     random_jk_spec,
     random_value_analysis,
     recursion_charpoly_check,
+    whole_smith_jordan_groups,
 )
 
 
@@ -408,6 +411,60 @@ def _budget(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_jordan_part_groups_match_whole_smith_oracle(monkeypatch):
+    """The library's Smith forms run on the Jordan part, the pencil
+    restricted to M/K, of size J, the sum of the Jordan block sizes; the
+    Smith forms of the whole pencil give the same Jordan groups.  The
+    pencils cover the mantle route (a Kronecker parameter >= 2), the slice
+    (every parameter 1), a companion block of x^2 - 2, infinite blocks,
+    J = 0 and full rank; no Smith form runs when J = 0."""
+    import jkpencil.pencil
+
+    sizes = []
+    original = jkpencil.pencil.smith_normal_form
+
+    def smith(m):
+        sizes.append((len(m), len(m[0])))
+        return original(m)
+
+    monkeypatch.setattr(jkpencil.pencil, "smith_normal_form", smith)
+    cases = [
+        kronecker_companion_pencil((2, 3), (1,), (2,), "whole/0"),
+        kronecker_companion_pencil((1, 1), (2,), (1,), "whole/1"),
+        kronecker_companion_pencil((), (1,), (1,), "whole/2"),
+    ]
+    kronecker_only = JKInvariants.from_blocks([3, 2, 1], [])
+    scramble = random_unimodular(9, random.Random(9))
+    cases.append((congruence_transform(canonical_pencil(kronecker_only), scramble), kronecker_only))
+    rng = random.Random(211)
+    for _ in range(12):
+        spec = random_jk_spec(rng, max_dim=12)
+        cases.append((congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng)), spec))
+    seen = set()
+    for p, spec in cases:
+        sizes.clear()
+        invariants = jk_invariants(p)
+        assert invariants == spec
+        assert invariants.jordan == whole_smith_jordan_groups(p)
+        j = 2 * invariants.jordan_degree_total
+        infinite = any(g.descriptor is INFINITY for g in spec.jordan)
+        assert sizes == ([(j, j)] * (1 + infinite) if j else [])
+        k = max(spec.kronecker, default=0)
+        seen.add("J = 0" if not j else "mantle" if k >= 2 else "slice" if k else "full rank")
+        seen.update({"infinity"} if infinite else ())
+        seen.update({"companion"} if any(g.degree == 2 for g in spec.jordan) else ())
+    assert seen == {"mantle", "slice", "full rank", "J = 0", "infinity", "companion"}
+
+
+def test_kronecker_companion_n18_pencil_within_budget():
+    """A scramble whose Jordan data took 74 s on a 2-core machine when the
+    Smith form read the whole 18 x 18 pencil; its Jordan part is 10 x 10."""
+    p, spec = kronecker_companion_pencil((2, 3), (2,), (1,), "n18/1", shears=54)
+    assert p.n == 18
+    with _budget(5):
+        assert jk_invariants(p) == spec
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=_OverBudget,
@@ -575,22 +632,6 @@ def test_charpoly_equals_smith_reconstruction():
         assert characteristic_polynomial(q).poly == expected
 
 
-def _companion_pencil(f: UniPoly) -> SkewPencil:
-    """((0, M), (-M^T, 0)) and ((0, I), (-I, 0)) for the companion matrix M
-    of a monic f: the one invariant factor of M - lambda*I is f, so the
-    characteristic polynomial is f and its Jordan groups are the factors
-    of f with their powers as half-sizes."""
-    d = f.degree
-    m = [[Fraction(int(i == j + 1)) for j in range(d)] for i in range(d)]
-    for i in range(d):
-        m[i][d - 1] = -f.coefficient(i)
-    z = [Fraction(0)] * d
-    a = [z + row for row in m] + [[-m[j][i] for j in range(d)] + z for i in range(d)]
-    b = [z + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    b += [[-Fraction(int(i == j)) for j in range(d)] + z for i in range(d)]
-    return SkewPencil(a, b)
-
-
 def test_char_poly_factors_match_yun_and_root_search_oracle():
     """On the golden pencils, scrambled canonical pencils with finite
     eigenvalues and companion pencils with nonlinear and repeated factors,
@@ -619,7 +660,7 @@ def test_char_poly_factors_match_yun_and_root_search_oracle():
         (x * x - two) * (x + two) ** 3 * (x * x + one),
         (x - UniPoly.constant(Fraction(1, 2))) ** 2 * (x * x * x - two),
     ):
-        analysis = _PencilAnalysis(_companion_pencil(f))
+        analysis = _PencilAnalysis(companion_pencil(f))
         assert analysis.char_poly.poly == f
         analyses.append(analysis)
     for analysis in analyses:
@@ -672,9 +713,9 @@ def test_pairing_violation_guard():
     from jkpencil.errors import PairingViolationError
     from jkpencil.pencil import _invariant_factors
 
-    cooked = [[UniPoly.linear(2), UniPoly.zero()], [UniPoly.zero(), UniPoly.one()]]
+    # a - lambda*b = diag(2 - lambda, 1): invariant factors 1, lambda - 2
     with pytest.raises(PairingViolationError):
-        _invariant_factors(cooked, 2)
+        _invariant_factors([[2, 0], [0, 1]], [[1, 0], [0, 0]])
 
 
 def test_integer_pairings_match_fraction_gram_oracle():

@@ -27,6 +27,7 @@ from jkpencil.poisson import (
     INCOMPLETE,
     PointAnalysis,
     PolyPoissonPencil,
+    _generic_poly_at,
     _sample_generic,
     coefficient_gradients,
     compatibility_check,
@@ -299,17 +300,17 @@ def test_pointwise_degree_below_generic_is_inconsistent():
     gcp = generic_char_poly(pencil)
     x0 = sample_generic_point(pencil, seed=5)
     analysis = _PencilAnalysis(evaluate_at(pencil, x0))
-    assert PointAnalysis(analysis, gcp, x0).analysis.char_poly.degree == gcp.degree
+    assert PointAnalysis(analysis, gcp, x0, _generic_poly_at(gcp, x0)).analysis.char_poly.degree == gcp.degree
     higher = dataclasses.replace(
         gcp, degree=gcp.degree + 1, numerators=gcp.numerators + (gcp.denominator,)
     )
     with pytest.raises(InternalConsistencyError):
-        PointAnalysis(analysis, higher, x0)
+        PointAnalysis(analysis, higher, x0, _generic_poly_at(higher, x0))
     with pytest.raises(InternalConsistencyError):
         _sample_generic(partial(evaluate_at, pencil), higher, seed=5)
     lower = dataclasses.replace(gcp, degree=gcp.degree - 1, numerators=gcp.numerators[1:])
     with pytest.raises(NonGenericPointError):
-        PointAnalysis(analysis, lower, x0)
+        PointAnalysis(analysis, lower, x0, _generic_poly_at(lower, x0))
 
 
 def test_sample_generic_raises_on_the_tenth_degree_jump():
