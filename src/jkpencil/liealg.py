@@ -19,6 +19,17 @@ generic samples, the semi-invariant certificate and a sampled frozen
 point, the a of the first pair that certified p_g.  The F~_a points are
 sampled by poisson's one search, which also certifies p_g, and the
 pencil at an F~_a point is built from the structure constants.
+
+The arithmetic runs on integers.  Integral structure constants are kept
+as ints and sample points are drawn as ints, and frozen_matrix keeps the
+point's number type, so the pencil at a sampled pair or point is an
+integer pencil (D = 1) as it is built.  p_g, content-normalised, is
+restricted to each line x - lambda*a as an integer coefficient list, and
+the generic characteristic polynomial read off it is held in the integer
+form GenericCharPoly asks for.  A rational constant, frozen point or
+evaluation point takes the same functions: a rational point is an
+integer vector over a common denominator, and a Fraction is built only
+for an output value.
 """
 
 from __future__ import annotations
@@ -27,10 +38,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from math import factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
-from .linalg import Matrix, Vector, fraction_free_rank, rank, vector
+from .linalg import Matrix, Vector, _common_denominator, fraction_free_rank, rank, vector
 from .multipoly import MultiPoly
 from .pencil import JKInvariants, SkewPencil, _PencilAnalysis
 from .poisson import (
@@ -46,20 +58,21 @@ from .poisson import (
     _random_point,
     _sample_generic,
 )
-from .unipoly import _as_fraction
+from .unipoly import _as_rational, _to_unipoly
 
 
 class LieAlgebra:
     """Structure constants of a finite-dimensional Lie algebra over Q.
 
     brackets maps (i, j) with 0 <= i < j < dim to {k: c} meaning
-    [e_i, e_j] = sum_k c * e_k.  Instances are immutable by convention.
+    [e_i, e_j] = sum_k c * e_k; a constant is kept as an int when it is
+    integral, else as a Fraction.  Instances are immutable by convention.
     """
 
     def __init__(self, dim: int, brackets: dict, name: str = ""):
         if dim < 1:
             raise ValidationError("dimension must be positive")
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValidationError(f"bracket indices ({i}, {j}) out of range")
@@ -67,7 +80,7 @@ class LieAlgebra:
             for k, c in coeffs.items():
                 if not 0 <= k < dim:
                     raise ValidationError(f"target index {k} out of range")
-                c = _as_fraction(c)
+                c = _as_rational(c)
                 if c != 0:
                     row[k] = c
             if row:
@@ -80,13 +93,13 @@ class LieAlgebra:
         self._streams: dict[int, tuple[random.Random, list]] = {}
         self._certified: dict[int, tuple[tuple[Vector, Vector], ...]] = {}
 
-    def c(self, i: int, j: int, k: int) -> Fraction:
+    def c(self, i: int, j: int, k: int) -> int | Fraction:
         """Structure constant with antisymmetry in (i, j)."""
         if i == j:
-            return Fraction(0)
+            return 0
         if i < j:
-            return self.table.get((i, j), {}).get(k, Fraction(0))
-        return -self.table.get((j, i), {}).get(k, Fraction(0))
+            return self.table.get((i, j), {}).get(k, 0)
+        return -self.table.get((j, i), {}).get(k, 0)
 
     def poisson_matrix(self) -> list[list[MultiPoly]]:
         """The Lie-Poisson matrix A(x) with entries sum_k c_ij^k x_k."""
@@ -100,12 +113,13 @@ class LieAlgebra:
         return rows
 
     def frozen_matrix(self, a: Sequence) -> Matrix:
-        """The frozen-argument matrix A(a) at a point a (or A(x) at x)."""
-        a = vector(a)
+        """The frozen-argument matrix A(a) at a point a of ints or Fractions
+        (or A(x) at x), in the point's number type: an integer point of an
+        algebra with integral constants gives int rows."""
         if len(a) != self.dim:
             raise ValidationError(f"point has length {len(a)}, expected {self.dim}")
         n = self.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for (i, j), coeffs in self.table.items():
             val = sum(c * a[k] for k, c in coeffs.items())
             rows[i][j] = val
@@ -162,7 +176,7 @@ def validate_lie_algebra(g: LieAlgebra) -> LieValidation:
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             for k in range(j + 1, g.dim):
-                total: dict[int, Fraction] = {}
+                total: dict[int, int | Fraction] = {}
                 for p, q, s in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, c_pq in brackets.get((p, q), {}).items():
                         for l, c_ms in brackets.get((m, s), {}).items():
@@ -269,15 +283,25 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
         if g._semiinvariant is None:
             g._semiinvariant = _pfaffian_gcd(g.poisson_matrix(), r)
         p_g = g._semiinvariant
+        d = p_g.total_degree()
         lines = (
-            (pair, analysis, p_g.eval_on_line(pair[0], tuple(-v for v in pair[1])).monic())
+            (pair, analysis, _restricted(p_g, d, pair))
             for pair, analysis in g._pairs(seed)
         )
-        g._certified[seed] = tuple(pair for pair, _, _ in _certify(lines, r, p_g.total_degree(), 3))
+        g._certified[seed] = tuple(pair for pair, _, _ in _certify(lines, r, d, 3))
     return g._semiinvariant
 
 
-def _lie_char_poly(g: LieAlgebra, a: Vector, seed: int) -> GenericCharPoly:
+def _restricted(p_g: MultiPoly, d: int, pair: tuple[Vector, Vector]):
+    """monic(p_g(x - lambda*a)) for the pair (x, a), from the integer
+    coefficient list of the content-normalised p_g on that line, or None
+    where its lambda^d coefficient, +-p_g(a), vanishes (a is irregular
+    then, which _not_generic reports first)."""
+    line, _ = p_g.eval_on_line(pair[0], tuple(-v for v in pair[1]))
+    return _to_unipoly(line) if len(line) > d else None
+
+
+def _lie_char_poly(g: LieAlgebra, a: Sequence, seed: int) -> GenericCharPoly:
     """Generic characteristic polynomial of the pencil (A(x), A(a)), read
     off the fundamental semi-invariant: A(x) - lambda*A(a) = A(x - lambda*a),
     so p(lambda) = monic(p_g(x - lambda*a)).
@@ -288,14 +312,21 @@ def _lie_char_poly(g: LieAlgebra, a: Vector, seed: int) -> GenericCharPoly:
     some degree d, and the lambda^d coefficient is the constant
     (-1)^d p_g(a), the denominator.  It is nonzero at a regular a: some
     principal r-Pfaffian of A(a) is nonzero, and p_g divides it.
+
+    In integers: with a = y/q over a common denominator, D_k = (y.grad)^k p_g
+    has integer coefficients (p_g is content-normalised), and every
+    coefficient times d! q^d is (-1)^k d!/k! q^(d-k) D_k, the integer form
+    GenericCharPoly holds.
     """
     p_g = fundamental_semiinvariant(g, seed)
-    coeffs = [p_g]
-    for k in range(1, p_g.total_degree() + 1):
-        along_a = (coeffs[-1].derivative(i).scale(c) for i, c in enumerate(a) if c)
-        coeffs.append(sum(along_a, MultiPoly.zero(g.dim)).scale(Fraction(-1, k)))
-    degree = len(coeffs) - 1
-    return GenericCharPoly(g.dim, g.generic_rank(), degree, tuple(coeffs[:-1]), coeffs[-1])
+    y, q = _common_denominator(a)
+    along = [p_g]
+    for _ in range(p_g.total_degree()):
+        terms = (along[-1].derivative(i).scale(c) for i, c in enumerate(y) if c)
+        along.append(sum(terms, MultiPoly.zero(g.dim)))
+    d = len(along) - 1
+    coeffs = [f.scale((-1) ** k * factorial(d) // factorial(k) * q ** (d - k)) for k, f in enumerate(along)]
+    return GenericCharPoly(g.dim, g.generic_rank(), d, tuple(coeffs[:-1]), coeffs[-1])
 
 
 def fa_completeness(g: LieAlgebra, report: GenericJKReport) -> str:
@@ -346,7 +377,8 @@ def ftilde_completeness(
     if sampled:
         fundamental_semiinvariant(g, seed)
         a = g._certified[seed][0][1]
-    a = vector(a)
+    else:
+        a = vector(a)
     frozen = g.frozen_matrix(a)
     warnings = () if sampled else _irregularity(g, frozen)
     if warnings:
@@ -461,7 +493,7 @@ def so_n(n: int, name: str = "") -> LieAlgebra:
         for t2, (c, d) in enumerate(gens):
             if t1 >= t2:
                 continue
-            coeffs: dict[int, Fraction] = {}
+            coeffs: dict[int, int] = {}
             for delta, pair in (
                 (int(b == c), (a, d)),
                 (int(a == d), (b, c)),
@@ -474,7 +506,7 @@ def so_n(n: int, name: str = "") -> LieAlgebra:
                 if gc is None:
                     continue
                 k, sign = gc
-                coeffs[k] = coeffs.get(k, Fraction(0)) + delta * sign
+                coeffs[k] = coeffs.get(k, 0) + delta * sign
             coeffs = {k: v for k, v in coeffs.items() if v != 0}
             if coeffs:
                 brackets[(t1, t2)] = coeffs

@@ -2,7 +2,8 @@
 
 Rational matrices are tuples of tuples of Fraction.  Elimination over Q
 runs on Python integers: each row is scaled by the lcm of its
-denominators (a row of ints is copied as it is), and one fraction-free
+denominators (a row of ints is copied as it is; a rational point is the
+same integer vector y over that lcm q), and one fraction-free
 Gauss-Jordan elimination, which keeps rows primitive with positive
 pivots, gives the RREF; the rank is its number of pivots.  A subspace
 holds these integer rows of its RREF, one form per span, so kernels,
@@ -75,6 +76,14 @@ def congruence(p: Matrix, m: Matrix) -> Matrix:
 # -- elimination over Q, on integers ------------------------------------
 
 
+def _common_denominator(v: Sequence) -> tuple[list[int], int]:
+    """(y, q) with v = y/q: q is the lcm of the denominators of the entries
+    of v (int, Fraction or str), 1 for a point of ints, and y is integral."""
+    v = [x if type(x) is int else _as_fraction(x) for x in v]
+    q = lcm(*(x.denominator for x in v))
+    return [x.numerator * (q // x.denominator) for x in v], q
+
+
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """Each rational row times the lcm of its denominators: integer rows with
     the same zero pattern and the same row space.  A row of ints is copied."""
@@ -82,9 +91,8 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     for row in rows:
         if all(type(x) is int for x in row):
             out.append(list(row))
-            continue
-        d = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (d // x.denominator) for x in row])
+        else:
+            out.append(_common_denominator(row)[0])
     return out
 
 

@@ -1,30 +1,37 @@
 """Sparse multivariate polynomials over the rationals.
 
 A polynomial in n variables is a map from exponent tuples of length n to
-nonzero Fraction coefficients.  The gcd uses iterated content/primitive
-part reduction with a subresultant pseudo-remainder sequence in the
-highest occurring variable; adequate for desk-scale inputs (few
-variables, low degree).
+nonzero rational coefficients, each an int when it is integral and a
+Fraction otherwise, so a polynomial with integer coefficients computes on
+Python integers.  Evaluation at a point y/q over a common denominator and
+restriction to a line run on integers and divide once.  The gcd uses
+iterated content/primitive part reduction with a subresultant
+pseudo-remainder sequence in the highest occurring variable; adequate for
+desk-scale inputs (few variables, low degree).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 from typing import Iterable, Sequence
 
-from .unipoly import UniPoly, _as_fraction
+from .linalg import _common_denominator
+from .unipoly import _as_rational, _int_poly_mul
 
 
 class MultiPoly:
-    """Immutable multivariate polynomial with Fraction coefficients."""
+    """Immutable multivariate polynomial with rational coefficients, ints
+    where integral."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exp, coeff in (terms or {}).items():
-            coeff = _as_fraction(coeff)
+            if type(coeff) is not int:
+                coeff = _as_rational(coeff)
             if coeff == 0:
                 continue
             exp = tuple(exp)
@@ -45,11 +52,11 @@ class MultiPoly:
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -57,7 +64,7 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         exp = [0] * nvars
         exp[index] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     # -- structure ----------------------------------------------------
 
@@ -69,9 +76,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
@@ -86,7 +93,7 @@ class MultiPoly:
             return -1
         return max(exp[var] for exp in self.terms)
 
-    def _lex_leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def _lex_leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         exp = max(self.terms)
         return exp, self.terms[exp]
 
@@ -96,7 +103,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
+            out[exp] = out.get(exp, 0) + c
         return MultiPoly(self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
@@ -109,11 +116,11 @@ class MultiPoly:
         self._check(other)
         if self.is_zero or other.is_zero:
             return MultiPoly.zero(self.nvars)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -129,7 +136,7 @@ class MultiPoly:
         return result
 
     def scale(self, c) -> "MultiPoly":
-        c = _as_fraction(c)
+        c = _as_rational(c)
         if c == 0:
             return MultiPoly.zero(self.nvars)
         return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
@@ -141,48 +148,69 @@ class MultiPoly:
     # -- calculus / evaluation -----------------------------------------
 
     def derivative(self, var: int) -> "MultiPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exp, c in self.terms.items():
             k = exp[var]
             if k == 0:
                 continue
             e = list(exp)
             e[var] = k - 1
-            e = tuple(e)
-            out[e] = out.get(e, Fraction(0)) + c * k
+            out[tuple(e)] = c * k
         return MultiPoly(self.nvars, out)
 
     def gradient(self) -> tuple["MultiPoly", ...]:
         return tuple(self.derivative(v) for v in range(self.nvars))
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("point has wrong length")
-        pt = [_as_fraction(p) for p in point]
-        total = Fraction(0)
+    def scaled_value(self, y: Sequence[int], q: int, degree: int) -> int | Fraction:
+        """q**degree * self(y/q) for a point y/q, y integral and q > 0, and
+        degree >= total_degree(): the sum of c * y**e * q**(degree - |e|)
+        over the terms, an integer when the coefficients are."""
+        total = 0
         for exp, c in self.terms.items():
-            val = c
-            for x, e in zip(pt, exp):
+            val = c * q ** (degree - sum(exp))
+            for x, e in zip(y, exp):
                 if e:
                     val *= x**e
             total += val
         return total
 
-    def eval_on_line(self, base: Sequence, direction: Sequence) -> UniPoly:
-        """Restrict to the line base + t*direction: a univariate polynomial in t."""
-        base = [_as_fraction(b) for b in base]
-        direction = [_as_fraction(d) for d in direction]
+    def evaluate(self, point: Sequence) -> Fraction:
+        """The value at a rational point, one division at the end."""
+        if len(point) != self.nvars:
+            raise ValueError("point has wrong length")
+        y, q = _common_denominator(point)
+        degree = max(self.total_degree(), 0)
+        return Fraction(self.scaled_value(y, q, degree), q**degree)
+
+    def eval_on_line(self, base: Sequence, direction: Sequence) -> tuple[list[int], int]:
+        """The restriction to the line base + t*direction, as (f, s): it is
+        f(t)/s with f an integer coefficient list, lowest degree first
+        without trailing zeros, and s a positive integer, 1 when the
+        coefficients and the line data are integers.
+
+        With the line data over a common denominator q and the coefficients
+        over m, s = m * q**d for the total degree d, and each term
+        contributes c*m * q**(d - |e|) * prod (y_i + t*z_i)**e_i."""
         if len(base) != self.nvars or len(direction) != self.nvars:
             raise ValueError("line data has wrong length")
-        lines = [UniPoly((b, d)) for b, d in zip(base, direction)]
-        total = UniPoly.zero()
+        y, q = _common_denominator([*base, *direction])
+        lines = [[b, d] for b, d in zip(y, y[self.nvars:])]
+        m = lcm(*(c.denominator for c in self.terms.values()))
+        degree = max(self.total_degree(), 0)
+        powers: list[list[list[int]]] = [[[1]] for _ in lines]
+        total = [0] * (degree + 1)
         for exp, c in self.terms.items():
-            val = UniPoly.constant(c)
-            for line, e in zip(lines, exp):
-                for _ in range(e):
-                    val = val * line
-            total = total + val
-        return total
+            val = [c.numerator * (m // c.denominator) * q ** (degree - sum(exp))]
+            for line, pw, e in zip(lines, powers, exp):
+                if e:
+                    while len(pw) <= e:
+                        pw.append(_int_poly_mul(pw[-1], line))
+                    val = _int_poly_mul(val, pw[e])
+            for k, v in enumerate(val):
+                total[k] += v
+        while total and not total[-1]:
+            total.pop()
+        return total, m * q**degree
 
     def extend(self, extra: int) -> "MultiPoly":
         """Same polynomial viewed in nvars + extra variables."""
@@ -199,9 +227,9 @@ class MultiPoly:
         if self.is_zero:
             return MultiPoly.zero(self.nvars)
         if other.is_constant:
-            return self.scale(1 / other.constant_value())
+            return self.scale(Fraction(1, other.constant_value()))
         rem = dict(self.terms)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         dexp, dcoeff = other._lex_leading()
         while rem:
             lexp = max(rem)
@@ -209,11 +237,11 @@ class MultiPoly:
             qexp = tuple(a - b for a, b in zip(lexp, dexp))
             if any(e < 0 for e in qexp):
                 raise ArithmeticError("inexact multivariate division")
-            qc = lcoeff / dcoeff
-            out[qexp] = out.get(qexp, Fraction(0)) + qc
+            qc = _as_rational(Fraction(lcoeff, dcoeff))
+            out[qexp] = out.get(qexp, 0) + qc
             for exp, c in other.terms.items():
                 e = tuple(a + b for a, b in zip(qexp, exp))
-                newc = rem.get(e, Fraction(0)) - qc * c
+                newc = rem.get(e, 0) - qc * c
                 if newc == 0:
                     rem.pop(e, None)
                 else:
@@ -272,12 +300,8 @@ def normalize_content(p: MultiPoly) -> MultiPoly:
     lexicographically-leading coefficient."""
     if p.is_zero:
         return p
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = int_gcd(num, abs(int(c * den)))
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    num = int_gcd(*(c.numerator * (den // c.denominator) for c in p.terms.values()))
     scaled = p.scale(Fraction(den, num))
     if scaled._lex_leading()[1] < 0:
         scaled = -scaled
@@ -307,7 +331,7 @@ def coefficients_in(p: MultiPoly, var: int) -> list[MultiPoly]:
 
 
 def _from_coeffs(coeffs: Sequence[MultiPoly], var: int, nvars: int) -> MultiPoly:
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int | Fraction] = {}
     for k, coeff in enumerate(coeffs):
         for exp, c in coeff.terms.items():
             e = list(exp)

@@ -56,6 +56,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional
@@ -81,7 +82,9 @@ from .smith import smith_normal_form
 from .unipoly import (
     UniPoly,
     _as_fraction,
+    _int_poly_mul,
     _integer_primitive,
+    _to_unipoly,
     refined_factors,
 )
 
@@ -108,22 +111,28 @@ class SkewPencil:
     """A pair of same-size skew-symmetric rational matrices (A, B).
 
     Held as one integer form, _scaled = (D*A, D*B) with D the lcm of all
-    denominators, built from int, Fraction or str entries.  (D, _scaled) is
-    unique per pencil, so equality and hash read it; the Fraction matrices
-    a and b are built when first read."""
+    denominators, built from int, Fraction or str entries.  Matrices of
+    ints are that form with D = 1 as they are, after one pass over the
+    entry types.  (D, _scaled) is unique per pencil, so equality and hash
+    read it; the Fraction matrices a and b are built when first read."""
 
     _denominator: int
     _scaled: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
     def __init__(self, a: Matrix, b: Matrix):
-        a, b = ([[x if type(x) is int else _as_fraction(x) for x in row] for row in m] for m in (a, b))
+        a, b = (tuple(map(tuple, m)) for m in (a, b))
+        d = 1
+        if set(map(type, chain.from_iterable(a + b))) - {int}:
+            a, b = ([[x if type(x) is int else _as_fraction(x) for x in row] for row in m] for m in (a, b))
+            d = lcm(*(x.denominator for m in (a, b) for row in m for x in row))
+            a, b = (
+                tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m) for m in (a, b)
+            )
         if any(len(row) != len(m[0]) for m in (a, b) for row in m):
             raise ValidationError("ragged matrix")
         if len(b) != len(a):
             raise ValidationError("A and B have different sizes")
-        d = lcm(*(x.denominator for m in (a, b) for row in m for x in row))
-        scaled = tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
-                       for m in (a, b))
+        scaled = (a, b)
         # D*M is skew exactly when M is, so the integer form is checked.
         if not all(is_skew(m) for m in scaled):
             raise ValidationError("pencil matrices must be skew-symmetric")
@@ -516,6 +525,8 @@ class _PencilAnalysis:
         of the q**sum(h), a squarefree part the product of the q that share
         a multiplicity, and the rational roots are -q(0) for the degree-1 q
         (refined_factors splits every rational root off as a linear factor).
+        Both products are taken on the primitive integer lists of the
+        descriptors and made monic once.
 
         Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
         eigenvalues finite; raises InfiniteEigenvalueError otherwise.
@@ -524,14 +535,17 @@ class _PencilAnalysis:
             raise InfiniteEigenvalueError(
                 f"rank(B) = {self.rank_b} < pencil rank {self.rank}: infinite eigenvalues present"
             )
-        poly, parts, roots = UniPoly.one(), {}, []
+        product, parts, roots = [1], {}, []
         for q, halves in self._finite_groups:
-            m = sum(halves)
-            poly = poly * q**m
-            parts[m] = parts.get(m, UniPoly.one()) * q
+            m, f = sum(halves), _integer_primitive(q)
+            for _ in range(m):
+                product = _int_poly_mul(product, f)
+            parts[m] = _int_poly_mul(parts.get(m, [1]), f)
             if q.degree == 1:
                 roots.append((-q.coefficient(0), m))
-        return CharPoly(poly, poly.degree, tuple((parts[m], m) for m in sorted(parts)), tuple(sorted(roots)))
+        poly = _to_unipoly(product)
+        squarefree = tuple((_to_unipoly(parts[m]), m) for m in sorted(parts))
+        return CharPoly(poly, poly.degree, squarefree, tuple(sorted(roots)))
 
     def invariants(self) -> JKInvariants:
         """Jordan data from the invariant factors of the Jordan part

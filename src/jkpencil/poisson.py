@@ -10,6 +10,11 @@ whether a point is generic, and one search (_certify) draws points and
 keeps the generic ones: it certifies a generic characteristic polynomial
 against pointwise analyses, for it and for the fundamental
 semi-invariant, and it finds the sampled points of PointAnalysis.
+Sample points are drawn as small ints.  A GenericCharPoly is one integer
+form, evaluated in integers at a point y/q over a common denominator
+with one Fraction per output value; its gradient polynomials are derived
+once per polynomial, and each specialisation evaluates its denominator
+once.
 
 A PointAnalysis is the one object for a generic point: the analysis of
 the pencil there, the extended core subspace, the completeness criterion
@@ -40,6 +45,7 @@ from .linalg import (
     PfaffianCache,
     Subspace,
     Vector,
+    _common_denominator,
     _integer_rows,
     fraction_free_rank,
     subspace_sum,
@@ -198,7 +204,16 @@ class GenericCharPoly:
 
     Coefficients p_i(x) are rational functions numerators[i]/denominator
     with a common polynomial denominator (the leading lambda-coefficient
-    of the primitive gcd, or of p_g(x - lambda*a) on the Lie path).
+    of the primitive gcd, or of p_g(x - lambda*a) on the Lie path).  They
+    are held in one integer form: numerators and denominator carry one
+    common factor that makes every coefficient an integer, and only their
+    ratios are read.  Construction checks that every coefficient is an
+    int.
+
+    At a point x0 = y/q over a common denominator, every polynomial is
+    evaluated in integers, homogenised to one degree h (q**h * f(y/q)),
+    so the powers of q cancel in each ratio; each output value is one
+    Fraction.  The gradient polynomials are derived once, when first read.
     """
 
     nvars: int
@@ -207,38 +222,53 @@ class GenericCharPoly:
     numerators: tuple[MultiPoly, ...]
     denominator: MultiPoly
 
+    def __post_init__(self):
+        if any(type(c) is not int for f in (self.denominator, *self.numerators) for c in f.terms.values()):
+            raise ValidationError("a generic characteristic polynomial needs integer coefficients")
+
+    @cached_property
+    def _height(self) -> int:
+        """h: the largest total degree of the denominator and numerators."""
+        return max(0, *(f.total_degree() for f in (self.denominator, *self.numerators)))
+
+    @cached_property
+    def _gradients(self) -> tuple[tuple[MultiPoly, ...], ...]:
+        """The gradient of the denominator, then of each numerator."""
+        return tuple(f.gradient() for f in (self.denominator, *self.numerators))
+
+    def _specialise(self, x0: Sequence) -> tuple[list[int], int, int]:
+        """(y, q, den) with x0 = y/q and den = q**h * denominator(x0), the
+        one evaluation of the denominator at x0; raises
+        DenominatorVanishesError where it vanishes."""
+        y, q = _common_denominator(x0)
+        den = self.denominator.scaled_value(y, q, self._height)
+        if den == 0:
+            raise DenominatorVanishesError(
+                "characteristic denominator vanishes at the point",
+                {"point": x0},
+            )
+        return y, q, den
+
     def denominator_at(self, x0: Sequence) -> Fraction:
-        return self.denominator.evaluate(vector(x0))
+        return self.denominator.evaluate(x0)
 
     def poly_at(self, x0: Sequence) -> UniPoly:
         """The pointwise monic characteristic polynomial, degree preserved."""
-        x0 = vector(x0)
-        den = self.denominator.evaluate(x0)
-        if den == 0:
-            raise DenominatorVanishesError(
-                "characteristic denominator vanishes at the point",
-                {"point": x0},
-            )
-        coeffs = [num.evaluate(x0) / den for num in self.numerators]
-        return UniPoly(coeffs + [Fraction(1)])
+        y, q, den = self._specialise(x0)
+        h = self._height
+        return UniPoly([Fraction(num.scaled_value(y, q, h), den) for num in self.numerators] + [1])
 
     def gradients_at(self, x0: Sequence) -> list[Vector]:
-        """Exact gradients dp_i(x0) via the quotient rule."""
-        x0 = vector(x0)
-        den = self.denominator.evaluate(x0)
-        if den == 0:
-            raise DenominatorVanishesError(
-                "characteristic denominator vanishes at the point",
-                {"point": x0},
-            )
-        dgrad = [g.evaluate(x0) for g in self.denominator.gradient()]
+        """Exact gradients dp_i(x0) via the quotient rule.  With N and D
+        homogenised to degree h and their derivatives to h - 1, the powers
+        of q leave dp_i = q*(dN*D - N*dD)/D**2."""
+        y, q, den = self._specialise(x0)
+        h = self._height
+        dgrad, *ngrads = ([g.scaled_value(y, q, h - 1) for g in grad] for grad in self._gradients)
         out = []
-        for num in self.numerators:
-            nval = num.evaluate(x0)
-            ngrad = [g.evaluate(x0) for g in num.gradient()]
-            out.append(
-                tuple((gn * den - nval * gd) / (den * den) for gn, gd in zip(ngrad, dgrad))
-            )
+        for num, ngrad in zip(self.numerators, ngrads):
+            nval = num.scaled_value(y, q, h)
+            out.append(tuple(Fraction(q * (gn * den - nval * gd), den * den) for gn, gd in zip(ngrad, dgrad)))
         return out
 
 
@@ -289,13 +319,16 @@ def generic_char_poly(p: PolyPoissonPencil) -> GenericCharPoly:
     return gcp
 
 
-def _random_point(n: int, rng: random.Random) -> Vector:
-    return tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
+def _random_point(n: int, rng: random.Random) -> tuple[int, ...]:
+    return tuple(rng.randint(-9, 9) for _ in range(n))
 
 
-def _generic_poly_at(gcp: GenericCharPoly, x0: Vector) -> Optional[UniPoly]:
+def _generic_poly_at(gcp: GenericCharPoly, x0: Sequence) -> Optional[UniPoly]:
     """gcp specialised at x0, or None where its denominator vanishes."""
-    return None if gcp.denominator.evaluate(x0) == 0 else gcp.poly_at(x0)
+    try:
+        return gcp.poly_at(x0)
+    except DenominatorVanishesError:
+        return None
 
 
 def _points(pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, rng: random.Random):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 
@@ -33,6 +33,14 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot use {value!r} as a rational coefficient")
+
+
+def _as_rational(value) -> int | Fraction:
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = _as_fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class UniPoly:
@@ -249,10 +257,8 @@ class UniPoly:
 
 def _integer_primitive(f: UniPoly) -> list[int]:
     """Primitive integer coefficient list of a nonzero polynomial."""
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return _int_primitive([int(c * den) for c in f.coeffs])
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return _int_primitive([c.numerator * (den // c.denominator) for c in f.coeffs])
 
 
 def _int_primitive(f: Sequence[int]) -> list[int]:

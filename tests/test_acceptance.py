@@ -281,8 +281,8 @@ def test_criterion_7_semiinvariant_identity():
             sp = SkewPencil(g.frozen_matrix(x0), frozen)
             if pencil_rank(sp) != r:
                 continue
-            restricted = p_g.eval_on_line(x0, [-v for v in a0])
-            assert restricted.monic() == characteristic_polynomial(sp).poly, g.name
+            restricted, _ = p_g.eval_on_line(x0, [-v for v in a0])
+            assert UniPoly(restricted).monic() == characteristic_polynomial(sp).poly, g.name
             done += 1
     _verdict(
         7,

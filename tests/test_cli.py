@@ -667,6 +667,43 @@ def test_sampled_points_specialise_the_generic_polynomial_once(capsys, monkeypat
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("stem", ["so3", "heisenberg3_rational"])
+def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkeypatch):
+    """_generic_poly_at evaluates the generic polynomial's denominator once
+    at its point, at the two sampled F~_a points of so3 and at the two
+    explicit rational points of heisenberg3_rational: the evaluation that
+    finds it nonzero is the one the coefficients are divided by.  Every
+    evaluation of a MultiPoly goes through MultiPoly.scaled_value."""
+    import jkpencil.liealg
+    import jkpencil.poisson
+    from jkpencil.multipoly import MultiPoly
+
+    evaluated = []
+    original_value = MultiPoly.scaled_value
+
+    def scaled_value(self, *args):
+        evaluated.append(self)
+        return original_value(self, *args)
+
+    monkeypatch.setattr(MultiPoly, "scaled_value", scaled_value)
+    per_point = []
+    original = jkpencil.poisson._generic_poly_at
+
+    def specialise(gcp, x0):
+        start = len(evaluated)
+        try:
+            return original(gcp, x0)
+        finally:
+            per_point.append(sum(f is gcp.denominator for f in evaluated[start:]))
+
+    for module in (jkpencil.poisson, jkpencil.liealg):
+        monkeypatch.setattr(module, "_generic_poly_at", specialise)
+    code, out, _ = run(capsys, ["lie", "analyze", str(GOLDEN / f"{stem}.lie.json"), "--format", "json"])
+    assert code == 0
+    assert out == (GOLDEN / f"{stem}.report.json").read_text()
+    assert per_point == [1, 1]
+
+
 @pytest.mark.parametrize("document", sorted(GOLDEN.glob("*.lie.json")), ids=lambda p: p.name.split(".")[0])
 def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeypatch):
     """One _PencilAnalysis per sampled pair (x, a) and per F~_a point: the

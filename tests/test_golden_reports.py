@@ -11,7 +11,8 @@ pencil with a Kronecker block of parameter 2, a companion block of
 x^2 - 2, the eigenvalue 3 and an infinite block (its Smith forms run on
 the restriction to the mantle modulo the core); the Lie documents
 are catalog algebras, one of them (heisenberg3_frozen) with a given
-frozen point and evaluation points.  To refresh after an intended report change, rerun the
+frozen point and evaluation points, and heisenberg3_rational, whose
+structure constant, frozen point and evaluation points are rationals.  To refresh after an intended report change, rerun the
 command on each document and review the diff:
 
     for doc in tests/golden/*.json; do
@@ -44,7 +45,15 @@ def test_golden_set_is_complete():
         "kronecker_companion",
     ):
         assert f"{stem}.pencil.json" in names
-    for stem in ("heisenberg3", "heisenberg3_frozen", "aff1", "aff1_abelian2", "abelian3", "so3"):
+    for stem in (
+        "heisenberg3",
+        "heisenberg3_frozen",
+        "heisenberg3_rational",
+        "aff1",
+        "aff1_abelian2",
+        "abelian3",
+        "so3",
+    ):
         assert f"{stem}.lie.json" in names
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -39,6 +40,7 @@ from jkpencil.poisson import (
     jacobi_check,
     sample_generic_point,
 )
+from jkpencil.unipoly import UniPoly
 
 from conftest import assert_char_poly_factors_match_oracle
 
@@ -219,8 +221,8 @@ def test_semiinvariant_identity_along_lines():
             sp = SkewPencil(g.frozen_matrix(x0), frozen)
             if pencil_rank(sp) != r:
                 continue
-            restricted = p_g.eval_on_line(x0, [-v for v in a0])
-            assert restricted.monic() == characteristic_polynomial(sp).poly
+            restricted, _ = p_g.eval_on_line(x0, [-v for v in a0])
+            assert UniPoly(restricted).monic() == characteristic_polynomial(sp).poly
             done += 1
 
 
@@ -366,6 +368,27 @@ def test_e3_has_six_generators():
     assert g.c(0, 1, 2) == 1
     assert g.c(0, 4, 5) == 1
     assert g.c(3, 4, 0) == 0
+
+
+def test_integral_constants_and_points_stay_integers():
+    """Integral structure constants are kept as ints, and an integer point
+    gives int rows, so the pencil at a sampled pair is its own integer form
+    (D = 1); a rational constant or point gives Fraction rows, which the
+    same SkewPencil constructor scales."""
+    g = LieAlgebra(3, {(0, 1): {2: Fraction(4, 2)}, (0, 2): {1: "1/2"}})
+    assert g.table == {(0, 1): {2: 2}, (0, 2): {1: Fraction(1, 2)}}
+    assert type(g.table[(0, 1)][2]) is int and type(g.c(1, 0, 2)) is int
+    h = heisenberg3()
+    x_rows = h.frozen_matrix((1, 2, 3))
+    assert x_rows == ((0, 3, 0), (-3, 0, 0), (0, 0, 0))
+    assert all(type(x) is int for row in x_rows for x in row)
+    assert SkewPencil(x_rows, h.frozen_matrix([0, 0, 1]))._denominator == 1
+    half = h.frozen_matrix((0, 0, Fraction(1, 2)))
+    assert half == ((0, Fraction(1, 2), 0), (Fraction(-1, 2), 0, 0), (0, 0, 0))
+    assert SkewPencil(x_rows, half)._denominator == 2
+    for (x0, a0), analysis in islice(h._pairs(0), 3):
+        assert all(type(v) is int for v in x0 + a0)
+        assert analysis.p._denominator == 1
 
 
 def test_so4_matches_so3_pair_invariants():

@@ -11,6 +11,7 @@ from jkpencil.multipoly import (
     multi_gcd_list,
     normalize_content,
 )
+from jkpencil.unipoly import UniPoly
 
 
 def vars3():
@@ -92,15 +93,23 @@ def test_normalize_content_makes_integer_primitive():
 
 
 def test_eval_on_line_matches_pointwise():
+    # the restriction is f(t)/s with f an integer list; integer data give
+    # s = 1, and rational coefficients and line data go the same way
     rng = random.Random(4)
     for _ in range(30):
         p = random_poly(rng)
         base = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
         direction = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
-        restricted = p.eval_on_line(base, direction)
+        f, s = p.eval_on_line(base, direction)
+        assert s == 1 and all(type(c) is int for c in f)
+        rational = (p.scale(Fraction(2, 3)), [b / 2 for b in base], [d / 5 for d in direction])
+        g, s_g = rational[0].eval_on_line(*rational[1:])
+        assert all(type(c) is int for c in g)
         for t in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)):
             point = [b + t * d for b, d in zip(base, direction)]
-            assert restricted(t) == p.evaluate(point)
+            assert UniPoly(f)(t) == p.evaluate(point)
+            point = [b + t * d for b, d in zip(*rational[1:])]
+            assert UniPoly(g)(t) / s_g == rational[0].evaluate(point)
 
 
 def test_coefficients_in_and_drop():
@@ -147,8 +156,8 @@ def test_gcd_stress_with_line_restriction_oracle():
             for k in range(3):
                 base = [Fraction(rng.randint(-9, 9)) for _ in range(nvars)]
                 direction = [Fraction(rng.randint(1, 9)) for _ in range(nvars)]
-                rf = cf.eval_on_line(base, direction)
-                rg = cg.eval_on_line(base, direction)
+                rf = UniPoly(cf.eval_on_line(base, direction)[0])
+                rg = UniPoly(cg.eval_on_line(base, direction)[0])
                 if rf.is_zero or rg.is_zero:
                     continue
                 if poly_gcd(rf, rg).degree == 0:

@@ -13,7 +13,7 @@ from jkpencil.errors import (
     NonGenericPointError,
     ValidationError,
 )
-from jkpencil.liealg import aff1, heisenberg3, lie_pencil, so3
+from jkpencil.liealg import _lie_char_poly, aff1, heisenberg3, lie_pencil, so3
 from jkpencil.multipoly import MultiPoly
 from jkpencil.pencil import (
     JKInvariants,
@@ -28,6 +28,7 @@ from jkpencil.poisson import (
     PointAnalysis,
     PolyPoissonPencil,
     _generic_poly_at,
+    _random_point,
     _sample_generic,
     coefficient_gradients,
     compatibility_check,
@@ -253,6 +254,118 @@ def test_rational_function_coefficients_quotient_rule():
     assert grads == [(Fraction(7, 4), Fraction(0), Fraction(-1, 2))]
     with pytest.raises(DenominatorVanishesError):
         gcp.poly_at([0, 1, 1])
+
+
+# -- one integer form, any rational point ----------------------------------------------
+
+
+def fraction_value(f: MultiPoly, point) -> Fraction:
+    """f at a point, term by term in Fractions: the oracle of the library's
+    evaluation in integers over a common denominator."""
+    total = Fraction(0)
+    for exp, c in f.terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, exp):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def fraction_specialisation(gcp, point):
+    """gcp's monic polynomial and coefficient gradients at a point, by the
+    quotient rule in Fractions."""
+    den = fraction_value(gcp.denominator, point)
+    poly = UniPoly([fraction_value(num, point) / den for num in gcp.numerators] + [1])
+    grads = [
+        tuple(
+            (fraction_value(num.derivative(j), point) * den
+             - fraction_value(num, point) * fraction_value(gcp.denominator.derivative(j), point)) / den**2
+            for j in range(gcp.nvars)
+        )
+        for num in gcp.numerators
+    ]
+    return poly, grads
+
+
+def _general_route_gcp():
+    # A has entry x3^2 + x2, B has entry 2*x1: p(lambda) = lambda - (x3^2 + x2)/(2*x1),
+    # a numerator and a denominator of different degrees
+    n = 3
+    a = skew_from_upper(n, {(0, 1): mpvar(n, 2) * mpvar(n, 2) + mpvar(n, 1)})
+    b = skew_from_upper(n, {(0, 1): mpvar(n, 0).scale(2)})
+    return generic_char_poly(PolyPoissonPencil(a, b))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: _lie_char_poly(heisenberg3(), (1, 0, 2), 0), id="lie-integer-a"),
+        pytest.param(
+            lambda: _lie_char_poly(heisenberg3(), (Fraction(1, 2), 0, Fraction(-2, 3)), 0), id="lie-rational-a"
+        ),
+        pytest.param(_general_route_gcp, id="general"),
+    ],
+)
+def test_integer_and_rational_points_take_one_route(make):
+    """poly_at and gradients_at evaluate the one integer form: an integer
+    point and the same point as Fractions give equal values, a rational
+    point goes the same way, and every value is a Fraction, never a float,
+    equal to the Fraction oracle's."""
+    gcp = make()
+    assert gcp.degree == 1
+    integer = (3, -2, 5)
+    as_fractions = tuple(Fraction(x) for x in integer)
+    rational = (Fraction(1, 2), Fraction(-4, 3), Fraction(5, 7))
+    for point in (integer, as_fractions, rational):
+        poly, grads = gcp.poly_at(point), gcp.gradients_at(point)
+        assert (poly, grads) == fraction_specialisation(gcp, point), point
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        assert all(type(v) is Fraction for grad in grads for v in grad)
+        assert any(v for grad in grads for v in grad)
+    assert gcp.poly_at(integer) == gcp.poly_at(as_fractions)
+    assert gcp.gradients_at(integer) == gcp.gradients_at(as_fractions)
+
+
+def test_lie_route_at_a_rational_a_matches_the_general_route():
+    # d! q^d scales p_g's Taylor coefficients at a = y/q to integers; the
+    # Pfaffian gcd over Q[x, lambda] of the same pencil is the oracle
+    a = (Fraction(1, 2), 0, Fraction(-2, 3))
+    derived = _lie_char_poly(heisenberg3(), a, 0)
+    oracle = generic_char_poly(lie_pencil(heisenberg3(), a).pencil)
+    for point in ((3, -2, 5), (Fraction(1, 2), Fraction(-4, 3), Fraction(5, 7))):
+        assert derived.poly_at(point) == oracle.poly_at(point)
+        assert derived.gradients_at(point) == oracle.gradients_at(point)
+
+
+def test_generic_char_poly_holds_integer_coefficients():
+    gcp = _general_route_gcp()
+    assert all(type(c) is int for f in (gcp.denominator, *gcp.numerators) for c in f.terms.values())
+    with pytest.raises(ValidationError, match="integer coefficients"):
+        dataclasses.replace(gcp, denominator=gcp.denominator.scale(Fraction(1, 4)))
+    with pytest.raises(ValidationError, match="integer coefficients"):
+        dataclasses.replace(gcp, numerators=(gcp.numerators[0].scale(Fraction(2, 3)),))
+
+
+def test_gradient_polynomials_are_derived_once_per_generic_char_poly(monkeypatch):
+    calls = []
+    original = MultiPoly.gradient
+
+    def gradient(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MultiPoly, "gradient", gradient)
+    gcp = _general_route_gcp()
+    for point in ((3, -2, 5), (1, 1, 1), (Fraction(1, 2), 2, 3)):
+        gcp.gradients_at(point)
+    assert calls == [gcp.denominator, *gcp.numerators]
+
+
+def test_random_points_are_small_integers_from_an_unchanged_stream():
+    rng = random.Random(0)
+    draws = [_random_point(5, rng) for _ in range(3)]
+    assert draws == [(3, 4, -8, -1, 7), (6, 3, 0, 6, 2), (9, -3, 7, -5, 0)]
+    assert all(type(x) is int for point in draws for x in point)
 
 
 # -- extended core and completeness --------------------------------------------------
