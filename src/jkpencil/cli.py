@@ -77,20 +77,27 @@ MAX_LIE_DIMENSION = 64
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _parse_rational(value, where: str) -> int | Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(f"{where}: boolean is not a rational")
-    if isinstance(value, int):
+def _parse_rational(value, where: str, *index) -> int | Fraction:
+    """The rational that a JSON value or an argument holds.  An error names
+    the value as `where` followed by one [k] per index, built only then:
+    a document's entries are many, and few are bad."""
+    if type(value) is int:
         return value
+    if isinstance(value, bool):
+        raise ValidationError(f"{_location(where, index)}: boolean is not a rational")
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             why = "exponent notation is not accepted" if "e" in value.lower() else "expected an integer or p/q"
-            raise ValidationError(f"{where}: bad rational {value!r} ({why})")
+            raise ValidationError(f"{_location(where, index)}: bad rational {value!r} ({why})")
         try:
             return Fraction(value) if "/" in value else int(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{where}: bad rational {value!r} ({exc})") from exc
-    raise ValidationError(f"{where}: expected integer or rational string, got {value!r}")
+            raise ValidationError(f"{_location(where, index)}: bad rational {value!r} ({exc})") from exc
+    raise ValidationError(f"{_location(where, index)}: expected integer or rational string, got {value!r}")
+
+
+def _location(where: str, index) -> str:
+    return where + "".join(f"[{k}]" for k in index)
 
 
 def _parse_matrix(doc, key: str, n: int):
@@ -101,7 +108,7 @@ def _parse_matrix(doc, key: str, n: int):
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
             raise ValidationError(f"{key}[{i}]: expected {n} entries")
-        rows.append([_parse_rational(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)])
+        rows.append([_parse_rational(v, key, i, j) for j, v in enumerate(row)])
     return rows
 
 
@@ -176,7 +183,7 @@ def load_lie_document(doc) -> tuple[LieAlgebra, list | None, list | None]:
                 raise ValidationError(f"{where}.coeffs: bad index {k_str!r}") from None
             if not 1 <= k <= n:
                 raise ValidationError(f"{where}.coeffs: index {k} out of range")
-            coeffs[k - 1] = _parse_rational(c, f"{where}.coeffs[{k_str}]")
+            coeffs[k - 1] = _parse_rational(c, f"{where}.coeffs", k_str)
         if (i - 1, j - 1) in table:
             raise ValidationError(f"{where}: duplicate bracket ({i}, {j})")
         table[(i - 1, j - 1)] = coeffs
@@ -186,7 +193,7 @@ def load_lie_document(doc) -> tuple[LieAlgebra, list | None, list | None]:
         raw = doc["a"]
         if not isinstance(raw, list) or len(raw) != n:
             raise ValidationError(f"a: expected {n} entries")
-        a = [_parse_rational(v, f"a[{k}]") for k, v in enumerate(raw)]
+        a = [_parse_rational(v, "a", k) for k, v in enumerate(raw)]
     points = None
     if "points" in doc:
         raw = doc["points"]
@@ -196,7 +203,7 @@ def load_lie_document(doc) -> tuple[LieAlgebra, list | None, list | None]:
         for t, p in enumerate(raw):
             if not isinstance(p, list) or len(p) != n:
                 raise ValidationError(f"points[{t}]: expected {n} entries")
-            points.append([_parse_rational(v, f"points[{t}][{k}]") for k, v in enumerate(p)])
+            points.append([_parse_rational(v, "points", t, k) for k, v in enumerate(p)])
     return g, a, points
 
 

@@ -84,16 +84,14 @@ def _common_denominator(v: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (q // x.denominator) for x in v], q
 
 
+_INTS = {int}
+
+
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """Each rational row times the lcm of its denominators: integer rows with
-    the same zero pattern and the same row space.  A row of ints is copied."""
-    out = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-        else:
-            out.append(_common_denominator(row)[0])
-    return out
+    the same zero pattern and the same row space.  A row of ints is copied;
+    its type test runs in C, as most rows are ints already."""
+    return [list(row) if set(map(type, row)) == _INTS else _common_denominator(row)[0] for row in rows]
 
 
 def _gauss_jordan(work: list[list[int]]) -> list[int]:

@@ -14,7 +14,7 @@ Sample points are drawn as small ints.  A GenericCharPoly is one integer
 form, evaluated in integers at a point y/q over a common denominator
 with one Fraction per output value; its gradient polynomials are derived
 once per polynomial, and each specialisation evaluates its denominator
-once.
+and numerators once, for the pointwise polynomial and the gradients.
 
 A PointAnalysis is the one object for a generic point: the analysis of
 the pencil there, the extended core subspace, the completeness criterion
@@ -213,7 +213,9 @@ class GenericCharPoly:
     At a point x0 = y/q over a common denominator, every polynomial is
     evaluated in integers, homogenised to one degree h (q**h * f(y/q)),
     so the powers of q cancel in each ratio; each output value is one
-    Fraction.  The gradient polynomials are derived once, when first read.
+    Fraction.  `specialise` makes these evaluations once per point, and
+    the pointwise polynomial and the gradients both read its Specialisation.
+    The gradient polynomials are derived once, when first read.
     """
 
     nvars: int
@@ -236,40 +238,59 @@ class GenericCharPoly:
         """The gradient of the denominator, then of each numerator."""
         return tuple(f.gradient() for f in (self.denominator, *self.numerators))
 
-    def _specialise(self, x0: Sequence) -> tuple[list[int], int, int]:
-        """(y, q, den) with x0 = y/q and den = q**h * denominator(x0), the
-        one evaluation of the denominator at x0; raises
-        DenominatorVanishesError where it vanishes."""
+    def specialise(self, x0: Sequence) -> "Specialisation":
+        """The one evaluation of the denominator and the numerators at x0;
+        raises DenominatorVanishesError where the denominator vanishes."""
         y, q = _common_denominator(x0)
-        den = self.denominator.scaled_value(y, q, self._height)
+        h = self._height
+        den = self.denominator.scaled_value(y, q, h)
         if den == 0:
             raise DenominatorVanishesError(
                 "characteristic denominator vanishes at the point",
                 {"point": x0},
             )
-        return y, q, den
+        return Specialisation(self, y, q, den, tuple(num.scaled_value(y, q, h) for num in self.numerators))
 
     def denominator_at(self, x0: Sequence) -> Fraction:
         return self.denominator.evaluate(x0)
 
     def poly_at(self, x0: Sequence) -> UniPoly:
         """The pointwise monic characteristic polynomial, degree preserved."""
-        y, q, den = self._specialise(x0)
-        h = self._height
-        return UniPoly([Fraction(num.scaled_value(y, q, h), den) for num in self.numerators] + [1])
+        return self.specialise(x0).poly
 
     def gradients_at(self, x0: Sequence) -> list[Vector]:
+        """Exact gradients dp_i(x0); see Specialisation.gradients."""
+        return self.specialise(x0).gradients()
+
+
+@dataclass(frozen=True)
+class Specialisation:
+    """A GenericCharPoly at one point x0 = y/q: den = q**h * denominator(x0)
+    and nums the numerators likewise, h the height, so that each ratio is
+    the value of a coefficient."""
+
+    gcp: GenericCharPoly
+    y: list[int]
+    q: int
+    den: int
+    nums: tuple[int, ...]
+
+    @cached_property
+    def poly(self) -> UniPoly:
+        """The pointwise monic characteristic polynomial, degree preserved."""
+        return UniPoly([Fraction(v, self.den) for v in self.nums] + [1])
+
+    def gradients(self) -> list[Vector]:
         """Exact gradients dp_i(x0) via the quotient rule.  With N and D
         homogenised to degree h and their derivatives to h - 1, the powers
         of q leave dp_i = q*(dN*D - N*dD)/D**2."""
-        y, q, den = self._specialise(x0)
-        h = self._height
-        dgrad, *ngrads = ([g.scaled_value(y, q, h - 1) for g in grad] for grad in self._gradients)
-        out = []
-        for num, ngrad in zip(self.numerators, ngrads):
-            nval = num.scaled_value(y, q, h)
-            out.append(tuple(Fraction(q * (gn * den - nval * gd), den * den) for gn, gd in zip(ngrad, dgrad)))
-        return out
+        y, q, den = self.y, self.q, self.den
+        h = self.gcp._height
+        dgrad, *ngrads = ([g.scaled_value(y, q, h - 1) for g in grad] for grad in self.gcp._gradients)
+        return [
+            tuple(Fraction(q * (gn * den - nval * gd), den * den) for gn, gd in zip(ngrad, dgrad))
+            for nval, ngrad in zip(self.nums, ngrads)
+        ]
 
 
 def _pfaffian_gcd(rows, r: int) -> MultiPoly:
@@ -323,10 +344,10 @@ def _random_point(n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(rng.randint(-9, 9) for _ in range(n))
 
 
-def _generic_poly_at(gcp: GenericCharPoly, x0: Sequence) -> Optional[UniPoly]:
+def _generic_poly_at(gcp: GenericCharPoly, x0: Sequence) -> Optional[Specialisation]:
     """gcp specialised at x0, or None where its denominator vanishes."""
     try:
-        return gcp.poly_at(x0)
+        return gcp.specialise(x0)
     except DenominatorVanishesError:
         return None
 
@@ -340,17 +361,21 @@ def _points(pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, rng
 
 
 def _not_generic(
-    analysis: _PencilAnalysis, rank: int, degree: int, expected: Optional[UniPoly], x0
+    analysis: _PencilAnalysis,
+    rank: int,
+    degree: int,
+    expected: Optional[UniPoly | Specialisation],
+    x0,
 ) -> Optional[NonGenericPointError]:
     """None when x0 is a generic point, else the error that says why not.
 
     analysis is the pencil at x0, and expected the generic characteristic
-    polynomial of this rank and degree specialised at x0 (None where its
-    denominator vanishes).  The rank, rank(B), the denominator and the
-    pointwise degree are checked in that order; a higher degree makes x0
-    non-generic.  The generic polynomial divides every pointwise principal
-    Pfaffian, so a lower degree, like another polynomial, raises
-    InternalConsistencyError.
+    polynomial of this rank and degree specialised at x0, or the
+    Specialisation that holds it (None where its denominator vanishes).
+    The rank, rank(B), the denominator and the pointwise degree are
+    checked in that order; a higher degree makes x0 non-generic.  The
+    generic polynomial divides every pointwise principal Pfaffian, so a
+    lower degree, like another polynomial, raises InternalConsistencyError.
     """
     if analysis.rank != rank:
         return NonGenericPointError(
@@ -372,6 +397,8 @@ def _not_generic(
             f"char degree {pointwise.degree} at the point exceeds generic {degree}",
             {"point": x0, "degree": pointwise.degree, "generic_degree": degree},
         )
+    if isinstance(expected, Specialisation):
+        expected = expected.poly
     if pointwise.degree < degree or pointwise.poly != expected:
         raise InternalConsistencyError(
             f"pointwise characteristic polynomial disagrees with the generic one at {x0}"
@@ -497,14 +524,15 @@ class PointAnalysis:
     (the one _certify made for a sampled point), the generic
     characteristic polynomial gcp and `expected`, gcp specialised at x0
     by _generic_poly_at (a sampled point passes the one _certify
-    compared, so it is not evaluated twice), and raises the error of
-    _not_generic when x0 is not a generic point.  The analysis's Smith
-    factors give the pointwise characteristic polynomial and Jordan data,
-    and its sampler the core and the kernels of the involution family.
+    compared, so it is not evaluated twice, and the gradients read the
+    same values), and raises the error of _not_generic when x0 is not a
+    generic point.  The analysis's Smith factors give the pointwise
+    characteristic polynomial and Jordan data, and its sampler the core
+    and the kernels of the involution family.
     """
 
     def __init__(
-        self, analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector, expected: Optional[UniPoly]
+        self, analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector, expected: Optional[Specialisation]
     ):
         self.point = x0
         self.gcp = gcp
@@ -512,6 +540,7 @@ class PointAnalysis:
         reason = _not_generic(self.analysis, gcp.rank, gcp.degree, expected, x0)
         if reason is not None:
             raise reason
+        self.expected = expected
 
     @property
     def core(self) -> Subspace:
@@ -520,7 +549,7 @@ class PointAnalysis:
     @cached_property
     def gradients(self) -> tuple[Vector, ...]:
         """dp_i(x0) for the generic characteristic coefficients."""
-        return tuple(self.gcp.gradients_at(self.point))
+        return tuple(self.expected.gradients())
 
     @cached_property
     def extended(self) -> Subspace:

@@ -2,11 +2,16 @@
 
 Q[x] is Euclidean, so two steps give the invariant factors:
 
-1. Diagonalise.  A lowest-degree nonzero entry of the remaining block is
-   moved to (t, t) and the rows below and the columns to its right are
-   reduced by polynomial division.  A nonzero remainder has lower degree
-   than the pivot, so the pivot is searched again; otherwise the monic
-   pivot is the t-th diagonal entry.
+1. Diagonalise.  A pivot p is moved to the top left of the remaining
+   block, and each row below is reduced by polynomial division: its first
+   entry becomes the remainder modulo p.  A nonzero remainder has lower
+   degree than p, so the pivot is searched again.  Otherwise the pivot
+   column is zero below p, and the columns to its right are reduced by
+   column operations that change the top row alone (the column pass);
+   no other row is touched, and the block is never transposed.  If every
+   top-row remainder is zero, the monic p is the next diagonal entry and
+   its row and column are dropped; otherwise the remainders stay in the
+   top row and the pivot is searched again.
 2. Normalise the diagonal.  diag(a, b) is equivalent to
    diag(gcd(a, b), lcm(a, b)), so for i < j each pair (d_i, d_j) where d_i
    does not divide d_j is replaced by (gcd, lcm).  After the pass over j,
@@ -17,13 +22,29 @@ Q[x] is Euclidean, so two steps give the invariant factors:
 
 Nonzero constants are units of Q[x], so both steps run on integer
 coefficients: rows are scaled to clear denominators, division becomes
-pseudo-division, each reduced row or column is divided by its content,
-and the diagonal holds primitive polynomials, whose gcds, divisibility
-tests and exact quotients stay integral (unipoly's integer kernels).
-Over Fractions the coefficient swell, and the time, varied widely from
-one pencil to the next.  Entries may be given as UniPoly, as rational
-constants or as integer coefficient lists; a pencil passes its integer
-scaling as lists, so no Fraction is built on the way in.
+pseudo-division, each reduced row is divided by its content, and the
+diagonal holds primitive polynomials, whose gcds, divisibility tests and
+exact quotients stay integral (unipoly's integer kernels).  Over
+Fractions the coefficient swell, and the time, varied widely from one
+pencil to the next.
+
+Pseudo-division of f by p scales f by a factor m that divides a power of
+p's leading coefficient.  In the row pass each row takes its own m.  In
+the column pass the top row is scaled once by M, the lcm of its m's, so
+that each column operation subtracts an integer multiple of the pivot
+column; a column operation with m would instead scale a whole column.
+
+The pivot is a nonzero entry of lowest degree, and among those one of
+least height (largest absolute coefficient).  A +-1 leading coefficient
+makes every pseudo-division exact over Z (m = 1), so a unit pivot scales
+no row at all.  Taking the first lowest-degree entry instead let the
+coefficients swell until scrambled pencils whose Jordan part has size
+24-30 ran for over a minute; with unit pivots first they take hundredths
+of a second.  Larger Jordan parts can still swell (ROADMAP item 3).
+
+Entries may be given as UniPoly, as rational constants or as integer
+coefficient lists; a pencil passes its integer scaling as lists, so no
+Fraction is built on the way in.
 
 Only the invariant factors are produced (no transformation matrices);
 nonzero factors are returned monic, and the trailing zero factors of a
@@ -49,13 +70,37 @@ from .unipoly import (
 )
 
 
+def _primitive_line(line: list[list[int]]) -> list[list[int]]:
+    """A row of integer polynomials divided by its content."""
+    content = gcd(*(c for e in line for c in e))
+    return line if content <= 1 else [[c // content for c in e] for e in line]
+
+
 def _reduce(line: list[list[int]], pivot_line: list[list[int]]) -> list[list[int]]:
     """A row of integer polynomials with its first entry reduced modulo
     pivot_line's, divided by its content."""
     m, q = _int_poly_pquo(line[0], pivot_line[0])
-    line = [_int_poly_sub_mul(m, a, q, b) for a, b in zip(line, pivot_line)]
-    content = gcd(*(c for e in line for c in e))
-    return line if content <= 1 else [[c // content for c in e] for e in line]
+    return _primitive_line([_int_poly_sub_mul(m, a, q, b) for a, b in zip(line, pivot_line)])
+
+
+def _column_pass(top: list[list[int]]) -> list[list[int]] | None:
+    """The pivot row with its other entries reduced modulo its first by
+    column operations, or None when every remainder is zero.  The row is
+    scaled by the lcm of the pseudo-division factors, a unit of Q[x], so
+    that each column operation subtracts an integer multiple of the pivot
+    column, then divided by its content."""
+    p = top[0]
+    factors, remainders = [], []
+    for e in top[1:]:
+        m, q = _int_poly_pquo(e, p)
+        factors.append(m)
+        remainders.append(_int_poly_sub_mul(m, e, q, p))
+    if not any(remainders):
+        return None
+    scale = lcm(*factors)
+    return _primitive_line(
+        [[scale * c for c in p]] + [[scale // m * c for c in r] for m, r in zip(factors, remainders)]
+    )
 
 
 def _coefficients(e):
@@ -65,12 +110,17 @@ def _coefficients(e):
 
 
 def _pivot(work):
-    """(i, j) of a lowest-degree nonzero entry, or None."""
+    """(i, j) of a lowest-degree nonzero entry, of least height (largest
+    absolute coefficient) among those, or None."""
     best = None
     for i, row in enumerate(work):
         for j, e in enumerate(row):
-            if e and (best is None or len(e) < best[0]):
-                best = (len(e), i, j)
+            if e and (best is None or len(e) <= best[0][0]):
+                key = (len(e), max(map(abs, e)))
+                if best is None or key < best[0]:
+                    if key == (1, 1):
+                        return i, j
+                    best = key, i, j
     return None if best is None else best[1:]
 
 
@@ -89,18 +139,20 @@ def smith_normal_form(m) -> list[UniPoly]:
         work[0], work[i] = work[i], work[0]
         for row in work:
             row[0], row[j] = row[j], row[0]
-        for _ in range(2):  # the rows below the pivot, then those of the transpose
-            top = work[0]
-            work[1:] = [_reduce(r, top) if len(r[0]) >= len(top[0]) else r for r in work[1:]]
-            work = [list(column) for column in zip(*work)]
         top = work[0]
-        if not any(row[0] for row in work[1:]) and not any(top[1:]):
+        work[1:] = [_reduce(r, top) if r[0] else r for r in work[1:]]
+        if any(r[0] for r in work[1:]):
+            continue
+        line = _column_pass(top)
+        if line is None:
             diagonal.append(_int_primitive(top[0]))
             work = [row[1:] for row in work[1:]]
+        else:
+            work[0] = line
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
-            if not _int_poly_divides(a, b):
+            if len(a) > 1 and not _int_poly_divides(a, b):  # a primitive constant is 1
                 g = _int_poly_gcd(a, b)
                 diagonal[i], diagonal[j] = g, _int_poly_mul(_int_poly_exact_div(a, g), b)
     return [_to_unipoly(d) for d in diagonal] + [UniPoly.zero()] * (

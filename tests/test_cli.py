@@ -234,6 +234,26 @@ def test_rational_in_the_grammar_but_unreadable_exit_2(capsys, tmp_path, entry, 
     assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], message)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("0.5", "B[1][2]: bad rational '0.5' (expected an integer or p/q)"),
+        ("1e3", "B[1][2]: bad rational '1e3' (exponent notation is not accepted)"),
+        ("1/0", "B[1][2]: bad rational '1/0'"),
+        (True, "B[1][2]: boolean is not a rational"),
+        (0.5, "B[1][2]: expected integer or rational string, got 0.5"),
+    ],
+    ids=["grammar", "exponent", "zero-denominator", "boolean", "float"],
+)
+def test_bad_b_entry_names_its_location(capsys, tmp_path, entry, message):
+    """The location of a bad entry is built only when the entry is bad, and
+    still names it: row 1, column 2 of B, past good entries of A and B."""
+    b = [["0", "1", "2"], ["-1", "0", entry], ["-2", "3", "0"]]
+    path = tmp_path / "bad_b.json"
+    path.write_text(json.dumps({"dimension": 3, "A": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], "B": b}))
+    assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], message)
+
+
 def test_every_lie_document_rational_uses_the_grammar(capsys, tmp_path):
     doc = json.loads(_catalog_doc(capsys, tmp_path, "heisenberg3").read_text())
     path = tmp_path / "bad.json"
@@ -672,8 +692,10 @@ def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkey
     """_generic_poly_at evaluates the generic polynomial's denominator once
     at its point, at the two sampled F~_a points of so3 and at the two
     explicit rational points of heisenberg3_rational: the evaluation that
-    finds it nonzero is the one the coefficients are divided by.  Every
-    evaluation of a MultiPoly goes through MultiPoly.scaled_value."""
+    finds it nonzero is the one the coefficients are divided by.  Over the
+    whole analysis the denominator and every numerator are evaluated once
+    per point: the gradients of the extended core read the same values.
+    Every evaluation of a MultiPoly goes through MultiPoly.scaled_value."""
     import jkpencil.liealg
     import jkpencil.poisson
     from jkpencil.multipoly import MultiPoly
@@ -689,7 +711,10 @@ def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkey
     per_point = []
     original = jkpencil.poisson._generic_poly_at
 
+    polys = set()
+
     def specialise(gcp, x0):
+        polys.add(gcp)
         start = len(evaluated)
         try:
             return original(gcp, x0)
@@ -702,6 +727,9 @@ def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkey
     assert code == 0
     assert out == (GOLDEN / f"{stem}.report.json").read_text()
     assert per_point == [1, 1]
+    [gcp] = polys
+    for f in (gcp.denominator, *gcp.numerators):
+        assert sum(e is f for e in evaluated) == 2
 
 
 @pytest.mark.parametrize("document", sorted(GOLDEN.glob("*.lie.json")), ids=lambda p: p.name.split(".")[0])

@@ -465,14 +465,10 @@ def test_kronecker_companion_n18_pencil_within_budget():
         assert jk_invariants(p) == spec
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=_OverBudget,
-    reason="known defect (ROADMAP item 3): coefficient swell in the Smith form over "
-    "Z[lambda] makes one n = 25 scramble of four Jordan blocks of half-size 3 run for "
-    "over a minute; a wrong answer is not expected and fails",
-)
 def test_jordan_heavy_n25_pencil_within_budget():
+    """Four Jordan blocks of half-size 3: before the Smith form took unit
+    pivots first, two of these scrambles ran for over a minute on a 2-core
+    machine."""
     spec = JKInvariants.from_blocks([1], [(UniPoly.linear(e), (3,)) for e in (3, 7, -2, 5)])
     p = canonical_pencil(spec)
     assert p.n == 25
@@ -480,6 +476,44 @@ def test_jordan_heavy_n25_pencil_within_budget():
         q = congruence_transform(p, random_unimodular(25, random.Random(scramble), shears=25))
         with _budget(5):
             assert jk_invariants(q) == spec
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [(3, (3,)), (7, (3,)), (-2, (3,)), (5, (3,)), (Fraction(1, 2), (2,))],
+        [(3, (3, 2)), (7, (1,)), (-2, (3,)), (5, (3,)), (Fraction(1, 2), (3,))],
+    ],
+    ids=["n29", "n31"],
+)
+def test_jordan_heavy_pencil_within_budget(groups):
+    """Jordan parts of size 28 and 30, with half-sizes 3, 3, 3, 3, 2 and
+    3, 2, 1, 3, 3, 3 on five eigenvalues; these scrambles ran for over a
+    minute on a 2-core machine before the Smith form took unit pivots
+    first."""
+    spec = JKInvariants.from_blocks([1], [(UniPoly.linear(e), h) for e, h in groups])
+    p = canonical_pencil(spec)
+    n = p.n
+    q = congruence_transform(p, random_unimodular(n, random.Random(f"j/{n}/1"), shears=n))
+    with _budget(5):
+        assert jk_invariants(q) == spec
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=_OverBudget,
+    reason="known defect (ROADMAP item 3): coefficient swell in the Smith form over "
+    "Z[lambda] makes this n = 54 scramble, whose Jordan part has size 50, run for over "
+    "two minutes; a wrong answer is not expected and fails",
+)
+def test_jordan_heavy_n54_pencil_within_budget():
+    groups = [(3, (3, 3)), (7, (3, 2)), (-2, (3, 2)), (5, (2, 3)), (Fraction(1, 2), (1, 1)), (0, (2,))]
+    spec = JKInvariants.from_blocks([2, 1], [(UniPoly.linear(e), h) for e, h in groups])
+    p = canonical_pencil(spec)
+    assert p.n == 54
+    q = congruence_transform(p, random_unimodular(54, random.Random("n51/1"), shears=54))
+    with _budget(5):
+        assert jk_invariants(q) == spec
 
 
 @pytest.mark.xfail(

@@ -1,6 +1,8 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from math import lcm, prod
 
 import pytest
 
@@ -100,29 +102,66 @@ def test_divisibility_chain_on_random_matrices():
             assert f.is_zero or f.leading == 1
 
 
-def _naive_poly_det(rows):
-    n = len(rows)
-    total = UniPoly.zero()
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        term = ONE
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total - term if inversions % 2 else total + term
-    return total
+def _integer_det(work) -> int:
+    """det of a square integer matrix by Bareiss's fraction-free
+    elimination, whose divisions are exact."""
+    work = [list(row) for row in work]
+    sign, previous = 1, 1
+    for k in range(len(work) - 1):
+        p = next((i for i in range(k, len(work)) if work[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            work[k], work[p] = work[p], work[k]
+            sign = -sign
+        for i in range(k + 1, len(work)):
+            work[i] = [(work[k][k] * a - work[i][k] * b) // previous for a, b in zip(work[i], work[k])]
+        previous = work[k][k]
+    return sign * work[-1][-1]
+
+
+def _interpolate(xs, ys) -> UniPoly:
+    """The polynomial of degree < len(xs) through the points (x, y), by
+    Newton's divided differences."""
+    diffs = list(ys)
+    for k in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    out = UniPoly.constant(diffs[-1])
+    for x, c in zip(reversed(xs[:-1]), reversed(diffs[:-1])):
+        out = out * UniPoly.linear(x) + UniPoly.constant(c)
+    return out
 
 
 def _assert_factors_match_minor_gcds(m, factors):
     """Definitional oracle: the product of the first k invariant factors is
-    the gcd of all k x k minors, computed here by brute force."""
-    for k in range(1, min(len(m), len(m[0])) + 1):
+    the gcd of all k x k minors, computed here by brute force.  A k x k
+    minor has degree at most k*deg, deg the largest entry degree, so it is
+    interpolated from its values at k*deg + 1 integer points; the matrix
+    is evaluated at each point once, and each minor's value there is an
+    integer determinant over the product of its rows' scales.  The scan
+    of the minors stops once their gcd is 1, which no further minor
+    lowers."""
+    nrows, ncols = len(m), len(m[0])
+    deg = max(0, *(e.degree for row in m for e in row))
+    points = range(deg * min(nrows, ncols) + 1)
+    evaluated = []  # at each point, the rows scaled to integers and the scales
+    for t in points:
+        rows = [[e(t) for e in row] for row in m]
+        scales = [lcm(*(v.denominator for v in row)) for row in rows]
+        evaluated.append(([[int(v * s) for v in row] for row, s in zip(rows, scales)], scales))
+    for k in range(1, min(nrows, ncols) + 1):
+        xs = points[: k * deg + 1]
         minor_gcd = UniPoly.zero()
-        for rows_idx in combinations(range(len(m)), k):
-            for cols_idx in combinations(range(len(m[0])), k):
-                sub = [[m[i][j] for j in cols_idx] for i in rows_idx]
-                minor_gcd = poly_gcd(minor_gcd, _naive_poly_det(sub))
+        minors = ((r, c) for r in combinations(range(nrows), k) for c in combinations(range(ncols), k))
+        for rows_idx, cols_idx in minors:
+            dets = [
+                Fraction(_integer_det([[w[i][j] for j in cols_idx] for i in rows_idx]), prod(s[i] for i in rows_idx))
+                for w, s in evaluated[: len(xs)]
+            ]
+            minor_gcd = poly_gcd(minor_gcd, _interpolate(xs, dets))
+            if minor_gcd.is_constant and not minor_gcd.is_zero:
+                break
         product = ONE
         for f in factors[:k]:
             product = product * f
@@ -221,3 +260,108 @@ def test_first_factor_is_gcd_of_entries():
             assert g.is_zero
         else:
             assert factors[0] == g.monic() or (g.degree == 0 and factors[0] == ONE)
+
+
+def test_top_row_remainders_search_again(monkeypatch):
+    """The row pass leaves the pivot column zero below x; the column pass
+    on the top row leaves the remainder 1 of x + 1, so the pivot is
+    searched again and is that 1."""
+    import jkpencil.smith
+
+    passes = []
+    original = jkpencil.smith._column_pass
+
+    def column_pass(top):
+        line = original(top)
+        passes.append(deepcopy(line))
+        return line
+
+    monkeypatch.setattr(jkpencil.smith, "_column_pass", column_pass)
+    m = [[X, X + ONE], [ZERO, X]]
+    assert smith_normal_form(m) == [ONE, X * X]
+    assert passes[0] == [[0, 1], [1]]
+    _assert_factors_match_minor_gcds(m, smith_normal_form(m))
+
+
+def test_unit_pivot_comes_before_a_larger_constant(monkeypatch):
+    """Among entries of lowest degree, the pivot has the least height: -1
+    is taken before 2 and 3, which come first in the block, and a constant
+    before any polynomial of positive degree, however small its
+    coefficients."""
+    import jkpencil.smith
+    from jkpencil.smith import _pivot
+
+    assert _pivot([[[3], [0, 1]], [[2], [-1]]]) == (1, 1)
+    assert _pivot([[[0, 1], [5]], [[-4], [1, 1]]]) == (1, 0)
+    assert _pivot([[[7, 2], [0, 3]], [[1, -2], [0, 1]]]) == (1, 1)
+    assert _pivot([[[], []], [[], []]]) is None
+
+    pivots = []
+    original = jkpencil.smith._pivot
+
+    def pivot(work):
+        found = original(work)
+        pivots.append(found and list(work[found[0]][found[1]]))
+        return found
+
+    monkeypatch.setattr(jkpencil.smith, "_pivot", pivot)
+    m = [
+        [UniPoly.constant(3), X, X + ONE],
+        [UniPoly.constant(2), X * X, X.scale(2)],
+        [X - ONE, UniPoly.constant(-1), UniPoly.constant(2)],
+    ]
+    factors = smith_normal_form(m)
+    assert pivots[0] == [-1]
+    _assert_factors_match_minor_gcds(m, factors)
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)] for row in a]
+
+
+def _unimodular(n, rng):
+    """L*U for random unit lower and upper triangular integer matrices L and
+    U: an integer matrix of determinant 1, with few zero entries."""
+    lower, upper = (
+        [[1 if i == j else rng.randint(-2, 2) if (i > j) == low else 0 for j in range(n)] for i in range(n)]
+        for low in (True, False)
+    )
+    return _mat_mul(lower, upper)
+
+
+def _integer_linear_pencil(n, rng, kind):
+    """A - x*B for integer n x n matrices A and B, as rows of UniPoly.
+
+    "random" draws small entries, so the factors are generically 1, ..., 1
+    and the determinant.  The others are P(D - x*E)Q for unimodular P, Q,
+    a diagonal D and E = I: "repeated" has one eigenvalue of D twice, so
+    d_(n-1) is x minus it; "singular" zeroes the last entry of D and of E,
+    so the pencil has rank n - 1 and d_(n-1) is the product of the rest."""
+    if kind == "random":
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    else:
+        eigenvalues = rng.sample(range(-9, 10), n)
+        if kind == "repeated":
+            eigenvalues[rng.randrange(1, n)] = eigenvalues[0]
+        d = [[eigenvalues[i] * (i == j) for j in range(n)] for i in range(n)]
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        if kind == "singular":
+            d[-1][-1] = e[-1][-1] = 0
+        p, q = _unimodular(n, rng), _unimodular(n, rng)
+        a, b = (_mat_mul(_mat_mul(p, m), q) for m in (d, e))
+    return [[UniPoly([x, -y]) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+@pytest.mark.parametrize("kind", ["random", "repeated", "singular"])
+def test_integer_linear_pencils_match_minor_gcds(kind):
+    """Seeded integer linear pencils of every size from 2 x 2 to 12 x 12."""
+    rng = random.Random(f"linear/{kind}")
+    for n in range(2, 13):
+        m = _integer_linear_pencil(n, rng, kind)
+        factors = smith_normal_form(m)
+        _assert_factors_match_minor_gcds(m, factors)
+        if kind == "repeated":
+            assert not factors[-2].is_constant
+        if kind == "singular":
+            assert factors[-1].is_zero and not factors[-2].is_zero
