@@ -93,14 +93,6 @@ class LieAlgebra:
         self._streams: dict[int, tuple[random.Random, list]] = {}
         self._certified: dict[int, tuple[tuple[Vector, Vector], ...]] = {}
 
-    def c(self, i: int, j: int, k: int) -> int | Fraction:
-        """Structure constant with antisymmetry in (i, j)."""
-        if i == j:
-            return 0
-        if i < j:
-            return self.table.get((i, j), {}).get(k, 0)
-        return -self.table.get((j, i), {}).get(k, 0)
-
     def poisson_matrix(self) -> list[list[MultiPoly]]:
         """The Lie-Poisson matrix A(x) with entries sum_k c_ij^k x_k."""
         n = self.dim

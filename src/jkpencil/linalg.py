@@ -35,24 +35,6 @@ def vector(entries: Sequence) -> Vector:
     return tuple(_as_fraction(e) for e in entries)
 
 
-def matrix(rows: Sequence[Sequence]) -> Matrix:
-    out = tuple(vector(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValidationError("ragged matrix")
-    return out
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
@@ -66,11 +48,6 @@ def is_skew(m: Matrix) -> bool:
     if any(len(row) != n for row in m):
         return False
     return all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
-
-
-def congruence(p: Matrix, m: Matrix) -> Matrix:
-    """P^T M P."""
-    return mat_mul(mat_mul(transpose(p), m), p)
 
 
 # -- elimination over Q, on integers ------------------------------------
@@ -308,23 +285,3 @@ class PfaffianCache:
             total = total + term if pos % 2 == 1 else total - term
         self._memo[idx] = total
         return total
-
-
-def pfaffian(m: Sequence[Sequence], zero=None, one=None):
-    """Pfaffian of a skew-symmetric matrix; zero for odd size.
-
-    Pf(m)**2 = det(m).  The entries may live in any commutative ring;
-    for rings other than Fraction, pass the ring's zero and one.
-    """
-    n = len(m)
-    if zero is None:
-        zero, one = Fraction(0), Fraction(1)
-    for i in range(n):
-        if len(m[i]) != n:
-            raise ValidationError("pfaffian of a non-square matrix")
-        for j in range(i, n):
-            if not (m[i][j] == -m[j][i]):
-                raise ValidationError("pfaffian of a non-skew matrix")
-    if n % 2 == 1:
-        return zero
-    return PfaffianCache(m, zero, one).pfaffian(range(n))

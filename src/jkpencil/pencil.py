@@ -52,7 +52,6 @@ for d conjugate eigenvalues sharing one multiset of half-sizes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -71,10 +70,9 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
-    congruence,
+    _common_denominator,
     is_skew,
     kernel_basis,
-    matrix,
     rank,
     subspace_sum,
 )
@@ -164,13 +162,6 @@ class SkewPencil:
             for ra, rb in zip(self.a, self.b)
         )
 
-    def lambda_matrix(self, sign: int = 1) -> list[list[UniPoly]]:
-        """A + sign*lambda*B as a matrix of univariate polynomials."""
-        return [
-            [UniPoly((x, sign * y)) for x, y in zip(ra, rb)]
-            for ra, rb in zip(self.a, self.b)
-        ]
-
 
 class JordanGroup(NamedTuple):
     """Jordan blocks sharing one eigenvalue descriptor.
@@ -242,20 +233,6 @@ class JKInvariants:
             corank=corank,
             core_dim=core_dim,
             mantle_dim=mantle_dim,
-        )
-
-    @property
-    def jordan_degree_total(self) -> int:
-        """Sum of half-sizes weighted by descriptor degree, all groups."""
-        return sum(g.degree * sum(g.half_sizes) for g in self.jordan)
-
-    @property
-    def finite_char_degree(self) -> int:
-        """Degree of the characteristic polynomial (finite eigenvalues only)."""
-        return sum(
-            g.degree * sum(g.half_sizes)
-            for g in self.jordan
-            if g.descriptor is not INFINITY
         )
 
     def shape(self):
@@ -413,13 +390,6 @@ def pencil_rank(p: SkewPencil) -> int:
     """Rank of A + lambda*B over Q(lambda); always even.  See
     RegularValueSampler for how it is read off the member kernels."""
     return RegularValueSampler(p).r
-
-
-def is_regular_value(p: SkewPencil, value) -> bool:
-    """Whether rank(A + value*B) attains the pencil rank; INFINITY tests B."""
-    r = pencil_rank(p)
-    m = p._scaled[1] if value is INFINITY else p.member(value)
-    return rank(m) == r
 
 
 # -- one analysis per pencil ----------------------------------------------
@@ -698,27 +668,21 @@ def canonical_pencil(spec: JKInvariants) -> SkewPencil:
 
 
 def congruence_transform(p: SkewPencil, transform: Matrix) -> SkewPencil:
-    """(P^T A P, P^T B P); jk_invariants are unchanged."""
-    transform = matrix(transform)
-    if len(transform) != p.n or any(len(row) != p.n for row in transform) or rank(transform) != p.n:
+    """(P^T A P, P^T B P); jk_invariants are unchanged.  Computed on the
+    integer form D*(A, B): with P = Q/s, s the common denominator of its
+    entries, the pair is (Q^T (DA) Q, Q^T (DB) Q) over D*s^2."""
+    n = p.n
+    entries, s = _common_denominator([x for row in transform for x in row])
+    columns = [entries[j::n] for j in range(n)]
+    if len(transform) != n or any(len(row) != n for row in transform) or rank(columns) != n:
         raise SingularMatrixError("congruence transform must be invertible n x n")
-    return SkewPencil(congruence(transform, p.a), congruence(transform, p.b))
+    d = p._denominator * s * s
 
+    def congruent(m):
+        images = [[sum(map(mul, row, col)) for row in m] for col in columns]  # the columns of M*Q
+        return [[Fraction(sum(map(mul, u, image)), d) for image in images] for u in columns]
 
-def random_unimodular(n: int, rng: random.Random, shears: int | None = None) -> Matrix:
-    """Random integer matrix with determinant +/-1 (permutation + shears)."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    m = [[Fraction(1 if perm[i] == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n if shears is None else shears):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice((-2, -1, 1, 2))
-        for col in range(n):
-            m[i][col] += c * m[j][col]
-    return tuple(tuple(row) for row in m)
+    return SkewPencil(*map(congruent, p._scaled))
 
 
 # -- isotropy certificate --------------------------------------------------

@@ -251,17 +251,6 @@ class GenericCharPoly:
             )
         return Specialisation(self, y, q, den, tuple(num.scaled_value(y, q, h) for num in self.numerators))
 
-    def denominator_at(self, x0: Sequence) -> Fraction:
-        return self.denominator.evaluate(x0)
-
-    def poly_at(self, x0: Sequence) -> UniPoly:
-        """The pointwise monic characteristic polynomial, degree preserved."""
-        return self.specialise(x0).poly
-
-    def gradients_at(self, x0: Sequence) -> list[Vector]:
-        """Exact gradients dp_i(x0); see Specialisation.gradients."""
-        return self.specialise(x0).gradients()
-
 
 @dataclass(frozen=True)
 class Specialisation:
@@ -433,11 +422,6 @@ def _certify(points: Iterator, rank: int, degree: int, count: int) -> tuple:
                     f"{degree} at {x0}"
                 )
     raise InternalConsistencyError(f"found {len(certified)} of {count} generic points in 80 draws")
-
-
-def coefficient_gradients(p: PolyPoissonPencil, x0: Sequence) -> list[Vector]:
-    """dp_i(x0) for the generic characteristic coefficients p_0..p_{N-1}."""
-    return generic_char_poly(p).gradients_at(x0)
 
 
 # -- pointwise analyses ----------------------------------------------------

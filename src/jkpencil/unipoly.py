@@ -92,10 +92,6 @@ class UniPoly:
         return not self.coeffs
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
-
-    @property
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
@@ -175,9 +171,6 @@ class UniPoly:
                 rem[i - dd + j] -= q * div[j]
         return UniPoly(quot), UniPoly(rem)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
@@ -200,12 +193,6 @@ class UniPoly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
-        return acc
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.constant(c)
         return acc
 
     # -- comparisons / misc -------------------------------------------

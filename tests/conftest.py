@@ -19,6 +19,11 @@ the Smith forms of the whole pencil, Kronecker part included (the
 library restricts the pencil to its Jordan part first), and regular values
 drawn at random (the library takes them in the fixed order 0, 1, -1, 2,
 ...).
+
+The generators and helpers that only tests call live here too:
+random_unimodular, which scrambles canonical pencils by congruence,
+lambda_matrix, pfaffian (the recursive expansion of linalg.PfaffianCache
+on a whole skew matrix) and the rational mat_mul and transpose.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from jkpencil.errors import InternalConsistencyError, SingularMatrixError
-from jkpencil.linalg import Matrix, PfaffianCache, kernel_basis, mat_mul, rank, transpose
+from jkpencil.errors import InternalConsistencyError, SingularMatrixError, ValidationError
+from jkpencil.linalg import Matrix, PfaffianCache, kernel_basis, rank
 from jkpencil.pencil import (
     INFINITY,
     JKInvariants,
@@ -41,7 +46,6 @@ from jkpencil.pencil import (
     characteristic_polynomial,
     congruence_transform,
     pencil_rank,
-    random_unimodular,
 )
 from jkpencil.smith import smith_normal_form
 from jkpencil.unipoly import (
@@ -104,6 +108,27 @@ def naive_pfaffian(m, zero):
             term_sum = term if matching_sign(matching) > 0 else -term
         total = total + term_sum
     return total
+
+
+def pfaffian(m, zero=None, one=None):
+    """Pfaffian of a skew-symmetric matrix by linalg.PfaffianCache; zero for
+    odd size.
+
+    Pf(m)**2 = det(m).  The entries may live in any commutative ring;
+    for rings other than Fraction, pass the ring's zero and one.
+    """
+    n = len(m)
+    if zero is None:
+        zero, one = Fraction(0), Fraction(1)
+    for i in range(n):
+        if len(m[i]) != n:
+            raise ValidationError("pfaffian of a non-square matrix")
+        for j in range(i, n):
+            if not (m[i][j] == -m[j][i]):
+                raise ValidationError("pfaffian of a non-skew matrix")
+    if n % 2 == 1:
+        return zero
+    return PfaffianCache(m, zero, one).pfaffian(range(n))
 
 
 def naive_det(m) -> Fraction:
@@ -174,6 +199,22 @@ def random_jk_spec(
         for eig, sizes in groups.items()
     ]
     return JKInvariants.from_blocks(kron, jordan)
+
+
+def random_unimodular(n: int, rng: random.Random, shears: int | None = None) -> Matrix:
+    """Random integer matrix with determinant +/-1 (permutation + shears)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = [[Fraction(1 if perm[i] == j else 0) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if shears is None else shears):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice((-2, -1, 1, 2))
+        for col in range(n):
+            m[i][col] += c * m[j][col]
+    return tuple(tuple(row) for row in m)
 
 
 def companion_pencil(f: UniPoly) -> SkewPencil:
@@ -279,6 +320,15 @@ def fraction_kernel(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in basis[: len(kernel_pivots)])
 
 
+def transpose(m: Matrix) -> Matrix:
+    return tuple(zip(*m)) if m else ()
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
 def fraction_pairings(family, a: Matrix, b: Matrix):
     """(pairings made, first nonzero (i, j, form) or None) from the rational
     Gram matrices F A F^T and F B F^T, scanned i <= j, A before B."""
@@ -296,6 +346,11 @@ def fraction_pairings(family, a: Matrix, b: Matrix):
     return pairings, None
 
 
+def lambda_matrix(p: SkewPencil, sign: int = 1) -> list[list[UniPoly]]:
+    """A + sign*lambda*B as a matrix of univariate polynomials."""
+    return [[UniPoly((x, sign * y)) for x, y in zip(ra, rb)] for ra, rb in zip(p.a, p.b)]
+
+
 def pfaffian_gcd(p: SkewPencil) -> UniPoly:
     """Monic gcd of the Pfaffians of all principal r x r minors of
     A - lambda*B, r the pencil rank: the characteristic polynomial by the
@@ -303,7 +358,7 @@ def pfaffian_gcd(p: SkewPencil) -> UniPoly:
     r = pencil_rank(p)
     if r == 0:
         return UniPoly.one()
-    cache = PfaffianCache(p.lambda_matrix(sign=-1), UniPoly.zero(), UniPoly.one())
+    cache = PfaffianCache(lambda_matrix(p, sign=-1), UniPoly.zero(), UniPoly.one())
     g = UniPoly.zero()
     for subset in combinations(range(p.n), r):
         pf = cache.pfaffian(subset)

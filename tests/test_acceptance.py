@@ -37,7 +37,6 @@ from jkpencil.pencil import (
     isotropy_certificate,
     jk_invariants,
     pencil_rank,
-    random_unimodular,
 )
 from jkpencil.poisson import (
     COMPLETE,
@@ -50,7 +49,13 @@ from jkpencil.poisson import (
 from jkpencil.unipoly import UniPoly
 
 import conftest
-from conftest import RandomRegularValueSampler, pfaffian_gcd, random_jk_spec, recursion_charpoly_check
+from conftest import (
+    RandomRegularValueSampler,
+    pfaffian_gcd,
+    random_jk_spec,
+    random_unimodular,
+    recursion_charpoly_check,
+)
 
 SUITE_SEED = 20240
 SUITE_SIZE = 200
@@ -162,9 +167,10 @@ def test_criterion_3_paper_identities(roundtrip_suite):
     # Jordan half-sizes, the infinite group included)
     for _, _, q, inv in instances:
         r = pencil_rank(q)
-        assert inv.core_dim == q.n - r // 2 - inv.jordan_degree_total
-        if rank(q.b) == r:
-            assert characteristic_polynomial(q).degree == inv.finite_char_degree
+        jordan_degree = sum(g.degree * sum(g.half_sizes) for g in inv.jordan)
+        assert inv.core_dim == q.n - r // 2 - jordan_degree
+        if rank(q.b) == r:  # no infinite group: N is the degree
+            assert characteristic_polynomial(q).degree == jordan_degree
     _verdict(
         3,
         recursion_checked > 0,

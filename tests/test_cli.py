@@ -16,9 +16,10 @@ from jkpencil.pencil import (
     JKInvariants,
     canonical_pencil,
     congruence_transform,
-    random_unimodular,
 )
 from jkpencil.unipoly import UniPoly
+
+from conftest import random_unimodular
 
 
 def write_pencil_doc(path, pencil):

@@ -11,9 +11,6 @@ from jkpencil.linalg import (
     _integer_rows,
     fraction_free_rank,
     kernel_basis,
-    mat_mul,
-    matrix,
-    pfaffian,
     rank,
     subspace_sum,
 )
@@ -26,8 +23,10 @@ from conftest import (
     fraction_kernel,
     fraction_rref,
     mat_inverse,
+    mat_mul,
     naive_det,
     naive_pfaffian,
+    pfaffian,
 )
 
 
@@ -287,7 +286,7 @@ def test_charpoly_and_determinant_against_naive():
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randint(1, 4)
-        m = matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        m = frac_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         det = determinant(m)
         assert det == naive_det(m)
         cp = charpoly_rational(m)
@@ -296,8 +295,8 @@ def test_charpoly_and_determinant_against_naive():
 
 
 def test_mat_inverse():
-    m = matrix([[1, 2], [3, 5]])
+    m = frac_rows([[1, 2], [3, 5]])
     inv = mat_inverse(m)
-    assert mat_mul(m, inv) == matrix([[1, 0], [0, 1]])
+    assert mat_mul(m, inv) == ((1, 0), (0, 1))
     with pytest.raises(SingularMatrixError):
-        mat_inverse(matrix([[1, 2], [2, 4]]))
+        mat_inverse(frac_rows([[1, 2], [2, 4]]))

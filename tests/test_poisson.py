@@ -30,7 +30,6 @@ from jkpencil.poisson import (
     _generic_poly_at,
     _random_point,
     _sample_generic,
-    coefficient_gradients,
     compatibility_check,
     completeness_check,
     eigenvalue_lemma_check,
@@ -193,7 +192,7 @@ def test_constant_jordan_pencil_charpoly():
     b = [[MultiPoly.constant(n, v) for v in row] for row in sp.b]
     gcp = generic_char_poly(PolyPoissonPencil(a, b))
     assert gcp.degree == 1
-    assert gcp.poly_at([0, 0]) == UniPoly.linear(7)
+    assert gcp.specialise([0, 0]).poly == UniPoly.linear(7)
 
 
 def test_generic_charpoly_infinite_eigenvalue():
@@ -211,7 +210,7 @@ def test_generic_matches_pointwise_at_five_points():
         for i in range(5):
             x0 = sample_generic_point(pencil, seed=rng.randrange(10000))
             pointwise = characteristic_polynomial(evaluate_at(pencil, x0))
-            assert pointwise.poly == gcp.poly_at(x0)
+            assert pointwise.poly == gcp.specialise(x0).poly
             assert pointwise.degree == gcp.degree
 
 
@@ -220,13 +219,13 @@ def test_generic_matches_pointwise_at_five_points():
 
 def test_heisenberg_gradient():
     spec = lie_pencil(heisenberg3(), [0, 0, 1])
-    grads = coefficient_gradients(spec.pencil, [1, 1, 1])
+    grads = generic_char_poly(spec.pencil).specialise([1, 1, 1]).gradients()
     assert grads == [(Fraction(0), Fraction(0), Fraction(-1))]
 
 
 def test_heisenberg_gradient_scaled_frozen_point():
     spec = lie_pencil(heisenberg3(), [0, 0, 2])
-    grads = coefficient_gradients(spec.pencil, [1, 1, 1])
+    grads = generic_char_poly(spec.pencil).specialise([1, 1, 1]).gradients()
     assert grads == [(Fraction(0), Fraction(0), Fraction(-1, 2))]
 
 
@@ -236,7 +235,7 @@ def test_constant_pencil_has_zero_gradients():
     )
     a = [[MultiPoly.constant(2, v) for v in row] for row in sp.a]
     b = [[MultiPoly.constant(2, v) for v in row] for row in sp.b]
-    grads = coefficient_gradients(PolyPoissonPencil(a, b), [4, -1])
+    grads = generic_char_poly(PolyPoissonPencil(a, b)).specialise([4, -1]).gradients()
     assert grads == [(Fraction(0), Fraction(0))]
 
 
@@ -249,11 +248,11 @@ def test_rational_function_coefficients_quotient_rule():
     gcp = generic_char_poly(pencil)
     assert gcp.degree == 1
     x0 = [Fraction(2), Fraction(5), Fraction(7)]
-    assert gcp.poly_at(x0) == UniPoly([Fraction(-7, 2), Fraction(1)])
-    grads = gcp.gradients_at(x0)
+    assert gcp.specialise(x0).poly == UniPoly([Fraction(-7, 2), Fraction(1)])
+    grads = gcp.specialise(x0).gradients()
     assert grads == [(Fraction(7, 4), Fraction(0), Fraction(-1, 2))]
     with pytest.raises(DenominatorVanishesError):
-        gcp.poly_at([0, 1, 1])
+        gcp.specialise([0, 1, 1])
 
 
 # -- one integer form, any rational point ----------------------------------------------
@@ -307,7 +306,7 @@ def _general_route_gcp():
     ],
 )
 def test_integer_and_rational_points_take_one_route(make):
-    """poly_at and gradients_at evaluate the one integer form: an integer
+    """A specialisation evaluates the one integer form: an integer
     point and the same point as Fractions give equal values, a rational
     point goes the same way, and every value is a Fraction, never a float,
     equal to the Fraction oracle's."""
@@ -317,13 +316,14 @@ def test_integer_and_rational_points_take_one_route(make):
     as_fractions = tuple(Fraction(x) for x in integer)
     rational = (Fraction(1, 2), Fraction(-4, 3), Fraction(5, 7))
     for point in (integer, as_fractions, rational):
-        poly, grads = gcp.poly_at(point), gcp.gradients_at(point)
+        specialisation = gcp.specialise(point)
+        poly, grads = specialisation.poly, specialisation.gradients()
         assert (poly, grads) == fraction_specialisation(gcp, point), point
         assert all(type(c) is Fraction for c in poly.coeffs)
         assert all(type(v) is Fraction for grad in grads for v in grad)
         assert any(v for grad in grads for v in grad)
-    assert gcp.poly_at(integer) == gcp.poly_at(as_fractions)
-    assert gcp.gradients_at(integer) == gcp.gradients_at(as_fractions)
+    assert gcp.specialise(integer).poly == gcp.specialise(as_fractions).poly
+    assert gcp.specialise(integer).gradients() == gcp.specialise(as_fractions).gradients()
 
 
 def test_lie_route_at_a_rational_a_matches_the_general_route():
@@ -333,8 +333,8 @@ def test_lie_route_at_a_rational_a_matches_the_general_route():
     derived = _lie_char_poly(heisenberg3(), a, 0)
     oracle = generic_char_poly(lie_pencil(heisenberg3(), a).pencil)
     for point in ((3, -2, 5), (Fraction(1, 2), Fraction(-4, 3), Fraction(5, 7))):
-        assert derived.poly_at(point) == oracle.poly_at(point)
-        assert derived.gradients_at(point) == oracle.gradients_at(point)
+        assert derived.specialise(point).poly == oracle.specialise(point).poly
+        assert derived.specialise(point).gradients() == oracle.specialise(point).gradients()
 
 
 def test_generic_char_poly_holds_integer_coefficients():
@@ -357,7 +357,7 @@ def test_gradient_polynomials_are_derived_once_per_generic_char_poly(monkeypatch
     monkeypatch.setattr(MultiPoly, "gradient", gradient)
     gcp = _general_route_gcp()
     for point in ((3, -2, 5), (1, 1, 1), (Fraction(1, 2), 2, 3)):
-        gcp.gradients_at(point)
+        gcp.specialise(point).gradients()
     assert calls == [gcp.denominator, *gcp.numerators]
 
 

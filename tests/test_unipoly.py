@@ -100,11 +100,11 @@ def test_squarefree_structure_on_random_inputs():
         parts = squarefree_decompose(f)
         rebuilt = UniPoly.one()
         for part, mult in parts:
-            assert poly_gcd(part, part.derivative()).is_one  # squarefree
+            assert poly_gcd(part, part.derivative()) == ONE  # squarefree
             rebuilt = rebuilt * part**mult
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                assert poly_gcd(parts[i][0], parts[j][0]).is_one
+                assert poly_gcd(parts[i][0], parts[j][0]) == ONE
         assert rebuilt == f.monic()
 
 
@@ -241,12 +241,10 @@ def test_integer_pseudo_quotient_matches_division():
         assert power % m == 0
         assert UniPoly([power // m * c for c in r]) == (UniPoly(f).scale(power) % UniPoly(g))
 
-def test_compose_and_eval():
+def test_eval():
     f = X * X + X.scale(2)  # x^2 + 2x
-    inner = X - ONE
-    composed = f.compose(inner)
-    for v in (-2, 0, 1, 5):
-        assert composed(v) == f(Fraction(v) - 1)
+    for v in (-2, 0, 1, 5, Fraction(-1, 3)):
+        assert f(v) == v * v + 2 * v
 
 
 def _random_factored_inputs(rng):
