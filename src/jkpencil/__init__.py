@@ -2,6 +2,11 @@
 
 All arithmetic is over Q (fractions.Fraction); non-rational eigenvalues
 are represented by irreducible factors of polynomials over Q.
+
+`import jkpencil` loads the error classes alone.  Every other public name
+is bound on first access (a module `__getattr__`, PEP 562), which imports
+the one module that defines it: a command-line call, or a user of one
+layer, loads only the modules it runs.
 """
 
 from .errors import (
@@ -15,125 +20,83 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import (
-    Matrix,
-    Subspace,
-    Vector,
-    kernel_basis,
-    rank,
-    subspace_sum,
-)
-from .multipoly import MultiPoly, multi_gcd
-from .pencil import (
-    INFINITY,
-    CharPoly,
-    JKInvariants,
-    JordanGroup,
-    SkewPencil,
-    canonical_pencil,
-    characteristic_polynomial,
-    congruence_transform,
-    core_subspace,
-    isotropy_certificate,
-    jk_invariants,
-    pencil_rank,
-)
-from .poisson import (
-    COMPLETE,
-    INCOMPLETE,
-    INDETERMINATE,
-    CompletenessReport,
-    GenericCharPoly,
-    PointAnalysis,
-    PolyPoissonPencil,
-    compatibility_check,
-    completeness_check,
-    eigenvalue_lemma_check,
-    evaluate_at,
-    extended_core,
-    generic_char_poly,
-    involution_check,
-    jacobi_check,
-    sample_generic_point,
-)
-from .liealg import (
-    LieAlgebra,
-    LiePencilSpec,
-    catalog,
-    catalog_names,
-    fa_completeness,
-    ftilde_completeness,
-    fundamental_semiinvariant,
-    get_algebra,
-    jk_invariants_generic,
-    lie_pencil,
-    validate_lie_algebra,
-)
-from .smith import smith_normal_form
-from .unipoly import UniPoly, poly_gcd, rational_roots, squarefree_decompose
 
 __version__ = "0.1.0"
 
+# The public names bound on first access, by the module that defines them.
+_LAZY = {
+    "linalg": ("Matrix", "Subspace", "Vector", "kernel_basis", "rank", "subspace_sum"),
+    "multipoly": ("MultiPoly", "multi_gcd"),
+    "pencil": (
+        "INFINITY",
+        "CharPoly",
+        "JKInvariants",
+        "JordanGroup",
+        "SkewPencil",
+        "canonical_pencil",
+        "characteristic_polynomial",
+        "congruence_transform",
+        "core_subspace",
+        "isotropy_certificate",
+        "jk_invariants",
+        "pencil_rank",
+    ),
+    "poisson": (
+        "COMPLETE",
+        "INCOMPLETE",
+        "INDETERMINATE",
+        "CompletenessReport",
+        "GenericCharPoly",
+        "PointAnalysis",
+        "PolyPoissonPencil",
+        "compatibility_check",
+        "completeness_check",
+        "eigenvalue_lemma_check",
+        "evaluate_at",
+        "extended_core",
+        "generic_char_poly",
+        "involution_check",
+        "jacobi_check",
+        "sample_generic_point",
+    ),
+    "structure": ("LieAlgebra", "catalog", "catalog_names", "get_algebra", "validate_lie_algebra"),
+    "liealg": (
+        "LiePencilSpec",
+        "fa_completeness",
+        "ftilde_completeness",
+        "fundamental_semiinvariant",
+        "jk_invariants_generic",
+        "lie_pencil",
+    ),
+    "smith": ("smith_normal_form",),
+    "unipoly": ("UniPoly", "poly_gcd", "rational_roots", "squarefree_decompose"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
 __all__ = [
-    "CharPoly",
-    "COMPLETE",
-    "CompletenessReport",
     "DegreeJumpError",
     "DenominatorVanishesError",
-    "GenericCharPoly",
-    "INCOMPLETE",
-    "INDETERMINATE",
-    "INFINITY",
     "InfiniteEigenvalueError",
     "InternalConsistencyError",
-    "JKInvariants",
     "JKPencilError",
-    "JordanGroup",
-    "LieAlgebra",
-    "LiePencilSpec",
-    "Matrix",
-    "MultiPoly",
     "NonGenericPointError",
     "PairingViolationError",
-    "PointAnalysis",
-    "PolyPoissonPencil",
     "SingularMatrixError",
-    "SkewPencil",
-    "Subspace",
-    "UniPoly",
     "ValidationError",
-    "Vector",
-    "canonical_pencil",
-    "catalog",
-    "catalog_names",
-    "characteristic_polynomial",
-    "compatibility_check",
-    "completeness_check",
-    "congruence_transform",
-    "core_subspace",
-    "eigenvalue_lemma_check",
-    "evaluate_at",
-    "extended_core",
-    "fa_completeness",
-    "ftilde_completeness",
-    "fundamental_semiinvariant",
-    "generic_char_poly",
-    "get_algebra",
-    "involution_check",
-    "isotropy_certificate",
-    "jacobi_check",
-    "jk_invariants",
-    "jk_invariants_generic",
-    "kernel_basis",
-    "lie_pencil",
-    "multi_gcd",
-    "pencil_rank",
-    "poly_gcd",
-    "rank",
-    "rational_roots",
-    "sample_generic_point",
-    "smith_normal_form",
-    "squarefree_decompose",
-    "subspace_sum",
-    "validate_lie_algebra",
+    *_HOME,
 ]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

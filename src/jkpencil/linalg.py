@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ValidationError
-from .unipoly import _as_fraction
+from .rational import _as_fraction
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]

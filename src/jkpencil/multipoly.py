@@ -18,7 +18,8 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import _common_denominator
-from .unipoly import _as_rational, _int_poly_mul
+from .rational import _as_rational
+from .unipoly import _int_poly_mul
 
 
 class MultiPoly:

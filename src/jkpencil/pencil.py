@@ -76,10 +76,10 @@ from .linalg import (
     rank,
     subspace_sum,
 )
+from .rational import _as_fraction
 from .smith import smith_normal_form
 from .unipoly import (
     UniPoly,
-    _as_fraction,
     _int_poly_mul,
     _integer_primitive,
     _to_unipoly,

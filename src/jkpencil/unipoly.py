@@ -24,23 +24,7 @@ from math import gcd as int_gcd
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot use {value!r} as a rational coefficient")
-
-
-def _as_rational(value) -> int | Fraction:
-    """value as an int when it is integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    value = _as_fraction(value)
-    return value.numerator if value.denominator == 1 else value
+from .rational import _as_fraction
 
 
 class UniPoly:

@@ -66,7 +66,7 @@ def run_commands() -> None:
         for fmt in ("json", "text"):
             cli.main([kind, "analyze", str(doc), "--format", fmt])
     cli.main(["catalog"])
-    for name in cli.catalog_names():
+    for name in cli.cmd_catalog(None)["algebras"]:
         cli.main(["catalog", name])
     for deck in DECKS.values():
         for seed in SEEDS:

@@ -13,17 +13,11 @@ import pytest
 
 from jkpencil import cli
 from jkpencil.liealg import (
-    abelian,
-    aff1,
-    catalog,
-    e3,
     fa_completeness,
     ftilde_completeness,
     fundamental_semiinvariant,
-    heisenberg3,
     jk_invariants_generic,
     lie_pencil,
-    so3,
 )
 from jkpencil.linalg import kernel_basis, rank, subspace_sum
 from jkpencil.pencil import (
@@ -46,6 +40,7 @@ from jkpencil.poisson import (
     involution_check,
     sample_generic_point,
 )
+from jkpencil.structure import abelian, aff1, catalog, e3, heisenberg3, so3
 from jkpencil.unipoly import UniPoly
 
 import conftest

@@ -10,13 +10,13 @@ import pytest
 
 from jkpencil import cli
 from jkpencil.errors import ValidationError
-from jkpencil.liealg import direct_sum, get_algebra
 from jkpencil.pencil import (
     INFINITY,
     JKInvariants,
     canonical_pencil,
     congruence_transform,
 )
+from jkpencil.structure import direct_sum, get_algebra
 from jkpencil.unipoly import UniPoly
 
 from conftest import random_unimodular
@@ -176,8 +176,10 @@ def test_lie_analyze_deep_nesting_exit_2(capsys, tmp_path):
         ("pencil", b'{"dimension": 2, "A": [[0, 1], [-1, 0]],', "malformed JSON at line 1, column 41: "),
         ("pencil", b'{"dimension": 1, "A": [[' + b"7" * 5000 + b']], "B": [[0]]}', "unreadable JSON: "),
         ("lie", b"[" * 100000 + b"]" * 100000, "unreadable JSON: nested too deeply"),
+        # an empty list once fell back to sampled points
+        ("lie", b'{"dimension": 1, "points": []}', "points: expected at least one point"),
     ],
-    ids=["non-utf8", "malformed", "overlong-integer", "deep-nesting"],
+    ids=["non-utf8", "malformed", "overlong-integer", "deep-nesting", "empty-points"],
 )
 def test_report_functions_raise_what_main_prints(capsys, tmp_path, kind, raw, message):
     """The report functions read bytes, so they meet unreadable documents
@@ -629,8 +631,9 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     import jkpencil.poisson
     import jkpencil.smith
     import jkpencil.unipoly
-    from jkpencil.liealg import get_algebra, lie_pencil
+    from jkpencil.liealg import lie_pencil
     from jkpencil.pencil import _lambda_rows
+    from jkpencil.structure import get_algebra
 
     smith_calls = record_calls(monkeypatch, "smith_normal_form", [jkpencil.smith, jkpencil.pencil])
     refined_calls = record_calls(
@@ -894,7 +897,7 @@ def test_lie_analyze_computes_each_lie_quantity_once(capsys, monkeypatch):
     import jkpencil.multipoly
     import jkpencil.pencil
     import jkpencil.poisson
-    from jkpencil.liealg import get_algebra
+    from jkpencil.structure import get_algebra
 
     modules = [jkpencil.poisson, jkpencil.liealg]
     jacobi_calls = record_calls(monkeypatch, "jacobi_check", modules)

@@ -8,24 +8,11 @@ import pytest
 from jkpencil import cli
 from jkpencil.errors import InternalConsistencyError, ValidationError
 from jkpencil.liealg import (
-    LieAlgebra,
-    abelian,
-    aff1,
-    catalog,
-    catalog_names,
-    direct_sum,
-    e3,
     fa_completeness,
     ftilde_completeness,
     fundamental_semiinvariant,
-    get_algebra,
-    heisenberg3,
     jk_invariants_generic,
     lie_pencil,
-    sl2,
-    so3,
-    so_n,
-    validate_lie_algebra,
     _lie_char_poly,
 )
 from jkpencil.linalg import rank
@@ -39,6 +26,21 @@ from jkpencil.poisson import (
     generic_char_poly,
     jacobi_check,
     sample_generic_point,
+)
+from jkpencil.structure import (
+    LieAlgebra,
+    abelian,
+    aff1,
+    catalog,
+    catalog_names,
+    direct_sum,
+    e3,
+    get_algebra,
+    heisenberg3,
+    sl2,
+    so3,
+    so_n,
+    validate_lie_algebra,
 )
 from jkpencil.unipoly import UniPoly
 

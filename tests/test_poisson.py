@@ -13,7 +13,7 @@ from jkpencil.errors import (
     NonGenericPointError,
     ValidationError,
 )
-from jkpencil.liealg import _lie_char_poly, aff1, heisenberg3, lie_pencil, so3
+from jkpencil.liealg import _lie_char_poly, lie_pencil
 from jkpencil.multipoly import MultiPoly
 from jkpencil.pencil import (
     JKInvariants,
@@ -40,6 +40,7 @@ from jkpencil.poisson import (
     jacobi_check,
     sample_generic_point,
 )
+from jkpencil.structure import aff1, heisenberg3, so3
 from jkpencil.unipoly import UniPoly
 
 

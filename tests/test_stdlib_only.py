@@ -28,8 +28,11 @@ def outside_imports(source: str, filename: str = "<source>") -> list[str]:
 
 
 def test_the_guard_sees_absolute_imports_only():
-    source = "import os, numpy.linalg\nfrom sympy import Matrix\nfrom . import linalg\nfrom .errors import X\n"
-    assert outside_imports(source) == ["<source>:1 numpy.linalg", "<source>:2 sympy"]
+    source = (
+        "import os, numpy.linalg\nfrom sympy import Matrix\nfrom . import linalg\nfrom .errors import X\n"
+        "def f():\n    from .pencil import Y\n    import scipy\n"
+    )
+    assert outside_imports(source) == ["<source>:1 numpy.linalg", "<source>:2 sympy", "<source>:7 scipy"]
 
 
 def test_package_imports_only_the_standard_library():
