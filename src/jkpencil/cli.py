@@ -15,13 +15,15 @@ a parameter of the former Moebius route to infinite Jordan blocks; every
 other key is unchanged.  Identical input and identical --seed produce
 byte-identical JSON.  The seed drives Lie point sampling only: regular
 values are taken in a fixed order, so a pencil report depends on it
-through its `seed` key alone.  On the Lie path one stream of pairs (x, a)
-serves the generic samples, the semi-invariant certificate and a sampled
-frozen point (the a of the first certified pair).
+through its `seed` key alone.  On the Lie path the semi-invariant
+certificate reads one stream of pairs (x, a); the first `samples` pairs it
+admits give the generic invariants, and the a of the first is a sampled
+frozen point.
 
 Exit codes: 0 success, 2 validation error (also 10 degree jumps in a
 search for generic points), 3 internal-consistency failure (also too few
-generic points among the 80 a search draws).
+generic points among the draws of a search: 80, or 80 per three points
+wanted past three).
 Diagnostics go to stderr; the report alone goes to stdout.
 
 Each command imports only the modules it runs; the imports sit in the
@@ -61,7 +63,7 @@ if TYPE_CHECKING:
     from .structure import LieAlgebra
 
 DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = 7
+DEFAULT_SAMPLES = 3
 
 # Largest Lie algebra dimension a document may declare.  The Jacobi check
 # alone visits every triple i < j < k, and the generic layer grows faster
@@ -610,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=DEFAULT_SAMPLES,
-        help=f"random (x, a) samples for the generic invariants (default {DEFAULT_SAMPLES})",
+        help=f"certified (x, a) pairs compared for the generic invariants (default {DEFAULT_SAMPLES})",
     )
     la.add_argument(
         "--point",

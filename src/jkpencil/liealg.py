@@ -16,9 +16,10 @@ keeps the generic rank of A(x) and the fundamental semi-invariant p_g
 (one Pfaffian gcd) on the algebra.  The pencil's generic characteristic
 polynomial is read off p_g: A(x) - lambda*A(a) = A(x - lambda*a), so
 p(lambda) = monic(p_g(x - lambda*a)), and every sampled point is checked
-against it.  One stream of analysed pairs (x, a) per seed serves the
-generic samples, the semi-invariant certificate and a sampled frozen
-point, the a of the first pair that certified p_g.  The F~_a points are
+against it.  The semi-invariant certificate reads one stream of analysed
+pairs (x, a) per seed and keeps the pairs it admits, which are generic:
+their analyses give the generic invariants, and the a of the first is
+the sampled frozen point.  The F~_a points are
 sampled by poisson's one search, which also certifies p_g, and the
 pencil at an F~_a point is built from the structure constants.
 
@@ -37,7 +38,6 @@ for an output value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import factorial
 from typing import Sequence
 
@@ -61,6 +61,10 @@ from .poisson import (
 # liealg.validate_lie_algebra, the name perfbench/spans.py traces.
 from .structure import LieAlgebra, validate_lie_algebra  # noqa: F401
 from .unipoly import _to_unipoly
+
+# Pairs (x, a) at which the fundamental semi-invariant is certified.  The
+# generic samples are the first of them; more samples certify more pairs.
+CERTIFIED_PAIRS = 3
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,9 @@ def _irregularity(g: LieAlgebra, frozen: Matrix) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class GenericJKReport:
-    """Generic Jordan-Kronecker invariants of a Lie algebra by sampling."""
+    """Generic Jordan-Kronecker invariants of a Lie algebra, read at the
+    pairs (x, a) that certify its fundamental semi-invariant; max_rank is
+    the generic rank, which every certified pair has."""
 
     samples: int
     seed: int
@@ -115,28 +121,30 @@ class GenericJKReport:
         return bool(self.representative.jordan)
 
 
-def jk_invariants_generic(g: LieAlgebra, samples: int = 7, seed: int = 0) -> GenericJKReport:
+def jk_invariants_generic(g: LieAlgebra, samples: int = CERTIFIED_PAIRS, seed: int = 0) -> GenericJKReport:
     """Invariants of the constant pencil (A(x), A(a)) at the first
-    `samples` pairs of g._pairs(seed), which the semi-invariant certificate
-    reads too, keeping those achieved at maximal pencil rank.
+    `samples` pairs of g._pairs(seed) that certify p_g, read from the
+    analyses the certificate kept.
 
-    Stability means all max-rank samples agree on the eigenvalue-free
-    shape (Kronecker multiset plus degree-expanded half-size multisets);
-    an unstable report is not fatal, the caller may raise `samples`.
+    A certified pair is generic: the pencil there has the generic rank,
+    rank A(a) equals it, and the pointwise characteristic polynomial is
+    monic(p_g(x - lambda*a)).  Stability means all compared pairs agree
+    on the eigenvalue-free shape (Kronecker multiset plus degree-expanded
+    half-size multisets); an unstable report is not fatal, the caller may
+    raise `samples`.  The representative is the first certified pair.
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
-    results = [analysis.invariants() for _, analysis in islice(g._pairs(seed), samples)]
-    max_rank = max(inv.rank for inv in results)
-    top = [inv for inv in results if inv.rank == max_rank]
-    shapes = {inv.shape() for inv in top}
+    certified = _certified(g, seed, max(CERTIFIED_PAIRS, samples))[:samples]
+    results = [analysis.invariants() for _, analysis in certified]
+    shapes = {inv.shape() for inv in results}
     return GenericJKReport(
         samples=samples,
         seed=seed,
-        max_rank=max_rank,
+        max_rank=g.generic_rank(),
         stable=len(shapes) == 1,
-        representative=top[0],
-        shape=top[0].shape(),
+        representative=results[0],
+        shape=results[0].shape(),
     )
 
 
@@ -145,16 +153,27 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
 
     Normalized to content 1 with positive lexicographically-leading
     coefficient.  Computed on the first call and kept on g; the first call
-    at each seed certifies the defining identity with poisson._certify
-    over the analysed pairs (x, a) of g._pairs(seed), the generic samples'
-    pairs, which it reads past the samples only when fewer than three of
-    them certify: with eigenvalues read from A - lambda*B, the pencil
-    characteristic polynomial at (x, a) equals the monic normalization of
-    p_g restricted to the line x - lambda*a.  The three certified pairs
-    are kept on g; the first one's a is the sampled frozen point of
-    ftilde_completeness.
+    at each seed certifies it at three pairs of g._pairs(seed) (_certified).
     """
-    if seed not in g._certified:
+    _certified(g, seed, CERTIFIED_PAIRS)
+    return g._semiinvariant
+
+
+def _certified(g: LieAlgebra, seed: int, count: int) -> tuple:
+    """The first `count` (or more) pairs of g._pairs(seed) that certify
+    the fundamental semi-invariant p_g, each as ((x, a), analysis).
+
+    poisson._certify admits a pair (x, a) when, with eigenvalues read from
+    A - lambda*B, the pencil characteristic polynomial there equals the
+    monic normalization of p_g restricted to the line x - lambda*a, at the
+    generic rank and with rank A(a) equal to it.  The pairs are kept on g,
+    so the certificate runs once per seed unless a later caller asks for
+    more pairs; it then reads the same kept stream again.  The first
+    pairs are the generic samples of jk_invariants_generic, and the first
+    pair's a is the sampled frozen point of ftilde_completeness.
+    """
+    kept = g._certified.get(seed, ())
+    if len(kept) < count:
         r = g.generic_rank()
         if g._semiinvariant is None:
             g._semiinvariant = _pfaffian_gcd(g.poisson_matrix(), r)
@@ -164,8 +183,9 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
             (pair, analysis, _restricted(p_g, d, pair))
             for pair, analysis in g._pairs(seed)
         )
-        g._certified[seed] = tuple(pair for pair, _, _ in _certify(lines, r, d, 3))
-    return g._semiinvariant
+        kept = tuple((pair, analysis) for pair, analysis, _ in _certify(lines, r, d, count))
+        g._certified[seed] = kept
+    return kept
 
 
 def _restricted(p_g: MultiPoly, d: int, pair: tuple[Vector, Vector]):
@@ -251,8 +271,7 @@ def ftilde_completeness(
     """
     sampled = a is None
     if sampled:
-        fundamental_semiinvariant(g, seed)
-        a = g._certified[seed][0][1]
+        (_, a), _ = _certified(g, seed, CERTIFIED_PAIRS)[0]
     else:
         a = vector(a)
     frozen = g.frozen_matrix(a)

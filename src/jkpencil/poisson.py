@@ -396,19 +396,22 @@ def _not_generic(
 
 
 def _certify(points: Iterator, rank: int, degree: int, count: int) -> tuple:
-    """The first `count` of the first 80 points at which a generic
-    characteristic polynomial of this rank and degree equals the pointwise
-    one, each as the (point, analysis, expected) item points yielded.
+    """The first `count` points at which a generic characteristic
+    polynomial of this rank and degree equals the pointwise one, each as
+    the (point, analysis, expected) item points yielded, among the first
+    80 points, or 80 per three points wanted when `count` exceeds three.
 
     This is the one search for generic points: the certificates read
-    three, the sampler one.  points yields (point, the caller's analysis
+    three (a Lie algebra's, more when more generic samples are asked
+    for), the sampler one.  points yields (point, the caller's analysis
     of the pencil there, the generic polynomial there or None where its
     denominator vanishes).  A point that _not_generic rejects is skipped,
     and 10 pointwise degree jumps raise DegreeJumpError; fewer than
-    `count` generic points among the 80 raise InternalConsistencyError.
+    `count` generic points among the draws raise InternalConsistencyError.
     """
+    draws = max(80, 80 * count // 3)
     certified, jumps = [], 0
-    for x0, analysis, expected in islice(points, 80):
+    for x0, analysis, expected in islice(points, draws):
         reason = _not_generic(analysis, rank, degree, expected, x0)
         if reason is None:
             certified.append((x0, analysis, expected))
@@ -421,7 +424,7 @@ def _certify(points: Iterator, rank: int, degree: int, count: int) -> tuple:
                     f"pointwise degree {analysis.char_poly.degree} exceeds generic degree "
                     f"{degree} at {x0}"
                 )
-    raise InternalConsistencyError(f"found {len(certified)} of {count} generic points in 80 draws")
+    raise InternalConsistencyError(f"found {len(certified)} of {count} generic points in {draws} draws")
 
 
 # -- pointwise analyses ----------------------------------------------------

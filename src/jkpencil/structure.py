@@ -57,7 +57,7 @@ class LieAlgebra:
         self._generic_rank: Optional[int] = None
         self._semiinvariant: Optional[MultiPoly] = None
         self._streams: dict[int, tuple[random.Random, list]] = {}
-        self._certified: dict[int, tuple[tuple[Vector, Vector], ...]] = {}
+        self._certified: dict[int, tuple[tuple[tuple[Vector, Vector], _PencilAnalysis], ...]] = {}
 
     def poisson_matrix(self) -> list[list[MultiPoly]]:
         """The Lie-Poisson matrix A(x) with entries sum_k c_ij^k x_k."""
@@ -96,9 +96,10 @@ class LieAlgebra:
 
     def _pairs(self, seed: int) -> Iterator[tuple[tuple[Vector, Vector], _PencilAnalysis]]:
         """The pairs (x, a) drawn by Random(seed), each with the analysis of
-        its pencil (A(x), A(a)), drawn when first read and kept: the generic
-        samples, the semi-invariant certificate and the sampled frozen
-        point read one stream per seed and analyse each pair once."""
+        its pencil (A(x), A(a)), drawn when first read and kept: the
+        semi-invariant certificate reads one stream per seed and analyses
+        each pair once, and the pairs it admits are the generic samples
+        and give the sampled frozen point."""
         import random
 
         from .pencil import SkewPencil, _PencilAnalysis

@@ -623,8 +623,9 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
 
     The Smith form of a point reads the integer scaling of its pencil
     restricted to M/K, its Jordan part, here 2 x 2.
-    The certificate of the fundamental semi-invariant reads the analyses
-    of the generic samples, so its work is counted with theirs.
+    The generic invariants are read from the analyses of the three pairs
+    that certify the fundamental semi-invariant, so the document's five
+    Smith forms are those three and the two points'.
     """
     import jkpencil.linalg
     import jkpencil.pencil
@@ -663,7 +664,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     pencil = lie_pencil(get_algebra("heisenberg3"), report["frozen_point"]["a"]).pencil
     points = [p["point"] for p in report["ftilde"]["points"]]
     assert len(points) == 2
-    assert len(refined_calls) == len(smith_calls) == 9
+    assert len(refined_calls) == len(smith_calls) == 5
     for x0, cert, pa in zip(points, report["involution_certificates"], certified, strict=True):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         jordan_part = pa.analysis._jordan_part
@@ -738,12 +739,11 @@ def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkey
 
 @pytest.mark.parametrize("document", sorted(GOLDEN.glob("*.lie.json")), ids=lambda p: p.name.split(".")[0])
 def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeypatch):
-    """One _PencilAnalysis per sampled pair (x, a) and per F~_a point: the
-    generic invariants, the semi-invariant certificate and the sampled
-    frozen point read one stream of pairs, whose first 7 (--samples)
-    certify p_g on every golden document, and the pencil at an F~_a point
-    is built from the structure constants, not by evaluating polynomial
-    entries."""
+    """One _PencilAnalysis per pair (x, a) the semi-invariant certificate
+    reads and per F~_a point: the generic invariants (--samples 3) and the
+    sampled frozen point are read from the pairs that certify p_g, so they
+    analyse no pair of their own, and the pencil at an F~_a point is built
+    from the structure constants, not by evaluating polynomial entries."""
     import jkpencil.liealg
     import jkpencil.pencil
     import jkpencil.poisson
@@ -751,12 +751,27 @@ def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeyp
     modules = [jkpencil.pencil, jkpencil.poisson, jkpencil.liealg, jkpencil.cli]
     analyses = record_calls(monkeypatch, "_PencilAnalysis", modules)
     evaluations = record_calls(monkeypatch, "evaluate_at", modules[1:])
+    read, certified = [], []
+    original_certify = jkpencil.liealg._certify
+
+    def certify(lines, *args):
+        def counted():
+            for line in lines:
+                read.append(line[0])
+                yield line
+
+        certified.append(original_certify(counted(), *args))
+        return certified[-1]
+
+    monkeypatch.setattr(jkpencil.liealg, "_certify", certify)
     code, out, _ = run(capsys, ["lie", "analyze", str(document), "--format", "json"])
     assert code == 0
     report = json.loads(out)
-    assert report["generic_invariants"]["samples"] == 7
+    assert report["generic_invariants"]["samples"] == 3
     assert len(report["ftilde"]["points"]) == 2
-    assert len(analyses) == 7 + 2
+    assert len(certified) == 1 and len(certified[0]) == 3
+    assert len(read) == len(set(read)) >= 3
+    assert len(analyses) == len(read) + 2
     assert evaluations == []
 
 
@@ -934,3 +949,52 @@ def test_lie_analyze_samples_below_one_exit_2(capsys):
         assert code == 2, samples
         assert out == ""
         assert f"samples must be at least 1, got {samples}" in err
+
+
+def test_lie_analyze_samples_from_one_to_a_hundred(capsys):
+    """--samples 1 compares one certified pair and --samples 100 a hundred:
+    the certificate's draw budget grows with the pairs it is asked for (80
+    per three), so neither exits 3.  The first certified pair, the
+    representative and the frozen point, does not depend on --samples, so
+    the report differs from the golden in its two samples fields alone."""
+    document = GOLDEN / "aff1.lie.json"
+    golden = json.loads((GOLDEN / "aff1.report.json").read_text())
+    for samples in (1, 100):
+        code, out, err = run(
+            capsys, ["lie", "analyze", str(document), "--samples", str(samples), "--format", "json"]
+        )
+        assert (code, err) == (0, ""), samples
+        report = json.loads(out)
+        assert report["samples"] == report["generic_invariants"]["samples"] == samples
+        assert report["generic_invariants"]["stable"]
+        report["samples"] = report["generic_invariants"]["samples"] = golden["samples"]
+        assert report == golden, samples
+
+
+def test_lie_analyze_heisenberg3_seed_2_represents_a_generic_pair(capsys):
+    """At --seed 2 the first raw pair of heisenberg3 of full pencil rank has
+    rank A(a) below the generic rank, so it has an infinite Jordan block;
+    the generic invariants are read from certified pairs only, where the
+    eigenvalue is finite."""
+    code, out, _ = run(
+        capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json"), "--seed", "2", "--format", "json"]
+    )
+    assert code == 0
+    generic = json.loads(out)["generic_invariants"]
+    assert generic["stable"] and generic["max_rank"] == 2
+    [group] = generic["invariants"]["jordan"]
+    assert group["descriptor"] != "INFINITY" and group["half_sizes"] == [1]
+
+
+def test_lie_analyze_so3_seed_451812_is_stable(tmp_path, capsys):
+    """At --seed 451812 a raw pair of so3 of full pencil rank is not generic
+    and splits the Kronecker block; the certified pairs agree, so F_a is
+    COMPLETE, not INDETERMINATE."""
+    document = tmp_path / "so3.lie.json"
+    document.write_text(json.dumps(cli.lie_document(get_algebra("so3"))))
+    code, out, _ = run(capsys, ["lie", "analyze", str(document), "--seed", "451812", "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["generic_invariants"]["stable"]
+    assert report["generic_invariants"]["invariants"]["kronecker"] == [2]
+    assert report["fa"]["verdict"] == "COMPLETE"

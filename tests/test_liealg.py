@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -17,7 +18,7 @@ from jkpencil.liealg import (
 )
 from jkpencil.linalg import rank
 from jkpencil.multipoly import MultiPoly
-from jkpencil.pencil import SkewPencil, core_subspace, pencil_rank
+from jkpencil.pencil import INFINITY, SkewPencil, core_subspace, pencil_rank
 from jkpencil.poisson import (
     COMPLETE,
     INCOMPLETE,
@@ -175,9 +176,10 @@ def test_dual_number_aff1_has_4x4_jordan_block():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect: at seed 20 a max-rank sample of aff1 x Q[eps]/eps^2 has Jordan "
-    "shape (1, 1), not (2), with generic rank(B) and characteristic polynomial, so the "
-    "generic invariants are unstable and F_a is INDETERMINATE",
+    reason="known defect: at seed 20 one of the three pairs of aff1 x Q[eps]/eps^2 that "
+    "certify p_g has Jordan shape (1, 1), not (2), so the certified pairs disagree, the "
+    "generic invariants are unstable and F_a is INDETERMINATE; keeping the certified "
+    "pairs with the fewest Jordan blocks (ROADMAP item 4a) would resolve it",
 )
 def test_dual_number_aff1_fa_incomplete_at_seed_20(tmp_path, capsys):
     document = tmp_path / "aff1_dual.lie.json"
@@ -187,6 +189,42 @@ def test_dual_number_aff1_fa_incomplete_at_seed_20(tmp_path, capsys):
     assert code == 0
     assert report["generic_invariants"]["stable"]
     assert report["fa"]["verdict"] == INCOMPLETE
+
+
+# Seeds at which comparing the first 7 raw pairs, of full pencil rank but
+# not checked for genericity, gave unstable generic invariants (F_a
+# INDETERMINATE) or a representative with an infinite Jordan block.
+FORMERLY_DEFECTIVE_SEEDS = (
+    (so3, COMPLETE, (92, 120)),
+    (sl2, COMPLETE, (92, 120)),
+    (e3, COMPLETE, (92, 152)),
+    (lambda: so_n(4), COMPLETE, (162,)),
+    (lambda: direct_sum(so3(), so3()), COMPLETE, (92, 119, 152)),
+    (lambda: direct_sum(e3(), aff1()), INCOMPLETE, (33, 76, 113, 120, 127, 152, 167, 176, 189)),
+    (lambda: direct_sum(e3(), so3()), COMPLETE, (152, 160)),
+    (lambda: direct_sum(e3(), heisenberg3()), INCOMPLETE, (16, 33, 72, 120, 128)),
+    (lambda: direct_sum(so_n(4), aff1()), INCOMPLETE, (33, 76, 113, 120, 127, 167, 176, 189, 192, 193)),
+)
+
+
+def test_generic_invariants_from_certified_pairs_at_formerly_defective_seeds():
+    """The generic invariants are read from pairs that certify p_g, which
+    are generic: at each seed above they are stable, F_a has its known
+    verdict and every eigenvalue of the representative is finite."""
+    start = time.perf_counter()
+    wrong = []
+    for make, verdict, seeds in FORMERLY_DEFECTIVE_SEEDS:
+        g = make()
+        for seed in seeds:
+            rep = jk_invariants_generic(g, seed=seed)
+            if (
+                not rep.stable
+                or fa_completeness(g, rep) != verdict
+                or any(group.descriptor is INFINITY for group in rep.representative.jordan)
+            ):
+                wrong.append((g.name, seed))
+    assert wrong == []
+    assert time.perf_counter() - start < 3
 
 
 # -- fundamental semi-invariant -------------------------------------------------------

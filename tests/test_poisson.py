@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from jkpencil.poisson import (
     INCOMPLETE,
     PointAnalysis,
     PolyPoissonPencil,
+    _certify,
     _generic_poly_at,
     _random_point,
     _sample_generic,
@@ -457,6 +459,22 @@ def test_sample_generic_gives_up_after_80_points():
     with pytest.raises(InternalConsistencyError, match="found 0 of 1 generic points in 80 draws"):
         _sample_generic(pencil_at, gcp, seed=5)
     assert len(drawn) == 80
+
+
+@pytest.mark.parametrize("count, draws", [(1, 80), (3, 80), (4, 106), (100, 2666)])
+def test_certify_draws_80_points_per_three_wanted(count, draws):
+    # no point has the rank 2 asked for, so the search reads its whole
+    # budget: 80 draws, or 80 per three points wanted past three
+    drawn = []
+
+    def points():
+        while True:
+            drawn.append(None)
+            yield (0,), SimpleNamespace(rank=0), None
+
+    with pytest.raises(InternalConsistencyError, match=f"found 0 of {count} generic points in {draws} draws"):
+        _certify(points(), 2, 1, count)
+    assert len(drawn) == draws
 
 
 def test_generic_char_poly_is_computed_once_per_pencil(monkeypatch):
