@@ -16,10 +16,10 @@ keeps the generic rank of A(x) and the fundamental semi-invariant p_g
 (one Pfaffian gcd) on the algebra.  The pencil's generic characteristic
 polynomial is read off p_g: A(x) - lambda*A(a) = A(x - lambda*a), so
 p(lambda) = monic(p_g(x - lambda*a)), and every sampled point is checked
-against it.  The semi-invariant certificate reads one stream of analysed
-pairs (x, a) per seed and keeps the pairs it admits, which are generic:
-their analyses give the generic invariants, and the a of the first is
-the sampled frozen point.  The F~_a points are
+against it.  The semi-invariant certificate reads the stream of pairs
+(x, a) of a seed, each with its pencil, and keeps the pairs it admits,
+which are generic: their pencils give the generic invariants, and the a
+of the first is the sampled frozen point.  The F~_a points are
 sampled by poisson's one search, which also certifies p_g, and the
 pencil at an F~_a point is built from the structure constants.
 
@@ -44,7 +44,7 @@ from typing import Sequence
 from .errors import InternalConsistencyError, ValidationError
 from .linalg import Matrix, Vector, _common_denominator, rank, vector
 from .multipoly import MultiPoly
-from .pencil import JKInvariants, SkewPencil, _PencilAnalysis
+from .pencil import JKInvariants, SkewPencil, jk_invariants
 from .poisson import (
     COMPLETE,
     INCOMPLETE,
@@ -124,7 +124,7 @@ class GenericJKReport:
 def jk_invariants_generic(g: LieAlgebra, samples: int = CERTIFIED_PAIRS, seed: int = 0) -> GenericJKReport:
     """Invariants of the constant pencil (A(x), A(a)) at the first
     `samples` pairs of g._pairs(seed) that certify p_g, read from the
-    analyses the certificate kept.
+    pencils the certificate kept.
 
     A certified pair is generic: the pencil there has the generic rank,
     rank A(a) equals it, and the pointwise characteristic polynomial is
@@ -136,7 +136,7 @@ def jk_invariants_generic(g: LieAlgebra, samples: int = CERTIFIED_PAIRS, seed: i
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
     certified = _certified(g, seed, max(CERTIFIED_PAIRS, samples))[:samples]
-    results = [analysis.invariants() for _, analysis in certified]
+    results = [jk_invariants(pencil) for _, pencil in certified]
     shapes = {inv.shape() for inv in results}
     return GenericJKReport(
         samples=samples,
@@ -161,14 +161,16 @@ def fundamental_semiinvariant(g: LieAlgebra, seed: int = 0) -> MultiPoly:
 
 def _certified(g: LieAlgebra, seed: int, count: int) -> tuple:
     """The first `count` (or more) pairs of g._pairs(seed) that certify
-    the fundamental semi-invariant p_g, each as ((x, a), analysis).
+    the fundamental semi-invariant p_g, each as ((x, a), pencil).
 
     poisson._certify admits a pair (x, a) when, with eigenvalues read from
     A - lambda*B, the pencil characteristic polynomial there equals the
     monic normalization of p_g restricted to the line x - lambda*a, at the
-    generic rank and with rank A(a) equal to it.  The pairs are kept on g,
-    so the certificate runs once per seed unless a later caller asks for
-    more pairs; it then reads the same kept stream again.  The first
+    generic rank and with rank A(a) equal to it.  Only the admitted pairs
+    are kept on g, with their pencils, so the certificate runs once per
+    seed unless a later caller asks for more pairs; it then reads the
+    stream again from the start, which gives the same pairs.  No command
+    asks twice: lie_report asks for max(3, samples) first.  The first
     pairs are the generic samples of jk_invariants_generic, and the first
     pair's a is the sampled frozen point of ftilde_completeness.
     """
@@ -179,11 +181,8 @@ def _certified(g: LieAlgebra, seed: int, count: int) -> tuple:
             g._semiinvariant = _pfaffian_gcd(g.poisson_matrix(), r)
         p_g = g._semiinvariant
         d = p_g.total_degree()
-        lines = (
-            (pair, analysis, _restricted(p_g, d, pair))
-            for pair, analysis in g._pairs(seed)
-        )
-        kept = tuple((pair, analysis) for pair, analysis, _ in _certify(lines, r, d, count))
+        lines = ((pair, pencil, _restricted(p_g, d, pair)) for pair, pencil in g._pairs(seed))
+        kept = tuple((pair, pencil) for pair, pencil, _ in _certify(lines, r, d, count))
         g._certified[seed] = kept
     return kept
 
@@ -297,7 +296,7 @@ def ftilde_completeness(
     else:
         explicit = map(vector, explicit_points)
         points = (
-            PointAnalysis(_PencilAnalysis(pencil_at(x0)), gcp, x0, _generic_poly_at(gcp, x0))
+            PointAnalysis(pencil_at(x0), gcp, x0, _generic_poly_at(gcp, x0))
             for x0 in explicit
         )
     analysed, reports = [], []

@@ -5,43 +5,32 @@ the characteristic polynomial, the core subspace (sum of kernels of
 regular members), and the full block invariants (Kronecker parameters
 plus Jordan half-sizes grouped by eigenvalue).
 
-One analysis computes each quantity once.  Its RegularValueSampler
-holds the one member table: rank(B), then the kernels of the members
-A + mu*B at mu = 0, 1, -1, 2, -2, ..., each eliminated once, when first
-read.  The pencil rank is read from rank(B) and the first rank(B)/2 + 1
-of those kernels, and the regular values are the members of full rank
-in that order (its docstring proves both bounds), kept with their
-kernels and kernel sums in one record.  The sampler reads the growth
-sequence of the kernel sums once; its length D is the largest Kronecker
-parameter.  The Kronecker parameters are read from that sequence, the
-core from the first D + 2 values, the isotropy certificate from the
-first D + 4 and, at a Lie evaluation point, the involution certificate
-from the first D + 2, and every pairing is an integer dot product with
-the pencil's integer form.  No random numbers are drawn.
-The Smith invariant factors of A - lambda*B are computed once too,
-on its Jordan part: the pencil restricted to M/K, where K is the core
-and M = K^perp the mantle.  The Kronecker blocks add only unit
-invariant factors, so this regular pencil of size J, the total size of
-the Jordan blocks, has the elementary divisors of the whole one, and
-its Smith form runs on J x J matrices instead of n x n
-(_PencilAnalysis._jordan_part).  The characteristic polynomial is
-d_2*d_4*...*d_J of its invariant factors d_1 | ... | d_J, and the
-finite Jordan data are read from their elementary divisors.  When B is
-irregular, the infinite Jordan blocks are the powers of mu in the
-invariant factors of the reversed Jordan part B' - mu*A', a second
-Smith form with the same count and pair checks.  A pencil is held as
-one integer form D*(A, B), so the members at integer values are built
-and eliminated without Fractions, and the Jordan part is an integer
-pair read off it.  The Smith
-factors are kept as primitive integer polynomials, and their refined
-factor basis, computed once, gives the finite Jordan groups.  The
-characteristic polynomial, its squarefree parts and its rational roots
-are read from those groups, so each analysis factors once.  The gcd of
-the principal r x r Pfaffians is the second route to the characteristic
-polynomial, Yun's decomposition and the rational-root search on that
-polynomial the second route to its factor structure, and fraction-free
-elimination over Q[lambda] the second route to the rank; all of them
-live in the test suite as oracles.
+A SkewPencil keeps its own analysis in private cached properties, each
+computed when first read, so whichever public function asks, a pencil
+eliminates each member and runs each Smith form once:
+- _sampler, the one RegularValueSampler: rank(B) and the kernels of the
+  members A + mu*B at mu = 0, 1, -1, 2, -2, ...  They give the pencil
+  rank, the regular values (no random numbers are drawn) and one
+  kernel-growth sequence, whose length D is the largest Kronecker
+  parameter; the core reads the first D + 2 regular values, the isotropy
+  certificate D + 4 and, at a Lie evaluation point, the involution
+  certificate D + 2.
+- _jordan_part, the pencil restricted to M/K, K the core and M = K^perp
+  the mantle: a regular pencil of size J, the total size of the Jordan
+  blocks, with the elementary divisors of the whole one.
+- _finite_groups, the finite Jordan data, from one refined factor basis
+  of the Smith invariant factors of the Jordan part A' - lambda*B'.
+- _char_poly, their product d_2*d_4*...*d_J with its squarefree parts
+  and rational roots, read from the finite groups.
+- _invariants, the Kronecker parameters from the growth sequence and
+  the Jordan groups; the infinite blocks come from a second Smith form,
+  of the reversed Jordan part B' - mu*A', when B is irregular.
+pencil_rank, characteristic_polynomial, core_subspace, jk_invariants and
+isotropy_certificate read them.  All of it runs on the integer form
+D*(A, B), without Fractions.  The second routes, the gcd of the
+principal r x r Pfaffians for the characteristic polynomial, Yun's
+decomposition and the rational-root search for its factors and
+fraction-free elimination over Q[lambda] for the rank, are test oracles.
 
 Sign conventions.  Eigenvalues are the roots of the characteristic
 polynomial of A - lambda*B; the member A + lambda0*B drops rank exactly
@@ -112,7 +101,8 @@ class SkewPencil:
     denominators, built from int, Fraction or str entries.  Matrices of
     ints are that form with D = 1 as they are, after one pass over the
     entry types.  (D, _scaled) is unique per pencil, so equality and hash
-    read it; the Fraction matrices a and b are built when first read."""
+    read it; the Fraction matrices a and b, like the analysis properties
+    below, are built when first read and kept."""
 
     _denominator: int
     _scaled: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
@@ -149,11 +139,6 @@ class SkewPencil:
     def b(self) -> Matrix:
         return tuple(tuple(Fraction(x, self._denominator) for x in row) for row in self._scaled[1])
 
-    def _scaled_member(self, mu: int) -> list[list[int]]:
-        """D*(A + mu*B) for an integer mu: the rank and kernel of A + mu*B."""
-        a, b = self._scaled
-        return [[x + mu * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
     def member(self, lam) -> Matrix:
         """A + lambda*B as a rational matrix."""
         lam = Fraction(lam)
@@ -161,6 +146,132 @@ class SkewPencil:
             tuple(x + lam * y for x, y in zip(ra, rb))
             for ra, rb in zip(self.a, self.b)
         )
+
+    @cached_property
+    def _sampler(self) -> RegularValueSampler:
+        """The pencil's one member table: rank(B), the pencil rank, the
+        regular values and their kernels, the core and the isotropy family."""
+        return RegularValueSampler(self)
+
+    @cached_property
+    def _jordan_part(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The integer pencil D*(A, B) restricted to M/K: the Gram matrices
+        (C*DA*C^T, C*DB*C^T) of rows C that span a complement of K in M.
+
+        K is the stabilised kernel sum that `growth` formed and M its
+        orthogonal under S, the member at the first regular value; M is the
+        same under every regular member, so A and B, combinations of two of
+        them, vanish on K x M and descend to M/K.  In the normal form
+        (Thompson, LAA 147, 1991) a Kronecker block of parameter k meets K
+        and M in the same k dimensions, so M/K is the sum of the Jordan
+        blocks, finite and infinite: a regular pencil of size J, the sum of
+        their sizes.  The Kronecker blocks add only unit invariant factors,
+        so the elementary divisors, and the Jordan groups, are those of the
+        whole pencil.  K <= M, so the pivots of K are pivots of M, and the
+        RREF rows of M at the other pivots span a complement of K.
+
+        At full rank K = 0 and the pair is D*(A, B) itself.  When every
+        Kronecker parameter is 1 (growth of length 1), K is ker S and M all
+        of Q^n, so C is unit vectors and the restriction deletes the rows
+        and columns at K's pivots."""
+        a, b = self._scaled
+        sampler = self._sampler
+        depth = len(sampler.growth)
+        if not depth:
+            return a, b
+        core = sampler.kernel_sum(depth)
+        core_pivots = set(core.pivots)
+        if depth == 1:
+            keep = [j for j in range(self.n) if j not in core_pivots]
+            return tuple([[m[i][j] for j in keep] for i in keep] for m in (a, b))
+        s = _scaled_member(self._scaled, int(sampler.regular(0)[0]))
+        # S is skew, so S*u = 0 exactly when u^T S = 0.
+        mantle = kernel_basis([[sum(map(mul, row, u)) for row in s] for u in core.rows])
+        c = [row for row, pc in zip(mantle.rows, mantle.pivots) if pc not in core_pivots]
+
+        def restrict(m):
+            images = [[sum(map(mul, row, v)) for row in m] for v in c]
+            return [[sum(map(mul, u, image)) for image in images] for u in c]
+
+        return restrict(a), restrict(b)
+
+    @cached_property
+    def _finite_groups(self) -> tuple[tuple[UniPoly, tuple[int, ...]], ...]:
+        """The finite Jordan groups from d_2, d_4, ..., d_J of the Jordan
+        part A' - lambda*B': the exponent of a refined factor q in d_2i is
+        the half-size of one Jordan block of q, or 0."""
+        halves = _invariant_factors(*self._jordan_part)
+        return tuple((q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves))
+
+    @cached_property
+    def _char_poly(self) -> CharPoly:
+        """Monic d_2*d_4*...*d_J of the Jordan part A' - lambda*B', which
+        equals that of A - lambda*B and the gcd of the Pfaffians of all
+        principal r x r minors, read from the finite Jordan groups: a
+        descriptor q with half-sizes h is a factor of multiplicity sum(h),
+        pairwise coprime with the others.  So the polynomial is the product
+        of the q**sum(h), a squarefree part the product of the q that share
+        a multiplicity, and the rational roots are -q(0) for the degree-1 q
+        (refined_factors splits every rational root off as a linear factor).
+        Both products are taken on the primitive integer lists of the
+        descriptors and made monic once.
+
+        Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
+        eigenvalues finite; raises InfiniteEigenvalueError otherwise.
+        """
+        sampler = self._sampler
+        if sampler.rank_b < sampler.r:
+            raise InfiniteEigenvalueError(
+                f"rank(B) = {sampler.rank_b} < pencil rank {sampler.r}: infinite eigenvalues present"
+            )
+        product, parts, roots = [1], {}, []
+        for q, halves in self._finite_groups:
+            m, f = sum(halves), _integer_primitive(q)
+            for _ in range(m):
+                product = _int_poly_mul(product, f)
+            parts[m] = _int_poly_mul(parts.get(m, [1]), f)
+            if q.degree == 1:
+                roots.append((-q.coefficient(0), m))
+        poly = _to_unipoly(product)
+        squarefree = tuple((_to_unipoly(parts[m]), m) for m in sorted(parts))
+        return CharPoly(poly, poly.degree, squarefree, tuple(sorted(roots)))
+
+    @cached_property
+    def _invariants(self) -> JKInvariants:
+        """Jordan data from the invariant factors of the Jordan part
+        A' - lambda*B' (and of B' - mu*A' when B is irregular), Kronecker
+        parameters from the growth sequence of the sampler."""
+        n, sampler = self.n, self._sampler
+        r = sampler.r
+
+        # Kronecker parameters: increment t is #{i : k_i >= t + 1}.
+        increments = sampler.growth
+        if any(b > a for a, b in zip(increments, increments[1:])):
+            raise InternalConsistencyError("kernel growth sequence not monotone")
+        if increments and increments[0] != n - r:
+            raise InternalConsistencyError("first kernel increment != corank")
+        kronecker: list[int] = []
+        for t, (c, following) in enumerate(zip(increments, increments[1:] + [0])):
+            kronecker.extend([t + 1] * (c - following))
+
+        # Jordan data: the finite blocks are the elementary divisors of
+        # A' - lambda*B', the infinite ones the powers of mu in those of the
+        # reversed pencil B' - mu*A' (Gantmacher, vol. II, ch. XII).
+        groups = list(self._finite_groups)
+        if sampler.rank_b < r:
+            a, b = self._jordan_part
+            orders = [next(i for i, c in enumerate(d) if c) for d in _invariant_factors(b, a)]
+            if any(orders):
+                groups.append((INFINITY, tuple(e for e in orders if e)))
+
+        # The blocks read from the Jordan part fill its dim M - dim K rows,
+        # so this checks dim M - dim K against the Kronecker parameters.
+        invariants = JKInvariants.from_blocks(kronecker, groups)
+        if invariants.n != n:
+            raise InternalConsistencyError(
+                f"block dimensions sum to {invariants.n}, expected {n}"
+            )
+        return invariants
 
 
 class JordanGroup(NamedTuple):
@@ -247,7 +358,7 @@ class JKInvariants:
 @dataclass(frozen=True)
 class CharPoly:
     """Monic characteristic polynomial with its factor structure, read
-    from the finite Jordan groups (see _PencilAnalysis.char_poly).
+    from the finite Jordan groups (see SkewPencil._char_poly).
 
     squarefree_parts: monic pairwise-coprime squarefree parts with their
     multiplicities, ascending by multiplicity; rational_roots: the
@@ -271,8 +382,16 @@ def _member_value(i: int) -> int:
     return (i + 1) // 2 if i % 2 else -(i // 2)
 
 
+def _scaled_member(scaled, mu: int) -> list[list[int]]:
+    """D*(A + mu*B) for an integer mu, from the integer form scaled =
+    D*(A, B): the rank and kernel of A + mu*B."""
+    a, b = scaled
+    return [[x + mu * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 class RegularValueSampler:
-    """The member kernels of one pencil, its rank, and its regular values.
+    """The member kernels of one pencil, its rank, and its regular values;
+    the pencil keeps its one sampler as SkewPencil._sampler.
 
     Member i is A + mu*B at mu = _member_value(i) = 0, 1, -1, 2, -2, ...;
     its kernel is eliminated once, with kernel_basis, when first read.
@@ -307,7 +426,10 @@ class RegularValueSampler:
     """
 
     def __init__(self, p: SkewPencil):
-        self.p = p
+        # The integer form, not the pencil, which keeps this sampler: with
+        # no reference cycle, reference counting frees a pencil and its
+        # analysis, and the cyclic collector has nothing to collect.
+        self.n, self._scaled = p.n, p._scaled
         self._kernels: list[Subspace] = []
         self.rank_b = rank(p._scaled[1])
         full = p.n - p.n % 2
@@ -326,7 +448,7 @@ class RegularValueSampler:
     def _member_kernel(self, i: int) -> Subspace:
         while len(self._kernels) <= i:
             mu = _member_value(len(self._kernels))
-            self._kernels.append(kernel_basis(self.p._scaled_member(mu)))
+            self._kernels.append(kernel_basis(_scaled_member(self._scaled, mu)))
         return self._kernels[i]
 
     def draw(self) -> Fraction:
@@ -335,7 +457,7 @@ class RegularValueSampler:
             i = self._next
             self._next += 1
             kernel = self._member_kernel(i)
-            if self.p.n - kernel.dim == self.r:
+            if self.n - kernel.dim == self.r:
                 mu = Fraction(_member_value(i))
                 self.drawn.append((mu, kernel))
                 return mu
@@ -352,7 +474,7 @@ class RegularValueSampler:
     def kernel_sum(self, t: int) -> Subspace:
         """Sum of the kernels of regular values 0..t."""
         while len(self._sums) <= t:
-            prev = self._sums[-1] if self._sums else Subspace.zero(self.p.n)
+            prev = self._sums[-1] if self._sums else Subspace.zero(self.n)
             self._sums.append(subspace_sum(prev, self.regular(len(self._sums))[1]))
         return self._sums[t]
 
@@ -361,7 +483,7 @@ class RegularValueSampler:
         """The increments of the kernel sum over regular values 0, 1, ...,
         up to the first zero; empty, with no value drawn, at full rank."""
         increments, dim = [], 0
-        if self.r < self.p.n:
+        if self.r < self.n:
             while grown := self.kernel_sum(len(increments)).dim - dim:
                 increments.append(grown)
                 dim += grown
@@ -382,17 +504,11 @@ class RegularValueSampler:
         """Pairs the kernels of the first D + 4 regular values, two more
         than the core reads."""
         rows = [u for t in range(len(self.growth) + 4) for u in self.regular(t)[1].rows]
-        pairings, violation = _pairings(rows, self.p._scaled)
+        pairings, violation = _pairings(rows, self._scaled)
         return IsotropyCertificate(len(rows), pairings, violation is None, violation)
 
 
-def pencil_rank(p: SkewPencil) -> int:
-    """Rank of A + lambda*B over Q(lambda); always even.  See
-    RegularValueSampler for how it is read off the member kernels."""
-    return RegularValueSampler(p).r
-
-
-# -- one analysis per pencil ----------------------------------------------
+# -- Smith invariant factors -----------------------------------------------
 
 
 def _lambda_rows(a: list[list[int]], b: list[list[int]]) -> list[list[list[int]]]:
@@ -421,137 +537,13 @@ def _invariant_factors(a: list[list[int]], b: list[list[int]]) -> list[list[int]
     return [_integer_primitive(f) for f in factors[1::2]]
 
 
-class _PencilAnalysis:
-    """The sampler and the Smith invariant factors of one pencil, each
-    computed once: rank(B), the pencil rank, the Kronecker increments, the
-    core and the isotropy family read the sampler's member kernels, and
-    the characteristic polynomial and the Jordan data the one refined
-    factor basis of those factors, the finite Jordan groups.  Both Smith
-    forms run on the Jordan part, the pencil restricted to M/K, where K is
-    the core and M = K^perp the mantle (see _jordan_part)."""
+# -- the public reads of a pencil's analysis --------------------------------
 
-    def __init__(self, p: SkewPencil):
-        self.p = p
-        self.stream = RegularValueSampler(p)
-        self.rank_b = self.stream.rank_b
-        self.rank = self.stream.r
 
-    @cached_property
-    def _jordan_part(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The integer pencil D*(A, B) restricted to M/K: the Gram matrices
-        (C*DA*C^T, C*DB*C^T) of rows C that span a complement of K in M.
-
-        K is the stabilised kernel sum that `growth` formed and M its
-        orthogonal under S, the member at the first regular value; M is the
-        same under every regular member, so A and B, combinations of two of
-        them, vanish on K x M and descend to M/K.  In the normal form
-        (Thompson, LAA 147, 1991) a Kronecker block of parameter k meets K
-        and M in the same k dimensions, so M/K is the sum of the Jordan
-        blocks, finite and infinite: a regular pencil of size J, the sum of
-        their sizes.  The Kronecker blocks add only unit invariant factors,
-        so the elementary divisors, and the Jordan groups, are those of the
-        whole pencil.  K <= M, so the pivots of K are pivots of M, and the
-        RREF rows of M at the other pivots span a complement of K.
-
-        At full rank K = 0 and the pair is D*(A, B) itself.  When every
-        Kronecker parameter is 1 (growth of length 1), K is ker S and M all
-        of Q^n, so C is unit vectors and the restriction deletes the rows
-        and columns at K's pivots."""
-        a, b = self.p._scaled
-        depth = len(self.stream.growth)
-        if not depth:
-            return a, b
-        core = self.stream.kernel_sum(depth)
-        core_pivots = set(core.pivots)
-        if depth == 1:
-            keep = [j for j in range(self.p.n) if j not in core_pivots]
-            return tuple([[m[i][j] for j in keep] for i in keep] for m in (a, b))
-        s = self.p._scaled_member(int(self.stream.regular(0)[0]))
-        # S is skew, so S*u = 0 exactly when u^T S = 0.
-        mantle = kernel_basis([[sum(map(mul, row, u)) for row in s] for u in core.rows])
-        c = [row for row, pc in zip(mantle.rows, mantle.pivots) if pc not in core_pivots]
-
-        def restrict(m):
-            images = [[sum(map(mul, row, v)) for row in m] for v in c]
-            return [[sum(map(mul, u, image)) for image in images] for u in c]
-
-        return restrict(a), restrict(b)
-
-    @cached_property
-    def _finite_groups(self) -> tuple[tuple[UniPoly, tuple[int, ...]], ...]:
-        """The finite Jordan groups from d_2, d_4, ..., d_J of the Jordan
-        part A' - lambda*B': the exponent of a refined factor q in d_2i is
-        the half-size of one Jordan block of q, or 0."""
-        halves = _invariant_factors(*self._jordan_part)
-        return tuple((q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves))
-
-    @cached_property
-    def char_poly(self) -> CharPoly:
-        """Monic d_2*d_4*...*d_J of the Jordan part A' - lambda*B', which
-        equals that of A - lambda*B and the gcd of the Pfaffians of all
-        principal r x r minors, read from the finite Jordan groups: a
-        descriptor q with half-sizes h is a factor of multiplicity sum(h),
-        pairwise coprime with the others.  So the polynomial is the product
-        of the q**sum(h), a squarefree part the product of the q that share
-        a multiplicity, and the rational roots are -q(0) for the degree-1 q
-        (refined_factors splits every rational root off as a linear factor).
-        Both products are taken on the primitive integer lists of the
-        descriptors and made monic once.
-
-        Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
-        eigenvalues finite; raises InfiniteEigenvalueError otherwise.
-        """
-        if self.rank_b < self.rank:
-            raise InfiniteEigenvalueError(
-                f"rank(B) = {self.rank_b} < pencil rank {self.rank}: infinite eigenvalues present"
-            )
-        product, parts, roots = [1], {}, []
-        for q, halves in self._finite_groups:
-            m, f = sum(halves), _integer_primitive(q)
-            for _ in range(m):
-                product = _int_poly_mul(product, f)
-            parts[m] = _int_poly_mul(parts.get(m, [1]), f)
-            if q.degree == 1:
-                roots.append((-q.coefficient(0), m))
-        poly = _to_unipoly(product)
-        squarefree = tuple((_to_unipoly(parts[m]), m) for m in sorted(parts))
-        return CharPoly(poly, poly.degree, squarefree, tuple(sorted(roots)))
-
-    def invariants(self) -> JKInvariants:
-        """Jordan data from the invariant factors of the Jordan part
-        A' - lambda*B' (and of B' - mu*A' when B is irregular), Kronecker
-        parameters from the growth sequence of the stream."""
-        n = self.p.n
-        r = self.rank
-
-        # Kronecker parameters: increment t is #{i : k_i >= t + 1}.
-        increments = self.stream.growth
-        if any(b > a for a, b in zip(increments, increments[1:])):
-            raise InternalConsistencyError("kernel growth sequence not monotone")
-        if increments and increments[0] != n - r:
-            raise InternalConsistencyError("first kernel increment != corank")
-        kronecker: list[int] = []
-        for t, (c, following) in enumerate(zip(increments, increments[1:] + [0])):
-            kronecker.extend([t + 1] * (c - following))
-
-        # Jordan data: the finite blocks are the elementary divisors of
-        # A' - lambda*B', the infinite ones the powers of mu in those of the
-        # reversed pencil B' - mu*A' (Gantmacher, vol. II, ch. XII).
-        groups = list(self._finite_groups)
-        if self.rank_b < r:
-            a, b = self._jordan_part
-            orders = [next(i for i, c in enumerate(d) if c) for d in _invariant_factors(b, a)]
-            if any(orders):
-                groups.append((INFINITY, tuple(e for e in orders if e)))
-
-        # The blocks read from the Jordan part fill its dim M - dim K rows,
-        # so this checks dim M - dim K against the Kronecker parameters.
-        invariants = JKInvariants.from_blocks(kronecker, groups)
-        if invariants.n != n:
-            raise InternalConsistencyError(
-                f"block dimensions sum to {invariants.n}, expected {n}"
-            )
-        return invariants
+def pencil_rank(p: SkewPencil) -> int:
+    """Rank of A + lambda*B over Q(lambda); always even.  See
+    RegularValueSampler for how it is read off the member kernels."""
+    return p._sampler.r
 
 
 def characteristic_polynomial(p: SkewPencil) -> CharPoly:
@@ -563,7 +555,7 @@ def characteristic_polynomial(p: SkewPencil) -> CharPoly:
     eigenvalues finite; raises InfiniteEigenvalueError otherwise
     (jk_invariants reads the infinite blocks from B - mu*A).
     """
-    return _PencilAnalysis(p).char_poly
+    return p._char_poly
 
 
 def core_subspace(p: SkewPencil) -> Subspace:
@@ -572,7 +564,7 @@ def core_subspace(p: SkewPencil) -> Subspace:
     Adds Ker(A + mu*B) at the regular values mu in the order 0, 1, -1, 2,
     ... until the dimension is unchanged for two consecutive steps.
     """
-    return _PencilAnalysis(p).stream.core()
+    return p._sampler.core()
 
 
 def jk_invariants(p: SkewPencil) -> JKInvariants:
@@ -581,7 +573,13 @@ def jk_invariants(p: SkewPencil) -> JKInvariants:
     modulo the core, which drops only unit invariant factors) and, when B
     is irregular, of B' - mu*A', Kronecker parameters from the kernel-sum
     growth sequence at regular values."""
-    return _PencilAnalysis(p).invariants()
+    return p._invariants
+
+
+def isotropy_certificate(p: SkewPencil) -> IsotropyCertificate:
+    """Checks that K + sum of sampled regular kernels is isotropic for A
+    and for B: every pairing u^T A v and u^T B v is exactly zero."""
+    return p._sampler.isotropy()
 
 
 # -- canonical pencils and congruence -------------------------------------
@@ -720,8 +718,3 @@ def _pairings(rows, forms) -> tuple[int, Optional[tuple[int, int, str]]]:
                     return pairings, (i, j, name)
     return pairings, None
 
-
-def isotropy_certificate(p: SkewPencil) -> IsotropyCertificate:
-    """Checks that K + sum of sampled regular kernels is isotropic for A
-    and for B: every pairing u^T A v and u^T B v is exactly zero."""
-    return _PencilAnalysis(p).stream.isotropy()

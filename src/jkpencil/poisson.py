@@ -16,8 +16,8 @@ with one Fraction per output value; its gradient polynomials are derived
 once per polynomial, and each specialisation evaluates its denominator
 and numerators once, for the pointwise polynomial and the gradients.
 
-A PointAnalysis is the one object for a generic point: the analysis of
-the pencil there, the extended core subspace, the completeness criterion
+A PointAnalysis is the one object for a generic point: the pencil there
+with its analysis, the extended core subspace, the completeness criterion
 decided through two independent routes (dimension count vs block
 structure) that must agree, the bi-involution certificate of the
 covector family and the eigenvalue-lemma certificate, each computed once,
@@ -58,11 +58,7 @@ from .multipoly import (
     multi_gcd_list,
     normalize_content,
 )
-from .pencil import (
-    SkewPencil,
-    _pairings,
-    _PencilAnalysis,
-)
+from .pencil import SkewPencil, _pairings, characteristic_polynomial, jk_invariants
 from .unipoly import UniPoly
 
 COMPLETE = "COMPLETE"
@@ -342,15 +338,15 @@ def _generic_poly_at(gcp: GenericCharPoly, x0: Sequence) -> Optional[Specialisat
 
 
 def _points(pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, rng: random.Random):
-    """Random points x0 for _certify, each with the analysis of
-    pencil_at(x0), the pencil there, and gcp specialised at x0."""
+    """Random points x0 for _certify, each with pencil_at(x0), the pencil
+    there, and gcp specialised at x0."""
     while True:
         x0 = _random_point(gcp.nvars, rng)
-        yield x0, _PencilAnalysis(pencil_at(x0)), _generic_poly_at(gcp, x0)
+        yield x0, pencil_at(x0), _generic_poly_at(gcp, x0)
 
 
 def _not_generic(
-    analysis: _PencilAnalysis,
+    pencil: SkewPencil,
     rank: int,
     degree: int,
     expected: Optional[UniPoly | Specialisation],
@@ -358,7 +354,7 @@ def _not_generic(
 ) -> Optional[NonGenericPointError]:
     """None when x0 is a generic point, else the error that says why not.
 
-    analysis is the pencil at x0, and expected the generic characteristic
+    pencil is the pencil at x0, and expected the generic characteristic
     polynomial of this rank and degree specialised at x0, or the
     Specialisation that holds it (None where its denominator vanishes).
     The rank, rank(B), the denominator and the pointwise degree are
@@ -366,12 +362,13 @@ def _not_generic(
     generic polynomial divides every pointwise principal Pfaffian, so a
     lower degree, like another polynomial, raises InternalConsistencyError.
     """
-    if analysis.rank != rank:
+    sampler = pencil._sampler
+    if sampler.r != rank:
         return NonGenericPointError(
-            f"rank {analysis.rank} at the point differs from generic rank {rank}",
-            {"point": x0, "rank": analysis.rank, "generic_rank": rank},
+            f"rank {sampler.r} at the point differs from generic rank {rank}",
+            {"point": x0, "rank": sampler.r, "generic_rank": rank},
         )
-    if analysis.rank_b != rank:
+    if sampler.rank_b != rank:
         return NonGenericPointError(
             "rank(B) drops at the point (infinite eigenvalue pointwise)",
             {"point": x0},
@@ -380,7 +377,7 @@ def _not_generic(
         return DenominatorVanishesError(
             "characteristic denominator vanishes at the point", {"point": x0}
         )
-    pointwise = analysis.char_poly
+    pointwise = characteristic_polynomial(pencil)
     if pointwise.degree > degree:
         return NonGenericPointError(
             f"char degree {pointwise.degree} at the point exceeds generic {degree}",
@@ -398,30 +395,31 @@ def _not_generic(
 def _certify(points: Iterator, rank: int, degree: int, count: int) -> tuple:
     """The first `count` points at which a generic characteristic
     polynomial of this rank and degree equals the pointwise one, each as
-    the (point, analysis, expected) item points yielded, among the first
+    the (point, pencil, expected) item points yielded, among the first
     80 points, or 80 per three points wanted when `count` exceeds three.
 
     This is the one search for generic points: the certificates read
     three (a Lie algebra's, more when more generic samples are asked
-    for), the sampler one.  points yields (point, the caller's analysis
-    of the pencil there, the generic polynomial there or None where its
-    denominator vanishes).  A point that _not_generic rejects is skipped,
-    and 10 pointwise degree jumps raise DegreeJumpError; fewer than
-    `count` generic points among the draws raise InternalConsistencyError.
+    for), the sampler one.  points yields (point, the pencil there, which
+    keeps its analysis for the caller, the generic polynomial there or
+    None where its denominator vanishes).  A point that _not_generic
+    rejects is skipped, and 10 pointwise degree jumps raise
+    DegreeJumpError; fewer than `count` generic points among the draws
+    raise InternalConsistencyError.
     """
     draws = max(80, 80 * count // 3)
     certified, jumps = [], 0
-    for x0, analysis, expected in islice(points, draws):
-        reason = _not_generic(analysis, rank, degree, expected, x0)
+    for x0, pencil, expected in islice(points, draws):
+        reason = _not_generic(pencil, rank, degree, expected, x0)
         if reason is None:
-            certified.append((x0, analysis, expected))
+            certified.append((x0, pencil, expected))
             if len(certified) == count:
                 return tuple(certified)
         elif "degree" in reason.details:  # only a degree jump reports the degree
             jumps += 1
             if jumps >= 10:
                 raise DegreeJumpError(
-                    f"pointwise degree {analysis.char_poly.degree} exceeds generic degree "
+                    f"pointwise degree {reason.details['degree']} exceeds generic degree "
                     f"{degree} at {x0}"
                 )
     raise InternalConsistencyError(f"found {len(certified)} of {count} generic points in {draws} draws")
@@ -507,31 +505,31 @@ class PointAnalysis:
     """One generic point x0 of a pencil, with everything the paper reads
     there, each computed when first read.
 
-    It is built from `analysis`, the _PencilAnalysis of the pencil at x0
-    (the one _certify made for a sampled point), the generic
+    It is built from `pencil`, the pencil at x0, which keeps its analysis
+    (the one _certify read for a sampled point), the generic
     characteristic polynomial gcp and `expected`, gcp specialised at x0
     by _generic_poly_at (a sampled point passes the one _certify
     compared, so it is not evaluated twice, and the gradients read the
     same values), and raises the error of _not_generic when x0 is not a
-    generic point.  The analysis's Smith factors give the pointwise
+    generic point.  The pencil's Smith factors give the pointwise
     characteristic polynomial and Jordan data, and its sampler the core
     and the kernels of the involution family.
     """
 
     def __init__(
-        self, analysis: _PencilAnalysis, gcp: GenericCharPoly, x0: Vector, expected: Optional[Specialisation]
+        self, pencil: SkewPencil, gcp: GenericCharPoly, x0: Vector, expected: Optional[Specialisation]
     ):
         self.point = x0
         self.gcp = gcp
-        self.analysis = analysis
-        reason = _not_generic(self.analysis, gcp.rank, gcp.degree, expected, x0)
+        self.pencil = pencil
+        reason = _not_generic(pencil, gcp.rank, gcp.degree, expected, x0)
         if reason is not None:
             raise reason
         self.expected = expected
 
     @property
     def core(self) -> Subspace:
-        return self.analysis.stream.core()
+        return self.pencil._sampler.core()
 
     @cached_property
     def gradients(self) -> tuple[Vector, ...]:
@@ -542,7 +540,7 @@ class PointAnalysis:
     def extended(self) -> Subspace:
         """Core plus the span of the coefficient gradients."""
         core = self.core
-        extended = subspace_sum(core, Subspace.from_vectors(self.analysis.p.n, self.gradients))
+        extended = subspace_sum(core, Subspace.from_vectors(self.pencil.n, self.gradients))
         if extended.dim > core.dim + self.gcp.degree:
             raise InternalConsistencyError("extended core exceeds the dimension bound")
         return extended
@@ -556,7 +554,7 @@ class PointAnalysis:
         every factor's gradient escapes the core) are both evaluated and
         must agree; a mismatch aborts with InternalConsistencyError.
         """
-        invariants = self.analysis.invariants()
+        invariants = jk_invariants(self.pencil)
         n = self.gcp.nvars
         target = n - self.gcp.rank // 2
         verdict_dim = COMPLETE if self.extended.dim == target else INCOMPLETE
@@ -566,7 +564,7 @@ class PointAnalysis:
         )
         # the char poly is read from the same Jordan groups, so it is
         # squarefree exactly when every group is one 2x2 block
-        distinct = self.analysis.char_poly.is_squarefree
+        distinct = characteristic_polynomial(self.pencil).is_squarefree
 
         factor_tests = []
         witnesses = []
@@ -627,10 +625,10 @@ class PointAnalysis:
         values, so the certificate checks it on the family the point's
         analysis reports.
         """
-        stream = self.analysis.stream
-        draws = [stream.regular(t) for t in range(len(stream.growth) + 2)]
+        sampler = self.pencil._sampler
+        draws = [sampler.regular(t) for t in range(len(sampler.growth) + 2)]
         rows = [u for _, ker in draws for u in ker.rows] + _integer_rows(self.gradients)
-        pairings, violation = _pairings(rows, self.analysis.p._scaled)
+        pairings, violation = _pairings(rows, self.pencil._scaled)
         return InvolutionCertificate(
             self.point, len(rows), tuple(mu for mu, _ in draws), pairings, violation is None, violation
         )
@@ -642,10 +640,10 @@ class PointAnalysis:
         Simple rational roots only: dlambda = -grad_x p / d_lambda p by
         implicit differentiation; multiple roots are reported as skipped.
         """
-        pointwise = self.analysis.char_poly
+        pointwise = characteristic_polynomial(self.pencil)
         if not pointwise.rational_roots:
             return EigenvalueLemmaCertificate(self.point, "NO_RATIONAL_ROOT", ())
-        sp = self.analysis.p
+        sp = self.pencil
         n = sp.n
         deriv = pointwise.poly.derivative()
         checks = []
@@ -673,7 +671,7 @@ def extended_core(p: PolyPoissonPencil, x0: Sequence) -> PointAnalysis:
     """The analysis at a generic point x0, whose `extended` is the core
     plus the span of the coefficient gradients there."""
     x0, gcp = vector(x0), generic_char_poly(p)
-    return PointAnalysis(_PencilAnalysis(evaluate_at(p, x0)), gcp, x0, _generic_poly_at(gcp, x0))
+    return PointAnalysis(evaluate_at(p, x0), gcp, x0, _generic_poly_at(gcp, x0))
 
 
 def completeness_check(p: PolyPoissonPencil, x0: Sequence) -> CompletenessReport:
@@ -706,5 +704,5 @@ def _sample_generic(
     which pencil_at(x0), the pencil there, is generic for gcp: one
     _certify search, which raises as it does."""
     points = _points(pencil_at, gcp, random.Random(seed + 101))
-    [(x0, analysis, expected)] = _certify(points, gcp.rank, gcp.degree, 1)
-    return PointAnalysis(analysis, gcp, x0, expected)
+    [(x0, pencil, expected)] = _certify(points, gcp.rank, gcp.degree, 1)
+    return PointAnalysis(pencil, gcp, x0, expected)

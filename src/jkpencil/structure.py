@@ -6,25 +6,22 @@ A Lie algebra is given by structure constants c_ij^k, stored for i < j
 analysis module, so `jkpencil catalog`, which builds and validates the
 catalog, loads it with `cli`, `errors` and `rational` alone.
 `LieAlgebra`'s analysis methods (`poisson_matrix`, `generic_rank` and
-the stream of analysed pairs `_pairs`) import their layers when called;
-`liealg` holds the analysis.
+the stream of pairs with their pencils `_pairs`) import their layers
+when called; `liealg` holds the analysis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .rational import _as_rational
 
 if TYPE_CHECKING:
-    import random
-
     from .linalg import Matrix, Vector
     from .multipoly import MultiPoly
-    from .pencil import _PencilAnalysis
+    from .pencil import SkewPencil
 
 
 class LieAlgebra:
@@ -56,8 +53,7 @@ class LieAlgebra:
         self.table = table
         self._generic_rank: Optional[int] = None
         self._semiinvariant: Optional[MultiPoly] = None
-        self._streams: dict[int, tuple[random.Random, list]] = {}
-        self._certified: dict[int, tuple[tuple[tuple[Vector, Vector], _PencilAnalysis], ...]] = {}
+        self._certified: dict[int, tuple[tuple[tuple[Vector, Vector], SkewPencil], ...]] = {}
 
     def poisson_matrix(self) -> list[list[MultiPoly]]:
         """The Lie-Poisson matrix A(x) with entries sum_k c_ij^k x_k."""
@@ -94,28 +90,25 @@ class LieAlgebra:
             self._generic_rank = fraction_free_rank(self.poisson_matrix())
         return self._generic_rank
 
-    def _pairs(self, seed: int) -> Iterator[tuple[tuple[Vector, Vector], _PencilAnalysis]]:
-        """The pairs (x, a) drawn by Random(seed), each with the analysis of
-        its pencil (A(x), A(a)), drawn when first read and kept: the
-        semi-invariant certificate reads one stream per seed and analyses
-        each pair once, and the pairs it admits are the generic samples
-        and give the sampled frozen point."""
+    def _pairs(self, seed: int) -> Iterator[tuple[tuple[Vector, Vector], SkewPencil]]:
+        """The pairs (x, a) drawn by a fresh Random(seed), each with its
+        pencil (A(x), A(a)), which keeps its own analysis.  The stream keeps
+        no state, so every call yields the same pairs; the semi-invariant
+        certificate (liealg._certified) keeps the pairs it admits, which are
+        the generic samples and give the sampled frozen point."""
         import random
 
-        from .pencil import SkewPencil, _PencilAnalysis
+        from .pencil import SkewPencil
         from .poisson import _random_point
 
-        rng, drawn = self._streams.setdefault(seed, (random.Random(seed), []))
-        for t in count():
-            if t == len(drawn):
-                x0 = _random_point(self.dim, rng)
-                a0 = _random_point(self.dim, rng)
-                # A third draw, once a seed for regular values and now
-                # unused, keeps the pairs of every seed as they were.
-                rng.randrange(1 << 30)
-                at_pair = SkewPencil(self.frozen_matrix(x0), self.frozen_matrix(a0))
-                drawn.append(((x0, a0), _PencilAnalysis(at_pair)))
-            yield drawn[t]
+        rng = random.Random(seed)
+        while True:
+            x0 = _random_point(self.dim, rng)
+            a0 = _random_point(self.dim, rng)
+            # A third draw, once a seed for regular values and now
+            # unused, keeps the pairs of every seed as they were.
+            rng.randrange(1 << 30)
+            yield (x0, a0), SkewPencil(self.frozen_matrix(x0), self.frozen_matrix(a0))
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"

@@ -41,10 +41,11 @@ from jkpencil.pencil import (
     RegularValueSampler,
     SkewPencil,
     _lambda_rows,
-    _PencilAnalysis,
+    _scaled_member,
     canonical_pencil,
     characteristic_polynomial,
     congruence_transform,
+    jk_invariants,
     pencil_rank,
 )
 from jkpencil.smith import smith_normal_form
@@ -265,16 +266,16 @@ def kronecker_companion_pencil(
 # -- second routes to library quantities -----------------------------------
 
 
-def assert_char_poly_factors_match_oracle(analysis: _PencilAnalysis) -> None:
+def assert_char_poly_factors_match_oracle(p: SkewPencil) -> None:
     """The library reads the squarefree parts and rational roots of the
     characteristic polynomial from the finite Jordan groups; Yun's
     decomposition and the rational-root search, run on the polynomial
     itself, are the second route.  The polynomial is squarefree exactly
     when every Jordan group is one 2x2 block (half-sizes (1,))."""
-    cp = analysis.char_poly
+    cp = characteristic_polynomial(p)
     assert cp.squarefree_parts == tuple(squarefree_decompose(cp.poly))
     assert cp.rational_roots == tuple(rational_roots(cp.poly))
-    assert cp.is_squarefree == all(g.half_sizes == (1,) for g in analysis.invariants().jordan)
+    assert cp.is_squarefree == all(g.half_sizes == (1,) for g in jk_invariants(p).jordan)
 
 
 def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -589,7 +590,7 @@ def mobius_jordan_groups(p: SkewPencil, seed: int) -> list:
     mu0 = sampler.draw()
     while mu0 == 0:
         mu0 = sampler.draw()
-    raw = _PencilAnalysis(SkewPencil(p.a, p.member(mu0)))._finite_groups
+    raw = SkewPencil(p.a, p.member(mu0))._finite_groups
     return list(JKInvariants.from_blocks([], [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]).jordan)
 
 
@@ -605,21 +606,22 @@ class RandomRegularValueSampler(RegularValueSampler):
         self.rng = rng
 
     def draw(self) -> Fraction:
-        bound = max(10 * self.p.n, 10)
+        bound = max(10 * self.n, 10)
         for _ in range(50):
             cand = Fraction(self.rng.randint(-bound, bound))
             if any(cand == mu for mu, _ in self.drawn):
                 continue
-            kernel = kernel_basis(self.p._scaled_member(int(cand)))
-            if self.p.n - kernel.dim == self.r:
+            kernel = kernel_basis(_scaled_member(self._scaled, int(cand)))
+            if self.n - kernel.dim == self.r:
                 self.drawn.append((cand, kernel))
                 return cand
         raise InternalConsistencyError("failed to sample a regular value in 50 draws")
 
 
-def random_value_analysis(p: SkewPencil, seed: int) -> _PencilAnalysis:
-    """The analysis of p with its sampler's regular values drawn at random
-    from seed instead of in the fixed order."""
-    analysis = _PencilAnalysis(p)
-    analysis.stream = RandomRegularValueSampler(p, random.Random(seed))
-    return analysis
+def random_value_analysis(p: SkewPencil, seed: int) -> SkewPencil:
+    """A fresh pencil equal to p whose sampler draws its regular values at
+    random from seed instead of in the fixed order: the sampler is planted
+    before any analysis property is read, so every one of them reads it."""
+    q = SkewPencil(p.a, p.b)
+    object.__setattr__(q, "_sampler", RandomRegularValueSampler(q, random.Random(seed)))
+    return q

@@ -569,9 +569,8 @@ def record_calls(monkeypatch, name, modules, unless=lambda: False):
 
 
 def test_pencil_analyze_computes_the_pencil_rank_once(capsys, monkeypatch):
-    """The pencil rank is computed by the one RegularValueSampler of the
-    analysis, and pencil_rank, which builds a sampler of its own, is not
-    called."""
+    """The pencil rank is computed by the one RegularValueSampler that the
+    pencil keeps, and pencil_rank is not called."""
     import jkpencil.pencil
 
     documents = sorted(GOLDEN.glob("*.pencil.json"))
@@ -592,7 +591,7 @@ def test_pencil_analyze_eliminates_each_regular_value_candidate_once(capsys, mon
     the members eliminated are a prefix of that order."""
     import jkpencil.linalg
     import jkpencil.pencil
-    from jkpencil.pencil import _member_value
+    from jkpencil.pencil import _member_value, _scaled_member
 
     for document in sorted(GOLDEN.glob("*.pencil.json")):
         p = cli.load_pencil_document(json.loads(document.read_text()))
@@ -607,7 +606,7 @@ def test_pencil_analyze_eliminates_each_regular_value_candidate_once(capsys, mon
         members = [args[0] for args in kernels if len(args[0]) == p.n]
         assert len(kernels) - len(members) <= 1, document.name
         assert members, document.name
-        assert members == [p._scaled_member(_member_value(i)) for i in range(len(members))], document.name
+        assert members == [_scaled_member(p._scaled, _member_value(i)) for i in range(len(members))], document.name
         monkeypatch.undo()
 
 
@@ -667,12 +666,12 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     assert len(refined_calls) == len(smith_calls) == 5
     for x0, cert, pa in zip(points, report["involution_certificates"], certified, strict=True):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
-        jordan_part = pa.analysis._jordan_part
+        jordan_part = pa.pencil._jordan_part
         assert len(jordan_part[0]) == 2
         assert sum(args[0] == _lambda_rows(*jordan_part) for args in smith_calls) == 1
         assert sum(args[0] == at_point for args in sampler_calls) == 1
-        assert pa.analysis.p == at_point and pa.analysis.stream.p == at_point
-        drawn = [str(mu) for mu, _ in pa.analysis.stream.drawn]
+        assert pa.pencil == at_point
+        drawn = [str(mu) for mu, _ in pa.pencil._sampler.drawn]
         assert cert["kernel_samples"] == drawn[: len(cert["kernel_samples"])]
     assert certificate_kernels == []
 
@@ -739,8 +738,9 @@ def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkey
 
 @pytest.mark.parametrize("document", sorted(GOLDEN.glob("*.lie.json")), ids=lambda p: p.name.split(".")[0])
 def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeypatch):
-    """One _PencilAnalysis per pair (x, a) the semi-invariant certificate
-    reads and per F~_a point: the generic invariants (--samples 3) and the
+    """One RegularValueSampler per pair (x, a) the semi-invariant
+    certificate reads and per F~_a point, one per pencil: the generic
+    invariants (--samples 3) and the
     sampled frozen point are read from the pairs that certify p_g, so they
     analyse no pair of their own, and the pencil at an F~_a point is built
     from the structure constants, not by evaluating polynomial entries."""
@@ -749,7 +749,7 @@ def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeyp
     import jkpencil.poisson
 
     modules = [jkpencil.pencil, jkpencil.poisson, jkpencil.liealg, jkpencil.cli]
-    analyses = record_calls(monkeypatch, "_PencilAnalysis", modules)
+    samplers = record_calls(monkeypatch, "RegularValueSampler", modules)
     evaluations = record_calls(monkeypatch, "evaluate_at", modules[1:])
     read, certified = [], []
     original_certify = jkpencil.liealg._certify
@@ -771,7 +771,7 @@ def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeyp
     assert len(report["ftilde"]["points"]) == 2
     assert len(certified) == 1 and len(certified[0]) == 3
     assert len(read) == len(set(read)) >= 3
-    assert len(analyses) == len(read) + 2
+    assert len(samplers) == len(read) + 2
     assert evaluations == []
 
 
@@ -828,7 +828,8 @@ def test_analyze_factors_each_pencil_analysis_once(capsys, monkeypatch):
     """The characteristic polynomial, its squarefree parts and its rational
     roots are read from the Jordan groups: neither `pencil analyze` nor
     `lie analyze` runs squarefree_decompose or rational_roots, and each
-    _PencilAnalysis refines its Smith factors at most once."""
+    pencil, which builds one RegularValueSampler, refines its Smith
+    factors at most once."""
     import jkpencil.liealg
     import jkpencil.pencil
     import jkpencil.poisson
@@ -839,13 +840,41 @@ def test_analyze_factors_each_pencil_analysis_once(capsys, monkeypatch):
         squarefree_calls = record_calls(monkeypatch, "squarefree_decompose", modules)
         root_calls = record_calls(monkeypatch, "rational_roots", modules)
         refined_calls = record_calls(monkeypatch, "refined_factors", modules)
-        analyses = record_calls(monkeypatch, "_PencilAnalysis", modules[1:])
+        samplers = record_calls(monkeypatch, "RegularValueSampler", modules[1:])
         kind = document.name.split(".")[1]
         code, out, _ = run(capsys, [kind, "analyze", str(document), "--format", "json"])
         assert code == 0
         assert out == (GOLDEN / document.name.replace(f".{kind}.", ".report.")).read_text()
         assert squarefree_calls == [] and root_calls == [], document.name
-        assert analyses and len(refined_calls) <= len(analyses), document.name
+        assert samplers and len(refined_calls) <= len(samplers), document.name
+        monkeypatch.undo()
+
+
+def test_analyze_reads_each_pencil_through_the_public_functions(capsys, monkeypatch):
+    """Both commands read a pencil's invariants and characteristic
+    polynomial through jk_invariants and characteristic_polynomial: one
+    `pencil analyze` calls each once, and one `lie analyze` reads the
+    invariants of the three certified pairs and of each F~_a point, and
+    the characteristic polynomial of every pencil it ranks as generic."""
+    import jkpencil.liealg
+    import jkpencil.pencil
+    import jkpencil.poisson
+
+    modules = [jkpencil.pencil, jkpencil.poisson, jkpencil.liealg, jkpencil.cli]
+    documents = sorted(GOLDEN.glob("*.pencil.json")) + sorted(GOLDEN.glob("*.lie.json"))
+    for document in documents:
+        invariants = record_calls(monkeypatch, "jk_invariants", modules)
+        char_polys = record_calls(monkeypatch, "characteristic_polynomial", modules)
+        kind = document.name.split(".")[1]
+        code, out, _ = run(capsys, [kind, "analyze", str(document), "--format", "json"])
+        assert code == 0
+        assert out == (GOLDEN / document.name.replace(f".{kind}.", ".report.")).read_text()
+        if kind == "pencil":
+            assert len(invariants) == len(char_polys) == 1, document.name
+        else:
+            points = json.loads(out)["ftilde"]["points"]
+            assert len(invariants) == 3 + len(points), document.name
+            assert len(char_polys) >= 3 + len(points), document.name
         monkeypatch.undo()
 
 
@@ -860,8 +889,8 @@ def test_core_growing_after_stabilization_exits_3(capsys, monkeypatch):
 
     document = GOLDEN / "kronecker_jordan.pencil.json"
     raw = document.read_bytes()
-    stream = RegularValueSampler(cli.load_pencil_document(json.loads(raw)))
-    n, d, core = stream.p.n, len(stream.growth), stream.core()
+    pencil = cli.load_pencil_document(json.loads(raw))
+    n, d, core = pencil.n, len(pencil._sampler.growth), pencil._sampler.core()
     extra = next(e for e in ([int(i == j) for j in range(n)] for i in range(n)) if not core.contains(e))
     original = RegularValueSampler.regular
 
@@ -949,6 +978,24 @@ def test_lie_analyze_samples_below_one_exit_2(capsys):
         assert code == 2, samples
         assert out == ""
         assert f"samples must be at least 1, got {samples}" in err
+
+
+def test_lie_analyze_samples_up_to_the_cap(capsys):
+    """--samples is capped at cli.MAX_LIE_SAMPLES: the cap is analysed like
+    any count, with the golden's first certified pair, and one more exits 2
+    before any pair is drawn, so a huge count cannot hang the command."""
+    document = str(GOLDEN / "aff1.lie.json")
+    cap = cli.MAX_LIE_SAMPLES
+    code, out, err = run(capsys, ["lie", "analyze", document, "--samples", str(cap), "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["samples"] == report["generic_invariants"]["samples"] == cap
+    golden = json.loads((GOLDEN / "aff1.report.json").read_text())
+    report["samples"] = report["generic_invariants"]["samples"] = golden["samples"]
+    assert report == golden
+    code, out, err = run(capsys, ["lie", "analyze", document, "--samples", str(cap + 1)])
+    assert (code, out) == (2, "")
+    assert err == f"error: samples: {cap + 1} exceeds the limit of {cap}\n"
 
 
 def test_lie_analyze_samples_from_one_to_a_hundred(capsys):

@@ -9,6 +9,7 @@ import pytest
 from jkpencil import cli
 from jkpencil.errors import InternalConsistencyError, ValidationError
 from jkpencil.liealg import (
+    _certified,
     fa_completeness,
     ftilde_completeness,
     fundamental_semiinvariant,
@@ -18,7 +19,7 @@ from jkpencil.liealg import (
 )
 from jkpencil.linalg import rank
 from jkpencil.multipoly import MultiPoly
-from jkpencil.pencil import INFINITY, SkewPencil, core_subspace, pencil_rank
+from jkpencil.pencil import INFINITY, SkewPencil, characteristic_polynomial, core_subspace, pencil_rank
 from jkpencil.poisson import (
     COMPLETE,
     INCOMPLETE,
@@ -363,9 +364,9 @@ def test_ftilde_point_char_poly_factors_match_oracle_on_catalog():
     reports.append(ftilde_completeness(dual_number_aff1(), [1, 1, 1, 1], seed=4))
     points = [pa for report in reports for pa in report.points]
     assert len(points) == 2 * len(reports)
-    assert not points[-1].analysis.char_poly.is_squarefree
+    assert not characteristic_polynomial(points[-1].pencil).is_squarefree
     for pa in points:
-        assert_char_poly_factors_match_oracle(pa.analysis)
+        assert_char_poly_factors_match_oracle(pa.pencil)
 
 
 def test_core_dimension_identity_on_catalog():
@@ -426,9 +427,21 @@ def test_integral_constants_and_points_stay_integers():
     half = h.frozen_matrix((0, 0, Fraction(1, 2)))
     assert half == ((0, Fraction(1, 2), 0), (Fraction(-1, 2), 0, 0), (0, 0, 0))
     assert SkewPencil(x_rows, half)._denominator == 2
-    for (x0, a0), analysis in islice(h._pairs(0), 3):
+    for (x0, a0), pencil in islice(h._pairs(0), 3):
         assert all(type(v) is int for v in x0 + a0)
-        assert analysis.p._denominator == 1
+        assert pencil._denominator == 1
+
+
+def test_more_certified_pairs_read_the_pair_stream_again():
+    """The pair stream keeps no state: each read of g._pairs(seed) draws
+    the same pairs, so a later call that asks for more certified pairs
+    reads it again from the start and extends the pairs kept first."""
+    g = heisenberg3()
+    pairs = [pair for pair, _ in islice(g._pairs(5), 10)]
+    assert [pair for pair, _ in islice(g._pairs(5), 10)] == pairs
+    first = _certified(g, 5, 3)
+    more = _certified(g, 5, 6)
+    assert len(more) == 6 and more[:3] == first
 
 
 def test_so4_matches_so3_pair_invariants():

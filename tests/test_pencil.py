@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import signal
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -18,9 +20,10 @@ from jkpencil.pencil import (
     JKInvariants,
     RegularValueSampler,
     SkewPencil,
+    _lambda_rows,
     _member_value,
     _pairings,
-    _PencilAnalysis,
+    _scaled_member,
     canonical_pencil,
     characteristic_polynomial,
     congruence_transform,
@@ -254,7 +257,7 @@ def test_regular_values_skip_exactly_the_irregular_members(monkeypatch, kronecke
         assert len(eliminated) <= t + r // 2 + 1
     assert len(eliminated) == 10
     assert values == [-2, 3, -3, 4, -4, 5]
-    assert eliminated == [q._scaled_member(mu) for mu in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5)]
+    assert eliminated == [_scaled_member(q._scaled, mu) for mu in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5)]
     assert [mu for mu, _ in sampler.drawn] == values
     assert all(q.n - kernel.dim == r for _, kernel in sampler.drawn)
 
@@ -691,19 +694,19 @@ def test_char_poly_factors_match_yun_and_root_search_oracle():
     from jkpencil.cli import load_pencil_document
     from test_cli import GOLDEN
 
-    analyses = []
+    pencils = []
     for document in sorted(GOLDEN.glob("*.pencil.json")):
-        analysis = _PencilAnalysis(load_pencil_document(json.loads(document.read_text())))
-        if analysis.rank_b < analysis.rank:
+        p = load_pencil_document(json.loads(document.read_text()))
+        if p._sampler.rank_b < p._sampler.r:
             with pytest.raises(InfiniteEigenvalueError):
-                analysis.char_poly
+                characteristic_polynomial(p)
         else:
-            analyses.append(analysis)
-    assert len(analyses) == 4
+            pencils.append(p)
+    assert len(pencils) == 4
     rng = random.Random(171)
     for _ in range(20):
         p = canonical_pencil(random_jk_spec(rng, max_dim=10, allow_infinity=False))
-        analyses.append(_PencilAnalysis(congruence_transform(p, random_unimodular(p.n, rng))))
+        pencils.append(congruence_transform(p, random_unimodular(p.n, rng)))
     x, one = UniPoly.x(), UniPoly.one()
     two, three = UniPoly.constant(2), UniPoly.constant(3)
     for f in (
@@ -711,11 +714,50 @@ def test_char_poly_factors_match_yun_and_root_search_oracle():
         (x * x - two) * (x + two) ** 3 * (x * x + one),
         (x - UniPoly.constant(Fraction(1, 2))) ** 2 * (x * x * x - two),
     ):
-        analysis = _PencilAnalysis(companion_pencil(f))
-        assert analysis.char_poly.poly == f
-        analyses.append(analysis)
-    for analysis in analyses:
-        assert_char_poly_factors_match_oracle(analysis)
+        p = companion_pencil(f)
+        assert characteristic_polynomial(p).poly == f
+        pencils.append(p)
+    for p in pencils:
+        assert_char_poly_factors_match_oracle(p)
+
+
+def test_a_pencil_keeps_its_one_analysis(monkeypatch):
+    """The five public functions read one analysis that the pencil keeps:
+    called twice each on one golden pencil, they build one
+    RegularValueSampler and run one Smith form, on the Jordan part, and
+    the characteristic polynomial and the invariants are the same objects
+    both times."""
+    import jkpencil.pencil
+    from jkpencil.cli import load_pencil_document
+    from test_cli import GOLDEN, record_calls
+
+    samplers = record_calls(monkeypatch, "RegularValueSampler", [jkpencil.pencil])
+    smith_calls = record_calls(monkeypatch, "smith_normal_form", [jkpencil.pencil])
+    p = load_pencil_document(json.loads((GOLDEN / "kronecker_jordan.pencil.json").read_text()))
+    reads = (pencil_rank, characteristic_polynomial, core_subspace, jk_invariants, isotropy_certificate)
+    first = [read(p) for read in reads]
+    again = [read(p) for read in reads]
+    assert again == first
+    assert again[1] is first[1] and again[3] is first[3]
+    assert samplers == [(p,)]
+    assert smith_calls == [(_lambda_rows(*p._jordan_part),)]
+
+
+def test_a_pencil_and_its_analysis_are_freed_by_reference_counting():
+    """The sampler keeps the pencil's integer form, not the pencil, so
+    there is no reference cycle: a pencil and its analysis go with the
+    last reference to the pencil, not at the cyclic collector's next run
+    (a cycle per pencil tripled the collections of a deck pass)."""
+    p = canonical_pencil(JKInvariants.from_blocks([1, 2], [(UniPoly.linear(3), (2,))]))
+    assert jk_invariants(p).kronecker == (1, 2)
+    assert characteristic_polynomial(p).degree == 2 and isotropy_certificate(p).passed
+    gone = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_invariants_do_not_depend_on_seed():
@@ -733,16 +775,15 @@ def test_invariants_do_not_depend_on_seed():
             if infinite or trial % 2:
                 break
         q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
-        fixed = _PencilAnalysis(q)
-        core = fixed.stream.core()
-        cert = fixed.stream.isotropy()
-        assert fixed.invariants() == spec
+        core = q._sampler.core()
+        cert = q._sampler.isotropy()
+        assert jk_invariants(q) == spec
         assert cert.passed
         for seed in (1, 2):
             drawn = random_value_analysis(q, seed)
-            assert drawn.invariants() == spec
-            assert drawn.stream.core() == core
-            drawn_cert = drawn.stream.isotropy()
+            assert jk_invariants(drawn) == spec
+            assert drawn._sampler.core() == core
+            drawn_cert = drawn._sampler.isotropy()
             assert (drawn_cert.family_size, drawn_cert.pairings) == (cert.family_size, cert.pairings)
             assert drawn_cert.passed
         with_infinity += infinite

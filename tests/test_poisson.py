@@ -2,7 +2,6 @@ import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
-from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +18,6 @@ from jkpencil.multipoly import MultiPoly
 from jkpencil.pencil import (
     JKInvariants,
     SkewPencil,
-    _PencilAnalysis,
     canonical_pencil,
     characteristic_polynomial,
 )
@@ -415,18 +413,19 @@ def test_pointwise_degree_below_generic_is_inconsistent():
     pencil = lie_pencil(heisenberg3(), [0, 0, 1]).pencil
     gcp = generic_char_poly(pencil)
     x0 = sample_generic_point(pencil, seed=5)
-    analysis = _PencilAnalysis(evaluate_at(pencil, x0))
-    assert PointAnalysis(analysis, gcp, x0, _generic_poly_at(gcp, x0)).analysis.char_poly.degree == gcp.degree
+    at_x0 = evaluate_at(pencil, x0)
+    point = PointAnalysis(at_x0, gcp, x0, _generic_poly_at(gcp, x0))
+    assert characteristic_polynomial(point.pencil).degree == gcp.degree
     higher = dataclasses.replace(
         gcp, degree=gcp.degree + 1, numerators=gcp.numerators + (gcp.denominator,)
     )
     with pytest.raises(InternalConsistencyError):
-        PointAnalysis(analysis, higher, x0, _generic_poly_at(higher, x0))
+        PointAnalysis(at_x0, higher, x0, _generic_poly_at(higher, x0))
     with pytest.raises(InternalConsistencyError):
         _sample_generic(partial(evaluate_at, pencil), higher, seed=5)
     lower = dataclasses.replace(gcp, degree=gcp.degree - 1, numerators=gcp.numerators[1:])
     with pytest.raises(NonGenericPointError):
-        PointAnalysis(analysis, lower, x0, _generic_poly_at(lower, x0))
+        PointAnalysis(at_x0, lower, x0, _generic_poly_at(lower, x0))
 
 
 def test_sample_generic_raises_on_the_tenth_degree_jump():
@@ -466,11 +465,12 @@ def test_certify_draws_80_points_per_three_wanted(count, draws):
     # no point has the rank 2 asked for, so the search reads its whole
     # budget: 80 draws, or 80 per three points wanted past three
     drawn = []
+    zero = SkewPencil([[0]], [[0]])
 
     def points():
         while True:
             drawn.append(None)
-            yield (0,), SimpleNamespace(rank=0), None
+            yield (0,), zero, None
 
     with pytest.raises(InternalConsistencyError, match=f"found 0 of {count} generic points in {draws} draws"):
         _certify(points(), 2, 1, count)
