@@ -18,10 +18,11 @@ polynomial is read off p_g: A(x) - lambda*A(a) = A(x - lambda*a), so
 p(lambda) = monic(p_g(x - lambda*a)), and every sampled point is checked
 against it.  The semi-invariant certificate reads the stream of pairs
 (x, a) of a seed, each with its pencil, and keeps the pairs it admits,
-which are generic: their pencils give the generic invariants, and the a
-of the first is the sampled frozen point.  The F~_a points are
-sampled by poisson's one search, which also certifies p_g, and the
-pencil at an F~_a point is built from the structure constants.
+which are generic: their pencils give the generic invariants, and the
+first pair (x1, a1) gives the sampled frozen point a1 and the first F~_a
+point x1, on the pencil (A(x1), A(a1)) it already analysed.  Every other
+F~_a point is sampled by poisson's one search, which also certifies p_g,
+and the pencil there is built from the structure constants.
 
 The arithmetic runs on integers.  Integral structure constants are kept
 as ints and sample points are drawn as ints, and frozen_matrix keeps the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, NonGenericPointError, ValidationError
 from .linalg import Matrix, Vector, _common_denominator, rank, vector
 from .multipoly import MultiPoly
 from .pencil import JKInvariants, SkewPencil, jk_invariants
@@ -172,7 +173,8 @@ def _certified(g: LieAlgebra, seed: int, count: int) -> tuple:
     stream again from the start, which gives the same pairs.  No command
     asks twice: lie_report asks for max(3, samples) first.  The first
     pairs are the generic samples of jk_invariants_generic, and the first
-    pair's a is the sampled frozen point of ftilde_completeness.
+    pair (x1, a1) gives ftilde_completeness its sampled frozen point a1
+    and its first F~_a point x1, with the pencil kept here.
     """
     kept = g._certified.get(seed, ())
     if len(kept) < count:
@@ -238,6 +240,22 @@ def fa_completeness(g: LieAlgebra, report: GenericJKReport) -> str:
     return COMPLETE if no_jordan else INCOMPLETE
 
 
+def _certified_point(pencil: SkewPencil, gcp: GenericCharPoly, x1: Vector) -> PointAnalysis:
+    """The analysis at x1, the x of the first pair (x1, a1) that certified
+    p_g, on the pencil (A(x1), A(a1)) that the certificate kept: it runs
+    no search and analyses no pencil again.
+
+    The certificate admitted the pair against monic(p_g(x1 - lambda*a1)),
+    and gcp, read off the same p_g at a = a1, specialised at x1 is that
+    polynomial.  A pair that is not generic for gcp means the two routes
+    disagree, which raises InternalConsistencyError.
+    """
+    try:
+        return PointAnalysis(pencil, gcp, x1, _generic_poly_at(gcp, x1))
+    except NonGenericPointError as exc:
+        raise InternalConsistencyError(f"the first certified pair is not generic at a = a1: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class FTildeReport:
     """Aggregated extended-family completeness verdict over the analyses
@@ -259,18 +277,22 @@ def ftilde_completeness(
 ) -> FTildeReport:
     """Extended family verdict via the pointwise completeness criterion.
 
-    Reads the completeness verdict of the PointAnalysis at two sampled
-    generic points of the pencil (A(x), A(a)), or at the explicitly
-    supplied points, and keeps those analyses; by analyticity all generic
-    points must agree, so disagreement is reported as UNSTABLE_SAMPLES
-    and the verdict is downgraded.  With a = None the frozen point is the
-    a of the first pair that certified p_g at seed, which is regular:
-    _certify admits a pair only when rank A(a) equals the generic rank.
-    A given a is ranked, and an irregular one downgrades to INDETERMINATE.
+    Reads the completeness verdict of the PointAnalysis at two generic
+    points of the pencil (A(x), A(a)), or at the explicitly supplied
+    points, and keeps those analyses; by analyticity all generic points
+    must agree, so disagreement is reported as UNSTABLE_SAMPLES and the
+    verdict is downgraded.  With a = None the first pair (x1, a1) that
+    certified p_g at seed gives both the frozen point a1, which is
+    regular (_certify admits a pair only when rank A(a) equals the
+    generic rank), and the first point x1, whose pencil (A(x1), A(a1))
+    the certificate kept (_certified_point); the second point is the
+    search's at seed.  No certified pair shares a given a, so it takes
+    two searches, at seed and seed + 31.  A given a is ranked, and an
+    irregular one downgrades to INDETERMINATE.
     """
     sampled = a is None
     if sampled:
-        (_, a), _ = _certified(g, seed, CERTIFIED_PAIRS)[0]
+        (x1, a), first = _certified(g, seed, CERTIFIED_PAIRS)[0]
     else:
         a = vector(a)
     frozen = g.frozen_matrix(a)
@@ -291,14 +313,16 @@ def ftilde_completeness(
 
     # Sampled points are all chosen before the first verdict; an explicit
     # point is checked for genericity after the verdict at the one before.
-    if explicit_points is None:
-        points = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
-    else:
+    if explicit_points is not None:
         explicit = map(vector, explicit_points)
         points = (
             PointAnalysis(pencil_at(x0), gcp, x0, _generic_poly_at(gcp, x0))
             for x0 in explicit
         )
+    elif sampled:
+        points = [_certified_point(first, gcp, x1), _sample_generic(pencil_at, gcp, seed)]
+    else:
+        points = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
     analysed, reports = [], []
     for pa in points:
         analysed.append(pa)

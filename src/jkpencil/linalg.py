@@ -9,9 +9,10 @@ pivots, gives the RREF; the rank is its number of pivots.  A subspace
 holds these integer rows of its RREF, one form per span, so kernels,
 sums and membership stay on integers; its Fraction RREF basis, each row
 over its pivot, is built only when read.  Rank over
-polynomial fraction fields, by fraction-free (Bareiss) elimination,
-serves the generic (multivariate) layer and is the test oracle of the
-constant pencil's rank.  Memoized Pfaffians of principal minors serve
+polynomial fraction fields, by fraction-free (Bareiss) elimination
+that forms no product with a zero factor (A(x) of a Lie algebra is
+sparse), serves the generic (multivariate) layer and is the test oracle
+of the constant pencil's rank.  Memoized Pfaffians of principal minors serve
 the generic characteristic polynomial, the semi-invariant, and the test
 oracle of a constant pencil's Smith-form characteristic polynomial.
 """
@@ -213,7 +214,15 @@ def fraction_free_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the fraction field of entries (UniPoly or MultiPoly).
 
     One-step Bareiss elimination; pivot is the first row with a nonzero
-    entry in column order, so results are deterministic.
+    entry in column order, so results are deterministic.  Each entry w_ij
+    below and right of the pivot p = w_pc becomes
+    (p*w_ij - w_ic*w_pj) / prev, prev the pivot before it.  A product with
+    a zero factor is not formed, and an entry whose two products both
+    vanish stays zero without a product or a division.  This is the same
+    elimination: a skipped product is zero, and zero over prev is zero, so
+    every entry, and the rank, is exactly what the dense update gives (the
+    dense loop is the test oracle).  Column c is not read again once its
+    pivot is taken, so its entries below the pivot are left as they are.
     """
     work = [list(r) for r in rows]
     if not work:
@@ -227,12 +236,23 @@ def fraction_free_rank(rows: Sequence[Sequence]) -> int:
         if piv is None:
             continue
         work[pr], work[piv] = work[piv], work[pr]
-        for i in range(pr + 1, nrows):
+        prow = work[pr]
+        p = prow[c]
+        for row in work[pr + 1 :]:
+            f = row[c]
+            f_zero = f.is_zero
             for j in range(c + 1, ncols):
-                num = work[pr][c] * work[i][j] - work[i][c] * work[pr][j]
-                work[i][j] = num if prev is None else num.exact_div(prev)
-            work[i][c] = work[i][c] - work[i][c]  # ring zero
-        prev = work[pr][c]
+                w, y = row[j], prow[j]
+                if f_zero or y.is_zero:
+                    if w.is_zero:
+                        continue
+                    num = p * w
+                elif w.is_zero:
+                    num = -(f * y)
+                else:
+                    num = p * w - f * y
+                row[j] = num if prev is None else num.exact_div(prev)
+        prev = p
         rk += 1
         pr += 1
         if pr == nrows:

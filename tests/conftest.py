@@ -7,7 +7,9 @@ characteristic polynomial of a pencil as a gcd of principal Pfaffians
 (the library reads it from the Smith form), the recursion-operator
 identity through a Faddeev-LeVerrier characteristic polynomial,
 reduced row echelon forms and Gram matrices in Fraction arithmetic (the
-library eliminates and pairs over the integers), Yun's squarefree
+library eliminates and pairs over the integers), the rank over a
+polynomial fraction field by the dense Bareiss loop (the library skips
+products with a zero factor), Yun's squarefree
 decomposition, rational roots, the gcd-free basis and the refined factor
 basis in Fraction arithmetic (the library factors primitive integer
 polynomials), the squarefree parts and rational roots of a pencil's
@@ -276,6 +278,36 @@ def assert_char_poly_factors_match_oracle(p: SkewPencil) -> None:
     assert cp.squarefree_parts == tuple(squarefree_decompose(cp.poly))
     assert cp.rational_roots == tuple(rational_roots(cp.poly))
     assert cp.is_squarefree == all(g.half_sizes == (1,) for g in jk_invariants(p).jordan)
+
+
+def dense_bareiss_rank(rows) -> int:
+    """Rank over the fraction field of UniPoly or MultiPoly entries by the
+    dense one-step Bareiss loop: every entry right of and below each pivot
+    is updated as (p*w_ij - w_ic*w_pj) / prev, zero products included (the
+    library forms no product with a zero factor)."""
+    work = [list(r) for r in rows]
+    if not work:
+        return 0
+    nrows, ncols = len(work), len(work[0])
+    prev = None  # previous pivot; first division is skipped
+    rk = 0
+    pr = 0
+    for c in range(ncols):
+        piv = next((i for i in range(pr, nrows) if not work[i][c].is_zero), None)
+        if piv is None:
+            continue
+        work[pr], work[piv] = work[piv], work[pr]
+        for i in range(pr + 1, nrows):
+            for j in range(c + 1, ncols):
+                num = work[pr][c] * work[i][j] - work[i][c] * work[pr][j]
+                work[i][j] = num if prev is None else num.exact_div(prev)
+            work[i][c] = work[i][c] - work[i][c]  # ring zero
+        prev = work[pr][c]
+        rk += 1
+        pr += 1
+        if pr == nrows:
+            break
+    return rk
 
 
 def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:

@@ -623,8 +623,10 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     The Smith form of a point reads the integer scaling of its pencil
     restricted to M/K, its Jordan part, here 2 x 2.
     The generic invariants are read from the analyses of the three pairs
-    that certify the fundamental semi-invariant, so the document's five
-    Smith forms are those three and the two points'.
+    that certify the fundamental semi-invariant, and the first F~_a point
+    is the x of the first of them, on its pencil, so the document builds
+    four samplers and runs four Smith forms: the three pairs' and the
+    second point's.
     """
     import jkpencil.linalg
     import jkpencil.pencil
@@ -663,7 +665,7 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
     pencil = lie_pencil(get_algebra("heisenberg3"), report["frozen_point"]["a"]).pencil
     points = [p["point"] for p in report["ftilde"]["points"]]
     assert len(points) == 2
-    assert len(refined_calls) == len(smith_calls) == 5
+    assert len(refined_calls) == len(smith_calls) == len(sampler_calls) == 4
     for x0, cert, pa in zip(points, report["involution_certificates"], certified, strict=True):
         at_point = jkpencil.poisson.evaluate_at(pencil, x0)
         jordan_part = pa.pencil._jordan_part
@@ -677,9 +679,10 @@ def test_lie_analyze_analyses_each_evaluation_point_once(capsys, monkeypatch):
 
 
 def test_sampled_points_specialise_the_generic_polynomial_once(capsys, monkeypatch):
-    """A sampled F~_a point is specialised once, by the search that admits
-    it; its PointAnalysis takes that polynomial rather than evaluating the
-    generic one there again."""
+    """A sampled F~_a point is specialised once: the first, the x of the
+    first certified pair, when its PointAnalysis is built, and the second
+    by the search that admits it, whose PointAnalysis takes that
+    polynomial rather than evaluating the generic one there again."""
     import jkpencil.liealg
     import jkpencil.poisson
 
@@ -740,10 +743,11 @@ def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkey
 def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeypatch):
     """One RegularValueSampler per pair (x, a) the semi-invariant
     certificate reads and per F~_a point, one per pencil: the generic
-    invariants (--samples 3) and the
-    sampled frozen point are read from the pairs that certify p_g, so they
-    analyse no pair of their own, and the pencil at an F~_a point is built
-    from the structure constants, not by evaluating polynomial entries."""
+    invariants (--samples 3), the sampled frozen point and, when a is
+    sampled and no point is given, the first F~_a point are read from the
+    pairs that certify p_g, so they analyse no pair of their own, and the
+    pencil at an F~_a point is built from the structure constants, not by
+    evaluating polynomial entries."""
     import jkpencil.liealg
     import jkpencil.pencil
     import jkpencil.poisson
@@ -771,7 +775,8 @@ def test_lie_analyze_analyses_each_pair_and_point_once(document, capsys, monkeyp
     assert len(report["ftilde"]["points"]) == 2
     assert len(certified) == 1 and len(certified[0]) == 3
     assert len(read) == len(set(read)) >= 3
-    assert len(samplers) == len(read) + 2
+    reused = report["frozen_point"]["sampled"] and "points" not in json.loads(document.read_text())
+    assert len(samplers) == len(read) + 2 - reused
     assert evaluations == []
 
 
@@ -808,20 +813,91 @@ def _patch_lie_char_poly(monkeypatch, change):
     monkeypatch.setattr(jkpencil.liealg, "_lie_char_poly", changed)
 
 
-def test_lie_analyze_exits_2_on_the_tenth_degree_jump(capsys, monkeypatch):
+def _given_a_document(tmp_path) -> Path:
+    """heisenberg3_frozen.lie.json without its evaluation points: its
+    given a runs both F~_a searches, as no certified pair shares it."""
+    doc = json.loads((GOLDEN / "heisenberg3_frozen.lie.json").read_text())
+    del doc["points"]
+    document = tmp_path / "heisenberg3_given_a.lie.json"
+    document.write_text(json.dumps(doc))
+    return document
+
+
+def test_lie_analyze_exits_2_on_the_tenth_degree_jump(capsys, monkeypatch, tmp_path):
     _patch_lie_char_poly(
         monkeypatch, lambda gcp: {"degree": gcp.degree - 1, "numerators": gcp.numerators[1:]}
     )
-    code, out, err = run(capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json")])
+    code, out, err = run(capsys, ["lie", "analyze", str(_given_a_document(tmp_path))])
     assert (code, out) == (2, "")
     assert err.startswith("error: pointwise degree 1 exceeds generic degree 0 at ")
 
 
-def test_lie_analyze_exits_3_when_no_generic_point_is_found(capsys, monkeypatch):
+def test_lie_analyze_exits_3_when_no_generic_point_is_found(capsys, monkeypatch, tmp_path):
     _patch_lie_char_poly(monkeypatch, lambda gcp: {"rank": gcp.rank + 2})
-    code, out, err = run(capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json")])
+    code, out, err = run(capsys, ["lie", "analyze", str(_given_a_document(tmp_path))])
     assert (code, out) == (3, "")
     assert err == "internal consistency failure: found 0 of 1 generic points in 80 draws\n"
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda gcp: {"rank": gcp.rank + 2}, "rank 2 at the point differs from generic rank 4"),
+        (
+            lambda gcp: {"degree": gcp.degree - 1, "numerators": gcp.numerators[1:]},
+            "char degree 1 at the point exceeds generic 0",
+        ),
+    ],
+    ids=["rank", "degree"],
+)
+def test_lie_analyze_exits_3_when_the_first_certified_pair_is_not_generic(change, reason, capsys, monkeypatch):
+    """With a sampled a, the first F~_a point is the x of the first pair
+    that certified p_g against monic(p_g(x - lambda*a)).  If it is not
+    generic for the polynomial read off the same p_g, the two routes
+    disagree: exit 3 before any search runs, not exit 2."""
+    import jkpencil.liealg
+    import jkpencil.poisson
+
+    _patch_lie_char_poly(monkeypatch, change)
+    searches = record_calls(monkeypatch, "_sample_generic", [jkpencil.poisson, jkpencil.liealg])
+    code, out, err = run(capsys, ["lie", "analyze", str(GOLDEN / "heisenberg3.lie.json")])
+    assert (code, out) == (3, "")
+    assert err == f"internal consistency failure: the first certified pair is not generic at a = a1: {reason}\n"
+    assert searches == []
+
+
+def test_sampled_ftilde_is_the_same_for_every_samples_count(capsys):
+    """The first F~_a point is the x of the first certified pair, which a
+    larger --samples does not change (the certificate keeps the pairs in
+    stream order), and the second comes from a search of its own, so the
+    F~_a section and the certificates read at its points are the same for
+    --samples 1, 3 and 10."""
+    for stem in ("heisenberg3", "so3", "aff1_abelian2"):
+        sections = set()
+        for samples in (1, 3, 10):
+            argv = ["lie", "analyze", str(GOLDEN / f"{stem}.lie.json"), "--format", "json", "--samples", str(samples)]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            report = json.loads(out)
+            keys = ("ftilde", "involution_certificates", "eigenvalue_lemma", "frozen_point")
+            sections.add(json.dumps([report[k] for k in keys], sort_keys=True))
+        assert len(sections) == 1, stem
+
+
+def test_given_a_and_explicit_point_reports_keep_their_goldens(capsys, monkeypatch):
+    """Only a sampled a with sampled F~_a points reads its first point off
+    the certified pairs: heisenberg3_frozen (given a, explicit points) and
+    heisenberg3_rational (rational a and points) do not, and their reports
+    are byte-identical to their goldens."""
+    import jkpencil.liealg
+
+    for stem in ("heisenberg3_frozen", "heisenberg3_rational"):
+        reused = record_calls(monkeypatch, "_certified_point", [jkpencil.liealg])
+        code, out, _ = run(capsys, ["lie", "analyze", str(GOLDEN / f"{stem}.lie.json"), "--format", "json"])
+        assert code == 0
+        assert out == (GOLDEN / f"{stem}.report.json").read_text(), stem
+        assert reused == [], stem
+        monkeypatch.undo()
 
 
 def test_analyze_factors_each_pencil_analysis_once(capsys, monkeypatch):

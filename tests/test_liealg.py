@@ -9,6 +9,7 @@ import pytest
 from jkpencil import cli
 from jkpencil.errors import InternalConsistencyError, ValidationError
 from jkpencil.liealg import (
+    CERTIFIED_PAIRS,
     _certified,
     fa_completeness,
     ftilde_completeness,
@@ -335,6 +336,24 @@ def test_ftilde_irregular_point_is_indeterminate():
     rep = ftilde_completeness(heisenberg3(), [1, 1, 0], seed=4)
     assert rep.verdict == INDETERMINATE
     assert not rep.frozen_regular
+
+
+def test_first_sampled_ftilde_point_is_the_first_certified_pair():
+    """With a sampled a, the first F~_a point is the x of the first pair
+    that certified p_g, analysed on the pencil the certificate kept, and
+    the frozen point is that pair's a.  The second point is the one the
+    search at the seed finds, which is the first point when that a is
+    given instead, since a given a keeps both of its searches."""
+    for g in catalog():
+        for seed in (0, 1, 5):
+            (x1, a1), pencil = _certified(g, seed, CERTIFIED_PAIRS)[0]
+            sampled = ftilde_completeness(g, None, seed=seed)
+            assert sampled.frozen_point == a1
+            assert sampled.points[0].point == x1
+            assert sampled.points[0].pencil is pencil
+            given = ftilde_completeness(g, a1, seed=seed)
+            assert given.points[0].point == sampled.points[1].point
+            assert given.points[0].pencil is not pencil
 
 
 def test_fa_complete_implies_ftilde_complete():

@@ -1,9 +1,13 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from jkpencil.cli import load_lie_document
 from jkpencil.errors import SingularMatrixError, ValidationError
 from jkpencil.linalg import (
     Subspace,
@@ -15,18 +19,27 @@ from jkpencil.linalg import (
     subspace_sum,
 )
 from jkpencil.multipoly import MultiPoly
+from jkpencil.pencil import canonical_pencil, congruence_transform
+from jkpencil.structure import catalog
 from jkpencil.unipoly import UniPoly
 
 from conftest import (
+    block_sum,
     charpoly_rational,
+    companion_pencil,
+    dense_bareiss_rank,
     determinant,
     fraction_kernel,
     fraction_rref,
+    kronecker_companion_pencil,
+    lambda_matrix,
     mat_inverse,
     mat_mul,
     naive_det,
     naive_pfaffian,
     pfaffian,
+    random_jk_spec,
+    random_unimodular,
 )
 
 
@@ -225,6 +238,90 @@ def test_rank_over_fractions_matches_random_evaluation():
             best = max(best, rank(numeric))
         # evaluation rank can only drop; equality at one point certifies
         assert best == r
+
+
+def _sparse_poly_matrix(rng: random.Random, entry, zero) -> list[list]:
+    """A random sparse matrix of entry(rng) values with zero rows, a zero
+    column and rows that are polynomial combinations of earlier rows (so
+    pivots-to-be vanish during elimination), its rows shuffled so that a
+    column often starts with zeros."""
+    nrows, ncols = rng.randint(2, 6), rng.randint(2, 7)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [zero] * ncols
+        elif kind < 0.45 and rows:
+            row = [zero] * ncols
+            for t in rng.sample(range(len(rows)), rng.randint(1, len(rows))):
+                c = entry(rng)
+                row = [x + c * y for x, y in zip(row, rows[t])]
+        else:
+            row = [entry(rng) if rng.random() < 0.35 else zero for _ in range(ncols)]
+        rows.append(row)
+    dead = rng.randrange(ncols)
+    for row in rows:
+        row[dead] = zero
+    rng.shuffle(rows)
+    return rows
+
+
+def test_fraction_free_rank_matches_dense_bareiss_on_sparse_random_matrices():
+    """Skipping zero products is the same elimination: the rank equals the
+    dense Bareiss oracle's on seeded sparse MultiPoly and UniPoly matrices
+    with zero rows, zero columns and zero pivots-to-be."""
+    rng = random.Random(26)
+
+    def multi(rng):
+        terms = {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-4, 4) for _ in range(rng.randint(1, 3))}
+        return MultiPoly(3, terms)
+
+    def uni(rng):
+        return UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
+
+    deficient = 0
+    for entry, zero in ((multi, MultiPoly.zero(3)), (uni, UniPoly.zero())):
+        for _ in range(60):
+            m = _sparse_poly_matrix(rng, entry, zero)
+            r = fraction_free_rank(m)
+            assert r == dense_bareiss_rank(m)
+            deficient += r < min(len(m), len(m[0]))
+    assert deficient >= 60
+
+
+def test_fraction_free_rank_matches_dense_bareiss_on_lie_poisson_matrices(monkeypatch):
+    """The generic rank of A(x) for every catalog algebra and every algebra
+    of the benchmark's Lie verdict table (perfbench/workloads.py, only
+    read) equals the dense Bareiss oracle's."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    algebras = catalog() + [load_lie_document(workloads.lie_doc(g))[0] for g in workloads.lie_algebras()]
+    assert len(algebras) >= 20
+    for g in algebras:
+        a_x = g.poisson_matrix()
+        assert fraction_free_rank(a_x) == dense_bareiss_rank(a_x), g
+
+
+def test_fraction_free_rank_matches_dense_bareiss_on_generated_pencils():
+    """The rank of A + lambda*B over Q(lambda) equals the dense Bareiss
+    oracle's on the pencils of the test generators: scrambled canonical
+    pencils, companion pencils, block sums and scrambled Kronecker plus
+    companion pencils."""
+    rng = random.Random(2026)
+    pencils = []
+    for _ in range(20):
+        spec = random_jk_spec(rng, max_dim=9)
+        pencils.append(congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng)))
+    companion = companion_pencil(UniPoly((-2, 0, 1)))
+    pencils += [companion, block_sum(companion, pencils[0])]
+    pencils.append(kronecker_companion_pencil([1, 2], [1], [1], "bareiss")[0])
+    for q in pencils:
+        for sign in (1, -1):
+            lam = lambda_matrix(q, sign)
+            assert fraction_free_rank(lam) == dense_bareiss_rank(lam) == q._sampler.r
 
 
 # -- pfaffians ----------------------------------------------------------------
