@@ -46,6 +46,7 @@ _LAZY = {
         "INCOMPLETE",
         "INDETERMINATE",
         "CompletenessReport",
+        "FamilyCompleteness",
         "GenericCharPoly",
         "PointAnalysis",
         "PolyPoissonPencil",
@@ -54,6 +55,7 @@ _LAZY = {
         "eigenvalue_lemma_check",
         "evaluate_at",
         "extended_core",
+        "family_completeness",
         "generic_char_poly",
         "involution_check",
         "jacobi_check",

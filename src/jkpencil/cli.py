@@ -65,11 +65,12 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 3
 
-# Largest Lie algebra dimension a document may declare.  The Jacobi check
-# alone visits every triple i < j < k, and the generic layer grows faster
-# still, so a 35-byte document could otherwise ask for unbounded work.
-# 64 is twice the dimension 30 the Lie analysis is meant to reach; the
-# abelian algebra of dimension 64 is analysed in a few seconds.
+# Largest Lie algebra dimension a document may declare.  It bounds the
+# size of a document, not the run time: the Jacobi check alone visits every
+# triple i < j < k, so a 35-byte document could otherwise declare unbounded
+# work, but the generic layer of a small algebra may still run for minutes
+# (so(6), dimension 15, did not finish in 150 s, and so3+so3+so3 in a dense
+# integer basis, dimension 9, takes 34 s on a 2-core VM).
 MAX_LIE_DIMENSION = 64
 
 # Most certified (x, a) pairs `lie analyze --samples` may ask for.  Each
@@ -283,8 +284,12 @@ def _invariants_dict(inv) -> dict:
     }
 
 
-def _completeness_dict(rep) -> dict:
-    return {
+def _point_report(pa) -> tuple[dict, dict, dict]:
+    """The F~_a entry, the involution certificate and the eigenvalue-lemma
+    entry of one PointAnalysis; a failed involution certificate raises
+    InternalConsistencyError."""
+    rep = pa.completeness
+    completeness = {
         "point": _vec(rep.point),
         "verdict": rep.verdict,
         "rank": rep.rank,
@@ -295,15 +300,32 @@ def _completeness_dict(rep) -> dict:
         "jordan_blocks_2x2": rep.jordan_blocks_2x2,
         "distinct_eigenvalues": rep.distinct_eigenvalues,
         "factor_tests": [
-            {
-                "factor": _poly_str(t.factor),
-                "multiplicity": t.multiplicity,
-                "escapes_core": t.escapes,
-            }
+            {"factor": _poly_str(t.factor), "multiplicity": t.multiplicity, "escapes_core": t.escapes}
             for t in rep.factor_tests
         ],
         "witnesses": list(rep.witnesses),
     }
+    cert = pa.involution
+    if not cert.passed:
+        raise InternalConsistencyError(f"involution certificate failed at {_vec(pa.point)}: {cert.violation}")
+    involution = {
+        "point": _vec(cert.point),
+        "family_size": cert.family_size,
+        "kernel_samples": _vec(cert.kernel_samples),
+        "pairings": cert.pairings,
+        "passed": cert.passed,
+    }
+    ev = pa.eigenvalue_lemma
+    checks = [
+        {
+            "root": str(c.root),
+            "multiplicity": c.multiplicity,
+            "status": c.status,
+            "gradient": None if c.gradient is None else _vec(c.gradient),
+        }
+        for c in ev.checks
+    ]
+    return completeness, involution, {"point": _vec(ev.point), "status": ev.status, "checks": checks}
 
 
 def _header(command: str, raw: bytes, seed: int) -> dict:
@@ -434,39 +456,7 @@ def lie_report(
     explicit = [point] if point is not None else doc_points
     ftilde = ftilde_completeness(g, frozen, seed=seed, explicit_points=explicit)
 
-    involution_certs = []
-    eigen_certs = []
-    for pa in ftilde.points:
-        cert = pa.involution
-        if not cert.passed:
-            raise InternalConsistencyError(
-                f"involution certificate failed at {_vec(pa.point)}: {cert.violation}"
-            )
-        involution_certs.append(
-            {
-                "point": _vec(cert.point),
-                "family_size": cert.family_size,
-                "kernel_samples": _vec(cert.kernel_samples),
-                "pairings": cert.pairings,
-                "passed": cert.passed,
-            }
-        )
-        ev = pa.eigenvalue_lemma
-        eigen_certs.append(
-            {
-                "point": _vec(ev.point),
-                "status": ev.status,
-                "checks": [
-                    {
-                        "root": str(c.root),
-                        "multiplicity": c.multiplicity,
-                        "status": c.status,
-                        "gradient": None if c.gradient is None else _vec(c.gradient),
-                    }
-                    for c in ev.checks
-                ],
-            }
-        )
+    points = [_point_report(pa) for pa in ftilde.points]
 
     return {
         **_header("lie analyze", raw, seed),
@@ -493,10 +483,10 @@ def lie_report(
             "verdict": ftilde.verdict,
             "witnesses": list(ftilde.witnesses),
             "warnings": list(ftilde.warnings),
-            "points": [_completeness_dict(pa.completeness) for pa in ftilde.points],
+            "points": [completeness for completeness, _, _ in points],
         },
-        "involution_certificates": involution_certs,
-        "eigenvalue_lemma": eigen_certs,
+        "involution_certificates": [involution for _, involution, _ in points],
+        "eigenvalue_lemma": [lemma for _, _, lemma in points],
     }
 
 

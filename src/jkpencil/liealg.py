@@ -20,9 +20,12 @@ against it.  The semi-invariant certificate reads the stream of pairs
 (x, a) of a seed, each with its pencil, and keeps the pairs it admits,
 which are generic: their pencils give the generic invariants, and the
 first pair (x1, a1) gives the sampled frozen point a1 and the first F~_a
-point x1, on the pencil (A(x1), A(a1)) it already analysed.  Every other
-F~_a point is sampled by poisson's one search, which also certifies p_g,
-and the pencil there is built from the structure constants.
+point x1, on the pencil (A(x1), A(a1)) it already analysed.  The F~_a
+verdict is poisson's family_completeness, the pipeline of every Poisson
+pencil; this module gives it the frozen point, the pencil at a point,
+built from the structure constants, the characteristic polynomial read
+off p_g and, for a sampled a, the analysis at x1.  Every other F~_a
+point is sampled by poisson's one search, which also certifies p_g.
 
 The arithmetic runs on integers.  Integral structure constants are kept
 as ints and sample points are drawn as ints, and frozen_matrix keeps the
@@ -50,13 +53,13 @@ from .poisson import (
     COMPLETE,
     INCOMPLETE,
     INDETERMINATE,
+    FamilyCompleteness,
     GenericCharPoly,
     PointAnalysis,
     PolyPoissonPencil,
     _certify,
-    _generic_poly_at,
     _pfaffian_gcd,
-    _sample_generic,
+    family_completeness,
 )
 # The Jacobi check that an analysis runs first: cli.lie_report calls it as
 # liealg.validate_lie_algebra, the name perfbench/spans.py traces.
@@ -251,22 +254,18 @@ def _certified_point(pencil: SkewPencil, gcp: GenericCharPoly, x1: Vector) -> Po
     disagree, which raises InternalConsistencyError.
     """
     try:
-        return PointAnalysis(pencil, gcp, x1, _generic_poly_at(gcp, x1))
+        return PointAnalysis(pencil, gcp, x1, gcp.specialise(x1))
     except NonGenericPointError as exc:
         raise InternalConsistencyError(f"the first certified pair is not generic at a = a1: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class FTildeReport:
-    """Aggregated extended-family completeness verdict over the analyses
-    of the sample points."""
+class FTildeReport(FamilyCompleteness):
+    """The extended family's verdict on the pencil (A(x), A(a)) of a frozen
+    point a (poisson.family_completeness)."""
 
-    verdict: str
     frozen_point: Vector
     frozen_regular: bool
-    points: tuple[PointAnalysis, ...]
-    witnesses: tuple[str, ...]
-    warnings: tuple[str, ...]
 
 
 def ftilde_completeness(
@@ -277,73 +276,32 @@ def ftilde_completeness(
 ) -> FTildeReport:
     """Extended family verdict via the pointwise completeness criterion.
 
-    Reads the completeness verdict of the PointAnalysis at two generic
-    points of the pencil (A(x), A(a)), or at the explicitly supplied
-    points, and keeps those analyses; by analyticity all generic points
-    must agree, so disagreement is reported as UNSTABLE_SAMPLES and the
-    verdict is downgraded.  With a = None the first pair (x1, a1) that
+    The Lie parts of the verdict live here, and the rest in poisson's
+    family_completeness: it reads the pencil at each point from
+    pencil_at and the generic characteristic polynomial read off p_g
+    (_lie_char_poly).  With a = None the first pair (x1, a1) that
     certified p_g at seed gives both the frozen point a1, which is
     regular (_certify admits a pair only when rank A(a) equals the
-    generic rank), and the first point x1, whose pencil (A(x1), A(a1))
-    the certificate kept (_certified_point); the second point is the
-    search's at seed.  No certified pair shares a given a, so it takes
-    two searches, at seed and seed + 31.  A given a is ranked, and an
-    irregular one downgrades to INDETERMINATE.
+    generic rank), and, when no point is given, the first point x1, whose
+    pencil (A(x1), A(a1)) the certificate kept (_certified_point); the
+    second point is the search's at seed.  No certified pair shares a
+    given a, so it takes two searches, at seed and seed + 31.  A given a
+    is ranked, and an irregular one downgrades to INDETERMINATE.
     """
     sampled = a is None
     if sampled:
-        (x1, a), first = _certified(g, seed, CERTIFIED_PAIRS)[0]
+        (x1, a), pencil = _certified(g, seed, CERTIFIED_PAIRS)[0]
     else:
         a = vector(a)
     frozen = g.frozen_matrix(a)
     warnings = () if sampled else _irregularity(g, frozen)
     if warnings:
-        return FTildeReport(
-            verdict=INDETERMINATE,
-            frozen_point=a,
-            frozen_regular=False,
-            points=(),
-            witnesses=(),
-            warnings=warnings,
-        )
+        return FTildeReport(INDETERMINATE, (), (), warnings, frozen_point=a, frozen_regular=False)
     gcp = _lie_char_poly(g, a, seed)
 
     def pencil_at(x0: Vector) -> SkewPencil:  # as the pair stream builds it
         return SkewPencil(g.frozen_matrix(x0), frozen)
 
-    # Sampled points are all chosen before the first verdict; an explicit
-    # point is checked for genericity after the verdict at the one before.
-    if explicit_points is not None:
-        explicit = map(vector, explicit_points)
-        points = (
-            PointAnalysis(pencil_at(x0), gcp, x0, _generic_poly_at(gcp, x0))
-            for x0 in explicit
-        )
-    elif sampled:
-        points = [_certified_point(first, gcp, x1), _sample_generic(pencil_at, gcp, seed)]
-    else:
-        points = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
-    analysed, reports = [], []
-    for pa in points:
-        analysed.append(pa)
-        reports.append(pa.completeness)
-    verdicts = {r.verdict for r in reports}
-    if len(verdicts) == 1:
-        verdict = reports[0].verdict
-    else:
-        verdict = INDETERMINATE
-        warnings = warnings + ("UNSTABLE_SAMPLES: pointwise verdicts disagree",)
-    witnesses = []
-    for r in reports:
-        for w in r.witnesses:
-            if w not in witnesses:
-                witnesses.append(w)
-    return FTildeReport(
-        verdict=verdict,
-        frozen_point=a,
-        frozen_regular=True,
-        points=tuple(analysed),
-        witnesses=tuple(witnesses),
-        warnings=warnings,
-    )
-
+    first = _certified_point(pencil, gcp, x1) if sampled and explicit_points is None else None
+    family = family_completeness(pencil_at, gcp, seed, explicit_points, first)
+    return FTildeReport(**vars(family), frozen_point=a, frozen_regular=True)

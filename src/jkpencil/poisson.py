@@ -13,8 +13,9 @@ semi-invariant, and it finds the sampled points of PointAnalysis.
 Sample points are drawn as small ints.  A GenericCharPoly is one integer
 form, evaluated in integers at a point y/q over a common denominator
 with one Fraction per output value; its gradient polynomials are derived
-once per polynomial, and each specialisation evaluates its denominator
-and numerators once, for the pointwise polynomial and the gradients.
+once per polynomial, and each specialisation (GenericCharPoly.specialise,
+None where the denominator vanishes) evaluates its denominator and
+numerators once, for the pointwise polynomial and the gradients.
 
 A PointAnalysis is the one object for a generic point: the pencil there
 with its analysis, the extended core subspace, the completeness criterion
@@ -22,6 +23,13 @@ decided through two independent routes (dimension count vs block
 structure) that must agree, the bi-involution certificate of the
 covector family and the eigenvalue-lemma certificate, each computed once,
 when first read.
+
+family_completeness is the one completeness pipeline: from the pencil at
+a point (pencil_at), the generic characteristic polynomial and a seed it
+chooses the points, explicit or sampled, analyses each, and aggregates
+their verdicts and witnesses.  It reads nothing else of the pencil, so a
+Lie pencil (liealg.ftilde_completeness) and a general polynomial pencil
+(partial(evaluate_at, p) with generic_char_poly(p)) take the same route.
 """
 
 from __future__ import annotations
@@ -151,22 +159,16 @@ class PolyPoissonPencil:
             tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(self.a, self.b)
         )
 
-    def lambda_matrix(self, sign: int = 1) -> list[list[MultiPoly]]:
-        """A + sign*lambda*B over Q[x_1..x_n, lambda], lambda last."""
+    def lambda_matrix(self) -> list[list[MultiPoly]]:
+        """A - lambda*B over Q[x_1..x_n, lambda], lambda last."""
         lam = MultiPoly.variable(self.n + 1, self.n)
-        out = []
-        for ra, rb in zip(self.a, self.b):
-            row = []
-            for x, y in zip(ra, rb):
-                e = x.extend(1)
-                if not y.is_zero:
-                    yl = lam * y.extend(1)
-                    e = e + yl if sign > 0 else e - yl
-                row.append(e)
-            out.append(row)
-        return out
+        return [
+            [x.extend(1) if y.is_zero else x.extend(1) - lam * y.extend(1) for x, y in zip(ra, rb)]
+            for ra, rb in zip(self.a, self.b)
+        ]
 
     def generic_rank(self) -> int:
+        """Rank of A - lambda*B over Q(x)(lambda), the rank of A + lambda*B."""
         return fraction_free_rank(self.lambda_matrix())
 
 
@@ -234,17 +236,14 @@ class GenericCharPoly:
         """The gradient of the denominator, then of each numerator."""
         return tuple(f.gradient() for f in (self.denominator, *self.numerators))
 
-    def specialise(self, x0: Sequence) -> "Specialisation":
-        """The one evaluation of the denominator and the numerators at x0;
-        raises DenominatorVanishesError where the denominator vanishes."""
+    def specialise(self, x0: Sequence) -> Optional["Specialisation"]:
+        """The one evaluation of the denominator and the numerators at x0,
+        or None where the denominator vanishes (_not_generic says why)."""
         y, q = _common_denominator(x0)
         h = self._height
         den = self.denominator.scaled_value(y, q, h)
         if den == 0:
-            raise DenominatorVanishesError(
-                "characteristic denominator vanishes at the point",
-                {"point": x0},
-            )
+            return None
         return Specialisation(self, y, q, den, tuple(num.scaled_value(y, q, h) for num in self.numerators))
 
 
@@ -310,7 +309,7 @@ def generic_char_poly(p: PolyPoissonPencil) -> GenericCharPoly:
         raise InfiniteEigenvalueError(
             f"generic rank(B) = {rank_b} < generic pencil rank {r}"
         )
-    g = _pfaffian_gcd(p.lambda_matrix(sign=-1), r)
+    g = _pfaffian_gcd(p.lambda_matrix(), r)
     lam_var = p.n
     lam_coeffs = coefficients_in(g, lam_var)
     content = multi_gcd_list(lam_coeffs, p.n + 1)
@@ -329,20 +328,12 @@ def _random_point(n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(rng.randint(-9, 9) for _ in range(n))
 
 
-def _generic_poly_at(gcp: GenericCharPoly, x0: Sequence) -> Optional[Specialisation]:
-    """gcp specialised at x0, or None where its denominator vanishes."""
-    try:
-        return gcp.specialise(x0)
-    except DenominatorVanishesError:
-        return None
-
-
 def _points(pencil_at: Callable[[Vector], SkewPencil], gcp: GenericCharPoly, rng: random.Random):
     """Random points x0 for _certify, each with pencil_at(x0), the pencil
     there, and gcp specialised at x0."""
     while True:
         x0 = _random_point(gcp.nvars, rng)
-        yield x0, pencil_at(x0), _generic_poly_at(gcp, x0)
+        yield x0, pencil_at(x0), gcp.specialise(x0)
 
 
 def _not_generic(
@@ -507,13 +498,13 @@ class PointAnalysis:
 
     It is built from `pencil`, the pencil at x0, which keeps its analysis
     (the one _certify read for a sampled point), the generic
-    characteristic polynomial gcp and `expected`, gcp specialised at x0
-    by _generic_poly_at (a sampled point passes the one _certify
-    compared, so it is not evaluated twice, and the gradients read the
-    same values), and raises the error of _not_generic when x0 is not a
-    generic point.  The pencil's Smith factors give the pointwise
-    characteristic polynomial and Jordan data, and its sampler the core
-    and the kernels of the involution family.
+    characteristic polynomial gcp and `expected`, gcp.specialise(x0)
+    (a sampled point passes the one _certify compared, so it is not
+    evaluated twice, and the gradients read the same values), and raises
+    the error of _not_generic when x0 is not a generic point.  The
+    pencil's Smith factors give the pointwise characteristic polynomial
+    and Jordan data, and its sampler the core and the kernels of the
+    involution family.
     """
 
     def __init__(
@@ -671,7 +662,7 @@ def extended_core(p: PolyPoissonPencil, x0: Sequence) -> PointAnalysis:
     """The analysis at a generic point x0, whose `extended` is the core
     plus the span of the coefficient gradients there."""
     x0, gcp = vector(x0), generic_char_poly(p)
-    return PointAnalysis(evaluate_at(p, x0), gcp, x0, _generic_poly_at(gcp, x0))
+    return PointAnalysis(evaluate_at(p, x0), gcp, x0, gcp.specialise(x0))
 
 
 def completeness_check(p: PolyPoissonPencil, x0: Sequence) -> CompletenessReport:
@@ -706,3 +697,51 @@ def _sample_generic(
     points = _points(pencil_at, gcp, random.Random(seed + 101))
     [(x0, pencil, expected)] = _certify(points, gcp.rank, gcp.degree, 1)
     return PointAnalysis(pencil, gcp, x0, expected)
+
+
+@dataclass(frozen=True)
+class FamilyCompleteness:
+    """The completeness verdict of the local Casimirs with the coefficients
+    of the generic characteristic polynomial, read at generic points, with
+    the analyses it read there."""
+
+    verdict: str
+    points: tuple[PointAnalysis, ...]
+    witnesses: tuple[str, ...]
+    warnings: tuple[str, ...]
+
+
+def family_completeness(
+    pencil_at: Callable[[Vector], SkewPencil],
+    gcp: GenericCharPoly,
+    seed: int,
+    explicit_points: Optional[Sequence[Sequence]] = None,
+    first: Optional[PointAnalysis] = None,
+) -> FamilyCompleteness:
+    """The family's verdict for the pencil that pencil_at(x0) gives at each
+    point x0, whose generic characteristic polynomial is gcp.
+
+    The points are the explicit ones, each analysed only after the verdict
+    at the one before; or `first`, a point the caller has analysed, and the
+    point of one search at seed; or the points of two searches, at seed and
+    seed + 31.  By analyticity every generic point gives the same verdict,
+    so a disagreement is reported as UNSTABLE_SAMPLES and downgrades the
+    verdict to INDETERMINATE.  The witnesses of all points are merged in
+    order, each once.
+    """
+    if explicit_points is not None:
+        points = (PointAnalysis(pencil_at(x0), gcp, x0, gcp.specialise(x0)) for x0 in map(vector, explicit_points))
+    elif first is not None:
+        points = [first, _sample_generic(pencil_at, gcp, seed)]
+    else:
+        points = [_sample_generic(pencil_at, gcp, seed + 31 * i) for i in range(2)]
+    analysed, verdicts = [], set()
+    for pa in points:
+        verdicts.add(pa.completeness.verdict)
+        analysed.append(pa)
+    if len(verdicts) == 1:
+        [verdict], warnings = verdicts, ()
+    else:
+        verdict, warnings = INDETERMINATE, ("UNSTABLE_SAMPLES: pointwise verdicts disagree",)
+    witnesses = dict.fromkeys(w for pa in analysed for w in pa.completeness.witnesses)
+    return FamilyCompleteness(verdict, tuple(analysed), tuple(witnesses), warnings)

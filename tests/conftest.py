@@ -24,13 +24,17 @@ drawn at random (the library takes them in the fixed order 0, 1, -1, 2,
 
 The generators and helpers that only tests call live here too:
 random_unimodular, which scrambles canonical pencils by congruence,
+scrambled_algebra, which writes a Lie algebra in another basis,
 lambda_matrix, pfaffian (the recursive expansion of linalg.PfaffianCache
-on a whole skew matrix) and the rational mat_mul and transpose.
+on a whole skew matrix), the rational mat_mul and transpose, and budget,
+a wall-time limit on a block.
 """
 
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -51,6 +55,7 @@ from jkpencil.pencil import (
     pencil_rank,
 )
 from jkpencil.smith import smith_normal_form
+from jkpencil.structure import LieAlgebra
 from jkpencil.unipoly import (
     UniPoly,
     _divisors,
@@ -218,6 +223,48 @@ def random_unimodular(n: int, rng: random.Random, shears: int | None = None) -> 
         for col in range(n):
             m[i][col] += c * m[j][col]
     return tuple(tuple(row) for row in m)
+
+
+def scrambled_algebra(g: LieAlgebra, p: Matrix) -> LieAlgebra:
+    """g in the basis f_i = sum_k P_ki e_k.  [f_i, f_j] = sum_t c'_ij^t f_t
+    with c'_ij^t = sum_klm P_ki P_lj c_kl^m Q_tm and Q = P^-1, so the
+    constants stay integral when P is unimodular (random_unimodular)."""
+    n = g.dim
+    q = mat_inverse(p)
+    brackets = {}
+    for (k, l), coeffs in g.table.items():
+        brackets[(k, l)] = coeffs
+        brackets[(l, k)] = {m: -c for m, c in coeffs.items()}
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = [Fraction(0)] * n  # [f_i, f_j] in the basis e
+            for (k, l), coeffs in brackets.items():
+                weight = p[k][i] * p[l][j]
+                for m, c in coeffs.items() if weight else ():
+                    image[m] += weight * c
+            table[(i, j)] = {t: sum(q[t][m] * image[m] for m in range(n)) for t in range(n)}
+    return LieAlgebra(n, table, f"{g.name} scrambled")
+
+
+class OverBudget(Exception):
+    """A block ran past its time budget."""
+
+
+@contextmanager
+def budget(seconds: float):
+    """Raise OverBudget in the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise OverBudget(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def companion_pencil(f: UniPoly) -> SkewPencil:

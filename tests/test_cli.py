@@ -683,29 +683,33 @@ def test_sampled_points_specialise_the_generic_polynomial_once(capsys, monkeypat
     first certified pair, when its PointAnalysis is built, and the second
     by the search that admits it, whose PointAnalysis takes that
     polynomial rather than evaluating the generic one there again."""
-    import jkpencil.liealg
-    import jkpencil.poisson
+    from jkpencil.poisson import GenericCharPoly
 
-    calls = record_calls(monkeypatch, "_generic_poly_at", [jkpencil.poisson, jkpencil.liealg])
+    calls = []
+    original = GenericCharPoly.specialise
+
+    def specialise(gcp, x0):
+        calls.append(x0)
+        return original(gcp, x0)
+
+    monkeypatch.setattr(GenericCharPoly, "specialise", specialise)
     code, out, _ = run(capsys, ["lie", "analyze", str(GOLDEN / "so3.lie.json"), "--format", "json"])
     assert code == 0
     points = json.loads(out)["ftilde"]["points"]
-    assert len(points) == 2
-    assert len(calls) == 2
+    assert [[str(v) for v in x0] for x0 in calls] == [p["point"] for p in points]
 
 
 @pytest.mark.parametrize("stem", ["so3", "heisenberg3_rational"])
 def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkeypatch):
-    """_generic_poly_at evaluates the generic polynomial's denominator once
+    """GenericCharPoly.specialise evaluates the denominator once
     at its point, at the two sampled F~_a points of so3 and at the two
     explicit rational points of heisenberg3_rational: the evaluation that
     finds it nonzero is the one the coefficients are divided by.  Over the
     whole analysis the denominator and every numerator are evaluated once
     per point: the gradients of the extended core read the same values.
     Every evaluation of a MultiPoly goes through MultiPoly.scaled_value."""
-    import jkpencil.liealg
-    import jkpencil.poisson
     from jkpencil.multipoly import MultiPoly
+    from jkpencil.poisson import GenericCharPoly
 
     evaluated = []
     original_value = MultiPoly.scaled_value
@@ -716,7 +720,7 @@ def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkey
 
     monkeypatch.setattr(MultiPoly, "scaled_value", scaled_value)
     per_point = []
-    original = jkpencil.poisson._generic_poly_at
+    original = GenericCharPoly.specialise
 
     polys = set()
 
@@ -728,8 +732,7 @@ def test_each_specialisation_evaluates_the_denominator_once(stem, capsys, monkey
         finally:
             per_point.append(sum(f is gcp.denominator for f in evaluated[start:]))
 
-    for module in (jkpencil.poisson, jkpencil.liealg):
-        monkeypatch.setattr(module, "_generic_poly_at", specialise)
+    monkeypatch.setattr(GenericCharPoly, "specialise", specialise)
     code, out, _ = run(capsys, ["lie", "analyze", str(GOLDEN / f"{stem}.lie.json"), "--format", "json"])
     assert code == 0
     assert out == (GOLDEN / f"{stem}.report.json").read_text()

@@ -1,9 +1,7 @@
 import gc
 import json
 import random
-import signal
 import weakref
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,8 +33,10 @@ from jkpencil.pencil import (
 from jkpencil.unipoly import UniPoly
 
 from conftest import (
+    OverBudget,
     RandomRegularValueSampler,
     assert_char_poly_factors_match_oracle,
+    budget,
     companion_pencil,
     fraction_pairings,
     kronecker_companion_pencil,
@@ -399,26 +399,6 @@ def test_mixed_congruence_roundtrip():
         assert jk_invariants(q) == spec
 
 
-class _OverBudget(Exception):
-    """An analysis ran past its time budget."""
-
-
-@contextmanager
-def _budget(seconds: float):
-    """Raise _OverBudget in the block once `seconds` of wall time pass."""
-
-    def expire(signum, frame):
-        raise _OverBudget(f"over {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_jordan_part_groups_match_whole_smith_oracle(monkeypatch):
     """The library's Smith forms run on the Jordan part, the pencil
     restricted to M/K, of size J, the sum of the Jordan block sizes; the
@@ -469,7 +449,7 @@ def test_kronecker_companion_n18_pencil_within_budget():
     Smith form read the whole 18 x 18 pencil; its Jordan part is 10 x 10."""
     p, spec = kronecker_companion_pencil((2, 3), (2,), (1,), "n18/1", shears=54)
     assert p.n == 18
-    with _budget(5):
+    with budget(5):
         assert jk_invariants(p) == spec
 
 
@@ -482,7 +462,7 @@ def test_jordan_heavy_n25_pencil_within_budget():
     assert p.n == 25
     for scramble in ("j/12/0", "j/12/1"):  # the first finishes in hundredths of a second
         q = congruence_transform(p, random_unimodular(25, random.Random(scramble), shears=25))
-        with _budget(5):
+        with budget(5):
             assert jk_invariants(q) == spec
 
 
@@ -503,13 +483,13 @@ def test_jordan_heavy_pencil_within_budget(groups):
     p = canonical_pencil(spec)
     n = p.n
     q = congruence_transform(p, random_unimodular(n, random.Random(f"j/{n}/1"), shears=n))
-    with _budget(5):
+    with budget(5):
         assert jk_invariants(q) == spec
 
 
 @pytest.mark.xfail(
     strict=True,
-    raises=_OverBudget,
+    raises=OverBudget,
     reason="known defect (ROADMAP item 3): coefficient swell in the Smith form over "
     "Z[lambda] makes this n = 54 scramble, whose Jordan part has size 50, run for over "
     "two minutes; a wrong answer is not expected and fails",
@@ -520,7 +500,7 @@ def test_jordan_heavy_n54_pencil_within_budget():
     p = canonical_pencil(spec)
     assert p.n == 54
     q = congruence_transform(p, random_unimodular(54, random.Random("n51/1"), shears=54))
-    with _budget(5):
+    with budget(5):
         assert jk_invariants(q) == spec
 
 

@@ -14,6 +14,7 @@ from jkpencil.errors import (
     ValidationError,
 )
 from jkpencil.liealg import _lie_char_poly, lie_pencil
+from jkpencil.linalg import rank
 from jkpencil.multipoly import MultiPoly
 from jkpencil.pencil import (
     JKInvariants,
@@ -27,7 +28,6 @@ from jkpencil.poisson import (
     PointAnalysis,
     PolyPoissonPencil,
     _certify,
-    _generic_poly_at,
     _random_point,
     _sample_generic,
     compatibility_check,
@@ -35,12 +35,13 @@ from jkpencil.poisson import (
     eigenvalue_lemma_check,
     evaluate_at,
     extended_core,
+    family_completeness,
     generic_char_poly,
     involution_check,
     jacobi_check,
     sample_generic_point,
 )
-from jkpencil.structure import aff1, heisenberg3, so3
+from jkpencil.structure import aff1, catalog, heisenberg3, so3
 from jkpencil.unipoly import UniPoly
 
 
@@ -252,8 +253,26 @@ def test_rational_function_coefficients_quotient_rule():
     assert gcp.specialise(x0).poly == UniPoly([Fraction(-7, 2), Fraction(1)])
     grads = gcp.specialise(x0).gradients()
     assert grads == [(Fraction(7, 4), Fraction(0), Fraction(-1, 2))]
-    with pytest.raises(DenominatorVanishesError):
-        gcp.specialise([0, 1, 1])
+    assert gcp.specialise([0, 1, 1]) is None
+
+
+def test_point_analysis_raises_where_the_denominator_vanishes():
+    # specialise returns None where the denominator vanishes, and
+    # _not_generic turns that into the error: here at a point of generic
+    # rank and rank(B), for heisenberg3's polynomial with numerators and
+    # denominator multiplied by x1 - x2
+    pencil = lie_pencil(heisenberg3(), [0, 0, 1]).pencil
+    gcp = generic_char_poly(pencil)
+    factor = mpvar(3, 0) - mpvar(3, 1)
+    widened = dataclasses.replace(
+        gcp, numerators=tuple(f * factor for f in gcp.numerators), denominator=gcp.denominator * factor
+    )
+    x0 = (1, 1, 1)
+    assert widened.specialise(x0) is None
+    assert widened.specialise((2, 1, 1)).poly == gcp.specialise((2, 1, 1)).poly
+    PointAnalysis(evaluate_at(pencil, x0), gcp, x0, gcp.specialise(x0))
+    with pytest.raises(DenominatorVanishesError, match="characteristic denominator vanishes"):
+        PointAnalysis(evaluate_at(pencil, x0), widened, x0, widened.specialise(x0))
 
 
 # -- one integer form, any rational point ----------------------------------------------
@@ -414,18 +433,18 @@ def test_pointwise_degree_below_generic_is_inconsistent():
     gcp = generic_char_poly(pencil)
     x0 = sample_generic_point(pencil, seed=5)
     at_x0 = evaluate_at(pencil, x0)
-    point = PointAnalysis(at_x0, gcp, x0, _generic_poly_at(gcp, x0))
+    point = PointAnalysis(at_x0, gcp, x0, gcp.specialise(x0))
     assert characteristic_polynomial(point.pencil).degree == gcp.degree
     higher = dataclasses.replace(
         gcp, degree=gcp.degree + 1, numerators=gcp.numerators + (gcp.denominator,)
     )
     with pytest.raises(InternalConsistencyError):
-        PointAnalysis(at_x0, higher, x0, _generic_poly_at(higher, x0))
+        PointAnalysis(at_x0, higher, x0, higher.specialise(x0))
     with pytest.raises(InternalConsistencyError):
         _sample_generic(partial(evaluate_at, pencil), higher, seed=5)
     lower = dataclasses.replace(gcp, degree=gcp.degree - 1, numerators=gcp.numerators[1:])
     with pytest.raises(NonGenericPointError):
-        PointAnalysis(at_x0, lower, x0, _generic_poly_at(lower, x0))
+        PointAnalysis(at_x0, lower, x0, lower.specialise(x0))
 
 
 def test_sample_generic_raises_on_the_tenth_degree_jump():
@@ -545,6 +564,54 @@ def test_completeness_incomplete_on_repeated_eigenvalue():
     assert rep.verdict == INCOMPLETE
     assert not rep.distinct_eigenvalues
     assert rep.jordan_blocks_2x2  # blocks are 2x2, eigenvalues not distinct
+
+
+# -- the completeness pipeline -----------------------------------------------------------
+
+
+def _summary(family):
+    return family.verdict, [pa.point for pa in family.points], family.witnesses, family.warnings
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_family_completeness_is_the_same_on_the_general_route(seed):
+    """family_completeness reads a pencil only through pencil_at and its
+    generic characteristic polynomial: the Lie pencil built from the
+    structure constants with the polynomial read off p_g, and the
+    polynomial pencil evaluated entrywise with the Pfaffian-gcd oracle,
+    give the same verdict, points and witnesses at the same seed."""
+    rng = random.Random(41)
+    for g in catalog():
+        a = [rng.randint(-5, 5) for _ in range(g.dim)]
+        while rank(g.frozen_matrix(a)) != g.generic_rank():
+            a = [rng.randint(-5, 5) for _ in range(g.dim)]
+        frozen = g.frozen_matrix(a)
+        lie = family_completeness(
+            lambda x0: SkewPencil(g.frozen_matrix(x0), frozen), _lie_char_poly(g, a, seed), seed
+        )
+        pencil = lie_pencil(g, a).pencil
+        general = family_completeness(partial(evaluate_at, pencil), generic_char_poly(pencil), seed)
+        assert _summary(lie) == _summary(general), g.name
+        assert len(lie.points) == 2 and lie.warnings == (), g.name
+
+
+def test_family_completeness_of_a_pencil_that_is_not_lie_poisson():
+    # A = x3 d1^d2, B = x1 d1^d2: p(lambda) = lambda - x3/x1, whose
+    # gradient leaves the core, so the family is complete
+    n = 3
+    a = skew_from_upper(n, {(0, 1): mpvar(n, 2)})
+    b = skew_from_upper(n, {(0, 1): mpvar(n, 0)})
+    pencil = PolyPoissonPencil(a, b)
+    assert compatibility_check(pencil)
+    family = family_completeness(partial(evaluate_at, pencil), generic_char_poly(pencil), 3)
+    assert family.verdict == COMPLETE
+    assert (family.witnesses, family.warnings) == ((), ())
+    for pa in family.points:
+        assert pa.completeness == completeness_check(pencil, pa.point)
+    explicit = family_completeness(partial(evaluate_at, pencil), generic_char_poly(pencil), 3, [[2, 5, 7]])
+    assert [pa.point for pa in explicit.points] == [(2, 5, 7)]
+    with pytest.raises(NonGenericPointError):
+        family_completeness(partial(evaluate_at, pencil), generic_char_poly(pencil), 3, [[0, 1, 1]])
 
 
 # -- involution and eigenvalue-lemma certificates --------------------------------------
