@@ -114,7 +114,11 @@ def _location(where: str, index) -> str:
     return where + "".join(f"[{k}]" for k in index)
 
 
-def _parse_matrix(doc, key: str, n: int):
+def _parse_matrix(doc, key: str, n: int, parsed: dict[str, int | Fraction]):
+    """The n x n matrix doc[key].  `parsed` maps each entry string already
+    read in the document to its value, so each distinct string is parsed
+    once; an entry of another type goes to _parse_rational every time, so a
+    bad one raises there with its own location."""
     raw = doc.get(key)
     if not isinstance(raw, list) or len(raw) != n:
         raise ValidationError(f"{key}: expected {n} rows")
@@ -122,7 +126,16 @@ def _parse_matrix(doc, key: str, n: int):
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
             raise ValidationError(f"{key}[{i}]: expected {n} entries")
-        rows.append([_parse_rational(v, key, i, j) for j, v in enumerate(row)])
+        values = []
+        for j, v in enumerate(row):
+            if type(v) is str:
+                x = parsed.get(v)
+                if x is None:
+                    x = parsed[v] = _parse_rational(v, key, i, j)
+            else:
+                x = _parse_rational(v, key, i, j)
+            values.append(x)
+        rows.append(values)
     return rows
 
 
@@ -160,8 +173,9 @@ def load_pencil_document(doc) -> SkewPencil:
     from .pencil import SkewPencil
 
     n = _document_dimension(doc)
-    a = _parse_matrix(doc, "A", n)
-    b = _parse_matrix(doc, "B", n)
+    parsed: dict[str, int | Fraction] = {}
+    a = _parse_matrix(doc, "A", n, parsed)
+    b = _parse_matrix(doc, "B", n, parsed)
     return SkewPencil(a, b)
 
 

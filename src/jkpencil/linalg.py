@@ -3,18 +3,22 @@
 Rational matrices are tuples of tuples of Fraction.  Elimination over Q
 runs on Python integers: each row is scaled by the lcm of its
 denominators (a row of ints is copied as it is; a rational point is the
-same integer vector y over that lcm q), and one fraction-free
-Gauss-Jordan elimination, which keeps rows primitive with positive
-pivots, gives the RREF; the rank is its number of pivots.  A subspace
-holds these integer rows of its RREF, one form per span, so kernels,
-sums and membership stay on integers; its Fraction RREF basis, each row
-over its pivot, is built only when read.  Rank over
-polynomial fraction fields, by fraction-free (Bareiss) elimination
-that forms no product with a zero factor (A(x) of a Lie algebra is
-sparse), serves the generic (multivariate) layer and is the test oracle
-of the constant pencil's rank.  Memoized Pfaffians of principal minors serve
-the generic characteristic polynomial, the semi-invariant, and the test
-oracle of a constant pencil's Smith-form characteristic polynomial.
+same integer vector y over that lcm q), and one fraction-free forward
+elimination, which eliminates below each pivot only and keeps rows
+primitive, does all of it.  The rank is its number of pivots.  A kernel
+is read off the same elimination with the columns taken from right to
+left, by one back substitution per free column: those vectors are
+already the kernel's RREF rows.  A subspace holds the integer rows of its
+RREF, content 1 and a positive pivot, one form per span, so kernels,
+sums and membership stay on integers; a span adds a back pass over the
+pivot rows, and its Fraction RREF basis, each row over its pivot, is
+built only when read.  Rank over polynomial fraction fields, by
+fraction-free (Bareiss) elimination that forms no product with a zero
+factor (A(x) of a Lie algebra is sparse), serves the generic
+(multivariate) layer and is the test oracle of the constant pencil's
+rank.  Memoized Pfaffians of principal minors serve the generic
+characteristic polynomial, the semi-invariant, and the test oracle of a
+constant pencil's Smith-form characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
@@ -72,34 +77,34 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return [list(row) if set(map(type, row)) == _INTS else _common_denominator(row)[0] for row in rows]
 
 
-def _gauss_jordan(work: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows (in place).
+def _echelon(work: list[list[int]], columns: Sequence[int]) -> list[int]:
+    """Fraction-free forward elimination of integer rows (in place), taking
+    pivots in the order of `columns`.
 
-    Returns the pivot columns.  Row t < len(pivots) then has a positive entry
-    in column pivots[t], the only nonzero entry of that column; the rows are
-    kept primitive (content divided out) as they are combined, and the rows
-    after the last pivot row are zero.  Rows t < len(pivots) are thus the
-    primitive integer multiples of the RREF rows, unique for each span."""
+    Returns the pivot columns.  Row t < len(pivots) has a nonzero entry in
+    column pivots[t], and every row after it is zero there; a column taken
+    with no pivot is zero in every row that is not yet a pivot row.  So row
+    t is zero at every column that comes before pivots[t] in `columns`, and
+    the rows after the last pivot row are zero.  Each row is combined only
+    with the pivot rows above it, and is kept primitive (content divided
+    out)."""
     for i, row in enumerate(work):
         g = gcd(*row)
         if g > 1:
             work[i] = [x // g for x in row]
     nrows = len(work)
-    ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in columns:
         pr = next((i for i in range(r, nrows) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
         prow = work[r]
-        if prow[c] < 0:
-            work[r] = prow = [-x for x in prow]
         p = prow[c]
-        for i in range(nrows):
+        for i in range(r + 1, nrows):
             f = work[i][c]
-            if i == r or not f:
+            if not f:
                 continue
             row = [p * x - f * y for x, y in zip(work[i], prow)]
             g = gcd(*row)
@@ -111,10 +116,36 @@ def _gauss_jordan(work: list[list[int]]) -> list[int]:
     return pivots
 
 
+def _gauss_jordan(work: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (in place):
+    _echelon from left to right, then a back pass from the last pivot row
+    up that clears each pivot column above its pivot.
+
+    Returns the pivot columns.  Row t < len(pivots) then has a positive entry
+    in column pivots[t], the only nonzero entry of that column; the rows are
+    primitive and the rows after the last pivot row are zero.  Rows
+    t < len(pivots) are thus the primitive integer multiples of the RREF
+    rows, unique for each span."""
+    pivots = _echelon(work, range(len(work[0]) if work else 0))
+    for t in range(len(pivots) - 1, -1, -1):
+        c = pivots[t]
+        prow = work[t]
+        if prow[c] < 0:
+            work[t] = prow = [-x for x in prow]
+        p = prow[c]
+        for s in range(t):
+            f = work[s][c]
+            if f:
+                row = [p * x - f * y for x, y in zip(work[s], prow)]
+                g = gcd(*row)
+                work[s] = [x // g for x in row] if g > 1 else row
+    return pivots
+
+
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
     """Rank over Q of a matrix with Fraction or int entries: the number of
-    pivots of its integer rows."""
-    return len(_gauss_jordan(_integer_rows(m)))
+    pivots of a forward elimination of its integer rows."""
+    return len(_echelon(_integer_rows(m), range(len(m[0]) if m else 0)))
 
 
 # -- subspaces ----------------------------------------------------------
@@ -184,27 +215,46 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> Subspace:
-    """Right kernel of a rectangular matrix with Fraction or int entries."""
+    """Right kernel of a rectangular matrix with Fraction or int entries.
+
+    One forward elimination with the columns taken from right to left, so
+    each pivot row is zero to the right of its pivot and the pivots fall
+    from row to row.  For each free column fc, back substitution sets
+    v[fc] = 1 and the other free entries to 0 and solves the pivot rows from
+    the last up, scaling v to keep it integral.  A pivot row left of fc
+    then reads only zeros, so v is zero left of fc and at every other free
+    column: the v, made primitive, are the kernel's RREF rows in the
+    canonical form of Subspace, with no second elimination."""
     if not m:
         raise ValidationError("empty matrix")
     work = _integer_rows(m)
     ncols = len(work[0])
-    pivots = _gauss_jordan(work)
-    # One integer vector per free column fc: scale at fc, and at pivot
-    # column pc of row t, -scale * work[t][fc] / work[t][pc].
-    scale = lcm(*(work[t][pc] for t, pc in enumerate(pivots)))
-    steps = [(t, pc, scale // work[t][pc]) for t, pc in enumerate(pivots)]
+    pivots = _echelon(work, range(ncols - 1, -1, -1))
+    solve = sorted(zip(pivots, work))  # the pivot rows, pivot columns rising
     pivot_set = set(pivots)
-    vecs = []
+    rows = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
         v = [0] * ncols
-        v[fc] = scale
-        for t, pc, q in steps:
-            v[pc] = -work[t][fc] * q
-        vecs.append(v)
-    return Subspace._spanned_by(ncols, vecs)
+        v[fc] = 1
+        for pc, row in solve:
+            if pc < fc:
+                continue
+            # v[pc] is still 0: row . v is the rest of the row's equation
+            num = sum(map(mul, row, v))
+            if not num:
+                continue
+            p = row[pc]
+            g = gcd(num, p)
+            k = abs(p) // g
+            if k > 1:
+                v = [x * k for x in v]
+            # -num * k / p, exactly
+            v[pc] = -(num // g) if p > 0 else num // g
+        g = gcd(*v)
+        rows.append(tuple(x // g for x in v) if g > 1 else tuple(v))
+    return Subspace(ncols, tuple(rows))
 
 
 # -- fraction-free elimination over polynomial rings ---------------------

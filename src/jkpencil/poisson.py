@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, islice
+from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -630,12 +631,16 @@ class PointAnalysis:
 
         Simple rational roots only: dlambda = -grad_x p / d_lambda p by
         implicit differentiation; multiple roots are reported as skipped.
+        The check runs on the pencil's integer form D*(A, B): at a root p/q
+        and with y = dlambda over the lcm of its denominators,
+        (A - lambda B) dlambda is zero exactly when (q*DA - p*DB) y is.
         """
         pointwise = characteristic_polynomial(self.pencil)
         if not pointwise.rational_roots:
             return EigenvalueLemmaCertificate(self.point, "NO_RATIONAL_ROOT", ())
         sp = self.pencil
         n = sp.n
+        da, db = sp._scaled
         deriv = pointwise.poly.derivative()
         checks = []
         all_pass = True
@@ -648,9 +653,11 @@ class PointAnalysis:
                 -sum(g[col] * root**i for i, g in enumerate(self.gradients)) / slope
                 for col in range(n)
             )
-            member = sp.member(-root)  # A - root*B
-            image = [sum(row[c] * grad_lambda[c] for c in range(n)) for row in member]
-            ok = all(v == 0 for v in image)
+            y, _ = _common_denominator(grad_lambda)
+            p, q = root.numerator, root.denominator
+            ok = not any(
+                q * sum(map(mul, ra, y)) - p * sum(map(mul, rb, y)) for ra, rb in zip(da, db)
+            )
             checks.append(
                 EigenvalueRootCheck(root, mult, "PASS" if ok else "FAIL", grad_lambda)
             )

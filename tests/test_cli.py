@@ -245,8 +245,9 @@ def test_rational_in_the_grammar_but_unreadable_exit_2(capsys, tmp_path, entry, 
         ("1/0", "B[1][2]: bad rational '1/0'"),
         (True, "B[1][2]: boolean is not a rational"),
         (0.5, "B[1][2]: expected integer or rational string, got 0.5"),
+        (["1"], "B[1][2]: expected integer or rational string, got ['1']"),
     ],
-    ids=["grammar", "exponent", "zero-denominator", "boolean", "float"],
+    ids=["grammar", "exponent", "zero-denominator", "boolean", "float", "list"],
 )
 def test_bad_b_entry_names_its_location(capsys, tmp_path, entry, message):
     """The location of a bad entry is built only when the entry is bad, and
@@ -255,6 +256,48 @@ def test_bad_b_entry_names_its_location(capsys, tmp_path, entry, message):
     path = tmp_path / "bad_b.json"
     path.write_text(json.dumps({"dimension": 3, "A": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], "B": b}))
     assert_one_line_exit_2(capsys, ["pencil", "analyze", str(path)], message)
+
+
+def test_each_distinct_entry_string_is_parsed_once(monkeypatch):
+    """load_pencil_document parses each distinct entry string once per
+    document, across A and B, and every other entry where it stands; the
+    matrices equal an entry-by-entry parse.  A bad string that repeats is
+    named at its first place."""
+
+    def negated(v):
+        if not isinstance(v, str):
+            return -v
+        return v[1:] if v.startswith("-") else "-" + v
+
+    rng = random.Random(3)
+    pool = ["0", "1", "-1", "2", "1/2", "-3/4", 0, 1, -2]
+    n = 6
+    doc = {"dimension": n}
+    for key in ("A", "B"):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = rng.choice(pool)
+                m[j][i] = negated(m[i][j])
+        doc[key] = m
+    parsed = []
+    original = cli._parse_rational
+
+    def counted(value, where, *index):
+        parsed.append(value)
+        return original(value, where, *index)
+
+    monkeypatch.setattr(cli, "_parse_rational", counted)
+    p = cli.load_pencil_document(doc)
+    entries = [v for key in ("A", "B") for row in doc[key] for v in row]
+    strings = [v for v in parsed if isinstance(v, str)]
+    assert sorted(strings) == sorted(set(strings)) == sorted({v for v in entries if isinstance(v, str)})
+    assert len(parsed) - len(strings) == sum(not isinstance(v, str) for v in entries)
+    for key, m in (("A", p.a), ("B", p.b)):
+        assert m == tuple(tuple(Fraction(original(v, key)) for v in row) for row in doc[key])
+    doc["B"][1][2], doc["B"][4][5] = "0.5", "0.5"
+    with pytest.raises(ValidationError, match=r"^B\[1\]\[2\]: bad rational '0.5'"):
+        cli.load_pencil_document(doc)
 
 
 def test_every_lie_document_rational_uses_the_grammar(capsys, tmp_path):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import jkpencil.linalg as linalg
 from jkpencil.cli import load_lie_document
 from jkpencil.errors import SingularMatrixError, ValidationError
 from jkpencil.linalg import (
@@ -19,7 +20,7 @@ from jkpencil.linalg import (
     subspace_sum,
 )
 from jkpencil.multipoly import MultiPoly
-from jkpencil.pencil import canonical_pencil, congruence_transform
+from jkpencil.pencil import INFINITY, _scaled_member, canonical_pencil, congruence_transform
 from jkpencil.structure import catalog
 from jkpencil.unipoly import UniPoly
 
@@ -40,6 +41,7 @@ from conftest import (
     pfaffian,
     random_jk_spec,
     random_unimodular,
+    scrambled_algebra,
 )
 
 
@@ -149,6 +151,88 @@ def test_rank_and_kernel_accept_integer_entries():
     rows = [[2, 4, 6], [1, 2, 3], [0, 0, 5]]
     assert rank(rows) == rank(frac_rows(rows)) == 2
     assert kernel_basis(rows) == kernel_basis(frac_rows(rows))
+
+
+def _elimination_inputs():
+    """Matrices of the shapes the library eliminates, with Fraction or int
+    entries: members of scrambled pencils at n = 8-30, regular and at an
+    eigenvalue; Lie members A(x) + mu*A(a); rectangular mantle-style
+    systems; zero and full-rank matrices; and entries near 10^12."""
+    rng = random.Random(29)
+    out = []
+    for n in (8, 11, 14, 17, 20, 24, 27, 30):
+        spec = random_jk_spec(rng, max_dim=n, min_dim=n)
+        q = congruence_transform(canonical_pencil(spec), random_unimodular(spec.n, rng))
+        roots = [-g.descriptor.coeffs[0] for g in spec.jordan if g.descriptor is not INFINITY]
+        out += [_scaled_member(q._scaled, mu) for mu in (0, 1, -2)]
+        out += [q.member(root) for root in roots[:1]] + [q.member(-root) for root in roots[:1]]
+        # mantle-style: the images S*u of a member's kernel rows u
+        s, core = _scaled_member(q._scaled, 1), kernel_basis(q.member(0))
+        if core.dim:
+            out.append([[sum(x * y for x, y in zip(row, u)) for row in s] for u in core.rows])
+    for g in catalog():
+        scrambled = scrambled_algebra(g, random_unimodular(g.dim, rng))
+        for h in (g, scrambled):
+            x, a = ([rng.randint(-4, 4) for _ in range(h.dim)] for _ in range(2))
+            ax, aa = h.frozen_matrix(x), h.frozen_matrix(a)
+            out += [ax, [[u + 3 * v for u, v in zip(ru, rv)] for ru, rv in zip(ax, aa)]]
+    for shape in ((1, 1), (3, 5), (5, 3)):
+        out.append([[0] * shape[1] for _ in range(shape[0])])
+    for n in (1, 4, 9):
+        out.append([list(row) for row in random_unimodular(n, rng)])
+    out.append([[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)])  # Hilbert, full rank
+    for rows, k, cols in ((6, 3, 8), (8, 5, 5), (4, 4, 7)):
+        u = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(rows)]
+        v = [[rng.randint(-10**6, 10**6) for _ in range(cols)] for _ in range(k)]
+        out.append([[sum(x * y for x, y in zip(ru, col)) for col in zip(*v)] for ru in u])
+    out.append([[10**12 + rng.randint(-5, 5) for _ in range(7)] for _ in range(7)])
+    return out
+
+
+def test_rank_and_kernel_match_fraction_oracle_on_library_shapes():
+    seen = set()
+    for m in _elimination_inputs():
+        exact = frac_rows(m)
+        red, pivots = fraction_rref(exact)
+        assert rank(m) == len(pivots), m
+        k = kernel_basis(m)
+        assert k.basis == fraction_kernel(exact), m
+        assert all(gcd(*row) == 1 and next(x for x in row if x) > 0 for row in k.rows), m
+        nrows, ncols = len(m), len(m[0])
+        seen.add("zero" if not pivots else "full" if len(pivots) == min(nrows, ncols) else "deficient")
+        seen.add("square" if nrows == ncols else "rectangular")
+        if ncols >= 24:
+            seen.add("n >= 24")
+        if max(abs(x) for row in m for x in row) > 10**11:
+            seen.add("near 10^12")
+    assert seen == {"zero", "full", "deficient", "square", "rectangular", "n >= 24", "near 10^12"}
+
+
+def test_kernel_and_rank_run_one_forward_elimination(monkeypatch):
+    """kernel_basis runs _echelon once, with the columns from right to
+    left, and rank once, from left to right; neither runs the Gauss-Jordan
+    back pass or a span elimination (Subspace._spanned_by)."""
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(work, columns):
+        calls.append(list(columns))
+        return echelon(work, columns)
+
+    def second_elimination(*args):
+        raise AssertionError("a second elimination ran")
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(linalg, "_gauss_jordan", second_elimination)
+    monkeypatch.setattr(Subspace, "_spanned_by", classmethod(second_elimination))
+    for m in _elimination_inputs():
+        ncols = len(m[0])
+        calls.clear()
+        k = kernel_basis(m)
+        assert calls == [list(range(ncols - 1, -1, -1))]
+        calls.clear()
+        assert rank(m) == ncols - k.dim
+        assert calls == [list(range(ncols))]
 
 
 # -- subspaces ---------------------------------------------------------------
