@@ -1,7 +1,10 @@
 """Exact Jordan-Kronecker analysis of skew-symmetric and Poisson pencils.
 
-All arithmetic is over Q (fractions.Fraction); non-rational eigenvalues
-are represented by irreducible factors of polynomials over Q.
+All arithmetic is exact over Q, and runs on Python integers: matrices,
+polynomials and points are held in an integer form over one common
+denominator, and a fractions.Fraction is built only for a value that is
+read.  Non-rational eigenvalues are represented by irreducible factors of
+polynomials over Q.
 
 `import jkpencil` loads the error classes alone.  Every other public name
 is bound on first access (a module `__getattr__`, PEP 562), which imports

@@ -27,10 +27,15 @@ eliminates each member and runs each Smith form once:
   of the reversed Jordan part B' - mu*A', when B is irregular.
 pencil_rank, characteristic_polynomial, core_subspace, jk_invariants and
 isotropy_certificate read them.  All of it runs on the integer form
-D*(A, B), without Fractions.  The second routes, the gcd of the
-principal r x r Pfaffians for the characteristic polynomial, Yun's
-decomposition and the rational-root search for its factors and
-fraction-free elimination over Q[lambda] for the rank, are test oracles.
+D*(A, B), without Fractions: the regular values are ints, and the Smith
+factors, the refined factor basis and the finite groups are primitive
+integer coefficient lists.  A UniPoly is built only for what a caller
+reads, the polynomial and squarefree parts of CharPoly and the
+descriptors of JKInvariants, and a Fraction only for a rational root.
+The second routes, the gcd of the principal r x r Pfaffians for the
+characteristic polynomial, Yun's decomposition and the rational-root
+search for its factors and fraction-free elimination over Q[lambda] for
+the rank, are test oracles.
 
 Sign conventions.  Eigenvalues are the roots of the characteristic
 polynomial of A - lambda*B; the member A + lambda0*B drops rank exactly
@@ -67,13 +72,7 @@ from .linalg import (
 )
 from .rational import _as_fraction
 from .smith import smith_normal_form
-from .unipoly import (
-    UniPoly,
-    _int_poly_mul,
-    _integer_primitive,
-    _to_unipoly,
-    refined_factors,
-)
+from .unipoly import UniPoly, _int_poly_mul, _to_unipoly, refined_factors
 
 
 class _InfinityType:
@@ -184,7 +183,7 @@ class SkewPencil:
         if depth == 1:
             keep = [j for j in range(self.n) if j not in core_pivots]
             return tuple([[m[i][j] for j in keep] for i in keep] for m in (a, b))
-        s = _scaled_member(self._scaled, int(sampler.regular(0)[0]))
+        s = _scaled_member(self._scaled, sampler.regular(0)[0])
         # S is skew, so S*u = 0 exactly when u^T S = 0.
         mantle = kernel_basis([[sum(map(mul, row, u)) for row in s] for u in core.rows])
         c = [row for row, pc in zip(mantle.rows, mantle.pivots) if pc not in core_pivots]
@@ -196,10 +195,11 @@ class SkewPencil:
         return restrict(a), restrict(b)
 
     @cached_property
-    def _finite_groups(self) -> tuple[tuple[UniPoly, tuple[int, ...]], ...]:
+    def _finite_groups(self) -> tuple[tuple[list[int], tuple[int, ...]], ...]:
         """The finite Jordan groups from d_2, d_4, ..., d_J of the Jordan
         part A' - lambda*B': the exponent of a refined factor q in d_2i is
-        the half-size of one Jordan block of q, or 0."""
+        the half-size of one Jordan block of q, or 0.  Each q is the
+        primitive integer list of its descriptor."""
         halves = _invariant_factors(*self._jordan_part)
         return tuple((q, tuple(sorted(e for e in exps if e))) for q, exps in refined_factors(halves))
 
@@ -211,10 +211,10 @@ class SkewPencil:
         descriptor q with half-sizes h is a factor of multiplicity sum(h),
         pairwise coprime with the others.  So the polynomial is the product
         of the q**sum(h), a squarefree part the product of the q that share
-        a multiplicity, and the rational roots are -q(0) for the degree-1 q
-        (refined_factors splits every rational root off as a linear factor).
-        Both products are taken on the primitive integer lists of the
-        descriptors and made monic once.
+        a multiplicity, and the rational roots are -q0/q1 for the linear
+        q = q0 + q1*lambda (refined_factors splits every rational root off
+        as a linear factor).  Both products are taken on the primitive
+        integer lists of the descriptors and made monic once.
 
         Requires B regular in the pencil (rank(B) = pencil rank), i.e. all
         eigenvalues finite; raises InfiniteEigenvalueError otherwise.
@@ -226,12 +226,12 @@ class SkewPencil:
             )
         product, parts, roots = [1], {}, []
         for q, halves in self._finite_groups:
-            m, f = sum(halves), _integer_primitive(q)
+            m = sum(halves)
             for _ in range(m):
-                product = _int_poly_mul(product, f)
-            parts[m] = _int_poly_mul(parts.get(m, [1]), f)
-            if q.degree == 1:
-                roots.append((-q.coefficient(0), m))
+                product = _int_poly_mul(product, q)
+            parts[m] = _int_poly_mul(parts.get(m, [1]), q)
+            if len(q) == 2:
+                roots.append((Fraction(-q[0], q[1]), m))
         poly = _to_unipoly(product)
         squarefree = tuple((_to_unipoly(parts[m]), m) for m in sorted(parts))
         return CharPoly(poly, poly.degree, squarefree, tuple(sorted(roots)))
@@ -257,7 +257,7 @@ class SkewPencil:
         # Jordan data: the finite blocks are the elementary divisors of
         # A' - lambda*B', the infinite ones the powers of mu in those of the
         # reversed pencil B' - mu*A' (Gantmacher, vol. II, ch. XII).
-        groups = list(self._finite_groups)
+        groups = [(_to_unipoly(q), halves) for q, halves in self._finite_groups]
         if sampler.rank_b < r:
             a, b = self._jordan_part
             orders = [next(i for i, c in enumerate(d) if c) for d in _invariant_factors(b, a)]
@@ -441,7 +441,7 @@ class RegularValueSampler:
         if r % 2 != 0:
             raise InternalConsistencyError("skew pencil with odd rank")
         self.r = r
-        self.drawn: list[tuple[Fraction, Subspace]] = []
+        self.drawn: list[tuple[int, Subspace]] = []
         self._sums: list[Subspace] = []
         self._next = 0
 
@@ -451,21 +451,21 @@ class RegularValueSampler:
             self._kernels.append(kernel_basis(_scaled_member(self._scaled, mu)))
         return self._kernels[i]
 
-    def draw(self) -> Fraction:
+    def draw(self) -> int:
         """The next regular value, appended with its kernel to `drawn`."""
         while self._next <= len(self.drawn) + self.r // 2:
             i = self._next
             self._next += 1
             kernel = self._member_kernel(i)
             if self.n - kernel.dim == self.r:
-                mu = Fraction(_member_value(i))
+                mu = _member_value(i)
                 self.drawn.append((mu, kernel))
                 return mu
         raise InternalConsistencyError(
             f"{self.r // 2 + 1} irregular members: the pencil rank is not {self.r}"
         )
 
-    def regular(self, t: int) -> tuple[Fraction, Subspace]:
+    def regular(self, t: int) -> tuple[int, Subspace]:
         """Regular value t (from 0) and the kernel of its member."""
         while len(self.drawn) <= t:
             self.draw()
@@ -526,15 +526,15 @@ def _invariant_factors(a: list[list[int]], b: list[list[int]]) -> list[list[int]
     needs no Smith form."""
     if not a:
         return []
-    factors = [f for f in smith_normal_form(_lambda_rows(a, b)) if not f.is_zero]
+    factors = [f for f in smith_normal_form(_lambda_rows(a, b)) if f]
     if len(factors) != len(a):
         raise InternalConsistencyError(f"Smith form rank {len(factors)} != Jordan part size {len(a)}")
     if factors[0::2] != factors[1::2]:
         raise PairingViolationError(
             "Smith invariant factors are not equal in pairs: "
-            + ", ".join(str(f) for f in factors)
+            + ", ".join(str(_to_unipoly(f)) for f in factors)
         )
-    return [_integer_primitive(f) for f in factors[1::2]]
+    return factors[1::2]
 
 
 # -- the public reads of a pencil's analysis --------------------------------
@@ -585,83 +585,48 @@ def isotropy_certificate(p: SkewPencil) -> IsotropyCertificate:
 # -- canonical pencils and congruence -------------------------------------
 
 
-def _embed(block_a, block_b, target_a, target_b, offset):
-    for i, row in enumerate(block_a):
-        for j, v in enumerate(row):
-            target_a[offset + i][offset + j] = Fraction(v)
-    for i, row in enumerate(block_b):
-        for j, v in enumerate(row):
-            target_b[offset + i][offset + j] = Fraction(v)
-
-
-def _jordan_finite_block(lam0: Fraction, half: int):
-    p = half
-    a = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-    b = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-    for i in range(p):
-        a[i][p + i] = lam0
-        a[p + i][i] = -lam0
-        b[i][p + i] = Fraction(1)
-        b[p + i][i] = Fraction(-1)
-        if i + 1 < p:
-            a[i][p + i + 1] = Fraction(1)
-            a[p + i + 1][i] = Fraction(-1)
-    return a, b
-
-
-def _jordan_infinite_block(half: int):
-    p = half
-    a = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-    b = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-    for i in range(p):
-        a[i][p + i] = Fraction(1)
-        a[p + i][i] = Fraction(-1)
-        if i + 1 < p:
-            b[i][p + i + 1] = Fraction(1)
-            b[p + i + 1][i] = Fraction(-1)
-    return a, b
-
-
-def _kronecker_block(k: int):
-    size = 2 * k - 1
-    a = [[Fraction(0)] * size for _ in range(size)]
-    b = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(k - 1):
-        a[i][k - 1 + i] = Fraction(1)
-        a[k - 1 + i][i] = Fraction(-1)
-        b[i][k + i] = Fraction(1)
-        b[k + i][i] = Fraction(-1)
-    return a, b
-
-
 def canonical_pencil(spec: JKInvariants) -> SkewPencil:
-    """Block-diagonal pencil realizing the given invariants.
+    """Block-diagonal pencil realizing the given invariants: a Kronecker
+    block per parameter, then a Jordan block per half-size of each group,
+    in the order of spec.
+
+    A Kronecker block of parameter k pairs e_i with e_(k-1+i) under A and
+    with e_(k+i) under B, for i < k - 1.  A Jordan block of half-size h
+    pairs e_i with e_(h+i) under A with weight lambda0 and under B with
+    weight 1, and e_i with e_(h+i+1) under A (the nilpotent shift); an
+    infinite one pairs e_i with e_(h+i) under A and has the shift in B.
 
     Only rational (degree-1) and INFINITY eigenvalue descriptors are
     accepted; this is a builder limitation, not a structural one.
     """
-    blocks = []
+    n = spec.n
+    a, b = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+
+    def pair(m, i, j, v):
+        m[i][j], m[j][i] = v, -v
+
+    offset = 0
     for k in spec.kronecker:
-        blocks.append(_kronecker_block(k))
+        for i in range(offset, offset + k - 1):
+            pair(a, i, k - 1 + i, 1)
+            pair(b, i, k + i, 1)
+        offset += 2 * k - 1
     for group in spec.jordan:
         if group.descriptor is INFINITY:
-            for half in group.half_sizes:
-                blocks.append(_jordan_infinite_block(half))
-            continue
-        if group.descriptor.degree != 1:
+            on_a, on_b, shift = 1, 0, b
+        elif group.descriptor.degree == 1:
+            on_a, on_b, shift = -group.descriptor.coefficient(0), 1, a
+        else:
             raise ValidationError(
                 "canonical_pencil needs rational (degree-1) eigenvalue descriptors"
             )
-        lam0 = -group.descriptor.coefficient(0)
-        for half in group.half_sizes:
-            blocks.append(_jordan_finite_block(lam0, half))
-    n = sum(len(block_a) for block_a, _ in blocks)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    b = [[Fraction(0)] * n for _ in range(n)]
-    offset = 0
-    for block_a, block_b in blocks:
-        _embed(block_a, block_b, a, b, offset)
-        offset += len(block_a)
+        for h in group.half_sizes:
+            for i in range(offset, offset + h):
+                pair(a, i, h + i, on_a)
+                pair(b, i, h + i, on_b)
+                if i + 1 < offset + h:
+                    pair(shift, i, h + i + 1, 1)
+            offset += 2 * h
     return SkewPencil(a, b)
 
 

@@ -449,7 +449,7 @@ class CompletenessReport:
 class InvolutionCertificate:
     point: Vector
     family_size: int
-    kernel_samples: tuple[Fraction, ...]
+    kernel_samples: tuple[int, ...]
     pairings: int
     passed: bool
     violation: Optional[tuple[int, int, str]] = None

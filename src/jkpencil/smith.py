@@ -9,7 +9,7 @@ Q[x] is Euclidean, so two steps give the invariant factors:
    column is zero below p, and the columns to its right are reduced by
    column operations that change the top row alone (the column pass);
    no other row is touched, and the block is never transposed.  If every
-   top-row remainder is zero, the monic p is the next diagonal entry and
+   top-row remainder is zero, the primitive p is the next diagonal entry and
    its row and column are dropped; otherwise the remainders stay in the
    top row and the pivot is searched again.
 2. Normalise the diagonal.  diag(a, b) is equivalent to
@@ -21,12 +21,11 @@ Q[x] is Euclidean, so two steps give the invariant factors:
    as the divisibility chain.
 
 Nonzero constants are units of Q[x], so both steps run on integer
-coefficients: rows are scaled to clear denominators, division becomes
-pseudo-division, each reduced row is divided by its content, and the
-diagonal holds primitive polynomials, whose gcds, divisibility tests and
-exact quotients stay integral (unipoly's integer kernels).  Over
-Fractions the coefficient swell, and the time, varied widely from one
-pencil to the next.
+coefficients: division becomes pseudo-division, each reduced row is
+divided by its content, and the diagonal holds primitive polynomials,
+whose gcds, divisibility tests and exact quotients stay integral
+(unipoly's integer kernels).  Over Fractions the coefficient swell, and
+the time, varied widely from one pencil to the next.
 
 Pseudo-division of f by p scales f by a factor m that divides a power of
 p's leading coefficient.  In the row pass each row takes its own m.  In
@@ -42,14 +41,14 @@ coefficients swell until scrambled pencils whose Jordan part has size
 24-30 ran for over a minute; with unit pivots first they take hundredths
 of a second.  Larger Jordan parts can still swell (ROADMAP item 3).
 
-Entries may be given as UniPoly, as rational constants or as integer
-coefficient lists; a pencil passes its integer scaling as lists, so no
-Fraction is built on the way in.
-
+Entries and factors are integer coefficient lists, lowest degree first
+with no trailing zeros, [] for 0; a matrix over Q[x] is given with each
+row scaled to integer coefficients, which changes no invariant factor.
 Only the invariant factors are produced (no transformation matrices);
-nonzero factors are returned monic, and the trailing zero factors of a
-rank-deficient matrix are included so that the product of the first k
-factors matches the gcd of the k x k minors.
+nonzero factors are primitive (content 1, positive leading coefficient),
+the integer form of the monic factor, and the trailing zero factors of a
+rank-deficient matrix are included as [] so that the product of the first
+k factors matches the gcd of the k x k minors.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from math import gcd, lcm
 
 from .errors import ValidationError
 from .unipoly import (
-    UniPoly,
     _int_poly_divides,
     _int_poly_exact_div,
     _int_poly_gcd,
@@ -66,7 +64,6 @@ from .unipoly import (
     _int_poly_pquo,
     _int_poly_sub_mul,
     _int_primitive,
-    _to_unipoly,
 )
 
 
@@ -103,12 +100,6 @@ def _column_pass(top: list[list[int]]) -> list[list[int]] | None:
     )
 
 
-def _coefficients(e):
-    if isinstance(e, UniPoly):
-        return e.coeffs
-    return e if isinstance(e, list) else UniPoly.constant(e).coeffs
-
-
 def _pivot(work):
     """(i, j) of a lowest-degree nonzero entry, of least height (largest
     absolute coefficient) among those, or None."""
@@ -124,15 +115,21 @@ def _pivot(work):
     return None if best is None else best[1:]
 
 
-def smith_normal_form(m) -> list[UniPoly]:
-    """Invariant factors d_1 | d_2 | ... of a matrix whose entries are
-    UniPoly, rational constants or integer coefficient lists (lowest degree
-    first, no trailing zeros)."""
-    rows = [[_coefficients(e) for e in row] for row in m]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+def _is_coefficient_list(e) -> bool:
+    return type(e) is list and all(type(c) is int for c in e) and (not e or e[-1] != 0)
+
+
+def smith_normal_form(m: list[list[list[int]]]) -> list[list[int]]:
+    """Invariant factors d_1 | d_2 | ... of a matrix of integer coefficient
+    lists, as primitive lists, [] for each trailing zero factor."""
+    if not m or any(len(row) != len(m[0]) for row in m):
         raise ValidationError("smith_normal_form needs a rectangular nonempty matrix")
-    dens = [lcm(*(c.denominator for e in row for c in e)) for row in rows]
-    work = [[[int(c * d) for c in e] for e in row] for row, d in zip(rows, dens)]
+    if not all(_is_coefficient_list(e) for row in m for e in row):
+        raise ValidationError(
+            "smith_normal_form entries must be integer coefficient lists, "
+            "lowest degree first with no trailing zeros ([] for 0)"
+        )
+    work = [list(row) for row in m]
     diagonal: list[list[int]] = []
     while found := _pivot(work):
         i, j = found
@@ -155,6 +152,4 @@ def smith_normal_form(m) -> list[UniPoly]:
             if len(a) > 1 and not _int_poly_divides(a, b):  # a primitive constant is 1
                 g = _int_poly_gcd(a, b)
                 diagonal[i], diagonal[j] = g, _int_poly_mul(_int_poly_exact_div(a, g), b)
-    return [_to_unipoly(d) for d in diagonal] + [UniPoly.zero()] * (
-        min(len(rows), len(rows[0])) - len(diagonal)
-    )
+    return diagonal + [[] for _ in range(min(len(m), len(m[0])) - len(diagonal))]

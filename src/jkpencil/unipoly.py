@@ -9,12 +9,12 @@ primitive integer coefficient lists (content 1, positive leading
 coefficient).  The gcd is a subresultant pseudo-remainder sequence, which
 keeps coefficient growth under control; a division by a primitive divisor
 is exact integer division (Gauss's lemma); a root candidate p/q is tested
-by the integer q**d * f(p/q).  `refined_factors` takes the integer
-lists of a pencil's Smith factors and returns monic factors; it is the
-one factorisation a pencil analysis runs.  `poly_gcd`,
-`squarefree_decompose` and `rational_roots` take and return `UniPoly`;
-the last two are public functions and the test suite's second route to
-the factor structure of a characteristic polynomial.
+by the integer q**d * f(p/q).  `refined_factors` takes the primitive
+lists of a pencil's Smith factors and returns its factors as primitive
+lists too; it is the one factorisation a pencil analysis runs.
+`poly_gcd`, `squarefree_decompose` and `rational_roots` take and return
+`UniPoly`; the last two are public functions and the test suite's second
+route to the factor structure of a characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -511,25 +511,23 @@ def _int_split_rational_linear(f: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def refined_factors(polys: Sequence[Sequence[int]]) -> list[tuple[UniPoly, tuple[int, ...]]]:
+def refined_factors(polys: Sequence[Sequence[int]]) -> list[tuple[list[int], tuple[int, ...]]]:
     """Common factor basis of nonzero primitive integer polynomials, with
     multiplicities.
 
     The squarefree parts of all inputs are refined to a gcd-free basis and
-    their rational linear factors split off.  Returns the basis as monic
-    polynomials sorted by sort_key, each factor with its multiplicity in
-    every input (in input order, zeros included).  Nonlinear factors may
-    be reducible over Q.
+    their rational linear factors split off; the basis is pairwise coprime,
+    so the factors are distinct.  Returns them as primitive lists, in no
+    particular order, each with its multiplicity in every input (in input
+    order, zeros included).  Nonlinear factors may be reducible over Q.
     """
     parts: list[list[int]] = []
     for f in polys:
         if len(f) > 1:
             parts.extend(part for part, _ in _int_squarefree(f))
-    refined = {
-        tuple(factor) for q in _int_coprime_refine(parts) for factor in _int_split_rational_linear(q)
-    }
+    basis = _int_coprime_refine(parts)
     out = []
-    for q in refined:
+    for q in (factor for b in basis for factor in _int_split_rational_linear(b)):
         mults = []
         for f in polys:
             e = 0
@@ -540,6 +538,5 @@ def refined_factors(polys: Sequence[Sequence[int]]) -> list[tuple[UniPoly, tuple
                     break
                 e += 1
             mults.append(e)
-        out.append((_to_unipoly(q), tuple(mults)))
-    out.sort(key=lambda qm: qm[0].sort_key())
+        out.append((q, tuple(mults)))
     return out

@@ -556,15 +556,15 @@ def whole_smith_jordan_groups(p: SkewPencil) -> tuple:
     ..., d_r are its half-sizes; infinity's are the powers of mu."""
     a, b = p._scaled
     r = pencil_rank(p)
-    factors = [f for f in smith_normal_form(_lambda_rows(a, b)) if not f.is_zero]
+    factors = [UniPoly(f).monic() for f in smith_normal_form(_lambda_rows(a, b)) if f]
     assert len(factors) == r and factors[0::2] == factors[1::2]
     groups = [
         (q, tuple(e for e in exps if e)) for q, exps in fraction_refined_factors(factors[1::2])
     ]
     if rank(b) < r:
-        reversed_factors = [f for f in smith_normal_form(_lambda_rows(b, a)) if not f.is_zero]
+        reversed_factors = [f for f in smith_normal_form(_lambda_rows(b, a)) if f]
         assert len(reversed_factors) == r and reversed_factors[0::2] == reversed_factors[1::2]
-        orders = [next(i for i, c in enumerate(f.coeffs) if c) for f in reversed_factors[1::2]]
+        orders = [next(i for i, c in enumerate(f) if c) for f in reversed_factors[1::2]]
         groups.append((INFINITY, tuple(e for e in orders if e)))
     return JKInvariants.from_blocks([], groups).jordan
 
@@ -640,7 +640,7 @@ def recursion_charpoly_check(p: SkewPencil) -> bool:
     return lhs == square or lhs == -square
 
 
-def _mobius_pullback(desc: UniPoly, mu0: Fraction):
+def _mobius_pullback(desc: UniPoly, mu0: int):
     """Map an eigenvalue descriptor of the pencil (A, A + mu0*B) back to
     the (A, B) parameter.
 
@@ -670,7 +670,8 @@ def mobius_jordan_groups(p: SkewPencil, seed: int) -> list:
     while mu0 == 0:
         mu0 = sampler.draw()
     raw = SkewPencil(p.a, p.member(mu0))._finite_groups
-    return list(JKInvariants.from_blocks([], [(_mobius_pullback(q, mu0), sizes) for q, sizes in raw]).jordan)
+    pulled = [(_mobius_pullback(UniPoly(q).monic(), mu0), sizes) for q, sizes in raw]
+    return list(JKInvariants.from_blocks([], pulled).jordan)
 
 
 class RandomRegularValueSampler(RegularValueSampler):
@@ -684,13 +685,13 @@ class RandomRegularValueSampler(RegularValueSampler):
         super().__init__(p)
         self.rng = rng
 
-    def draw(self) -> Fraction:
+    def draw(self) -> int:
         bound = max(10 * self.n, 10)
         for _ in range(50):
-            cand = Fraction(self.rng.randint(-bound, bound))
+            cand = self.rng.randint(-bound, bound)
             if any(cand == mu for mu, _ in self.drawn):
                 continue
-            kernel = kernel_basis(_scaled_member(self._scaled, int(cand)))
+            kernel = kernel_basis(_scaled_member(self._scaled, cand))
             if self.n - kernel.dim == self.r:
                 self.drawn.append((cand, kernel))
                 return cand

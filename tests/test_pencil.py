@@ -80,6 +80,30 @@ def test_canonical_infinite_jordan_p1():
     assert p.b == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
 
 
+def test_canonical_mixed_blocks_entry_by_entry():
+    """A Kronecker block k = 3 (size 5), a finite Jordan block lambda0 = 3/2
+    of half-size 2 and an infinite one of half-size 2, placed in that order
+    on the diagonal; these are every nonzero entry above the diagonal."""
+    lam0 = Fraction(3, 2)
+    spec = JKInvariants.from_blocks([3], [(UniPoly.linear(lam0), (2,)), (INFINITY, (2,))])
+    above_a = {(0, 2): 1, (1, 3): 1, (5, 7): lam0, (6, 8): lam0, (5, 8): 1, (9, 11): 1, (10, 12): 1}
+    above_b = {(0, 3): 1, (1, 4): 1, (5, 7): 1, (6, 8): 1, (9, 12): 1}
+
+    def skew(above):
+        m = [[Fraction(0)] * 13 for _ in range(13)]
+        for (i, j), v in above.items():
+            m[i][j], m[j][i] = Fraction(v), Fraction(-v)
+        return tuple(map(tuple, m))
+
+    p = canonical_pencil(spec)
+    assert p.n == 13
+    assert p.a == skew(above_a) and p.b == skew(above_b)
+    assert p._denominator == 2
+    assert p._scaled == tuple(tuple(tuple(int(2 * x) for x in row) for row in m) for m in (p.a, p.b))
+    assert p == SkewPencil(skew(above_a), skew(above_b))
+    assert jk_invariants(p) == spec
+
+
 def test_skew_validation():
     with pytest.raises(ValidationError):
         SkewPencil([[0, 1], [1, 0]], [[0, 0], [0, 0]])
@@ -786,7 +810,7 @@ def test_pairing_violation_guard():
     from jkpencil.pencil import _invariant_factors
 
     # a - lambda*b = diag(2 - lambda, 1): invariant factors 1, lambda - 2
-    with pytest.raises(PairingViolationError):
+    with pytest.raises(PairingViolationError, match=r"not equal in pairs: 1, x - 2$"):
         _invariant_factors([[2, 0], [0, 1]], [[1, 0], [0, 0]])
 
 

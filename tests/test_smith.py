@@ -2,47 +2,74 @@ import random
 from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 
 from jkpencil.errors import ValidationError
 from jkpencil.smith import smith_normal_form
-from jkpencil.unipoly import UniPoly, poly_gcd
+from jkpencil.unipoly import UniPoly, _integer_primitive, poly_gcd
 
 X = UniPoly.x()
 ONE = UniPoly.one()
 ZERO = UniPoly.zero()
 
 
+def _int_rows(m):
+    """A matrix of UniPoly as smith_normal_form takes it: each row scaled
+    by the lcm of its denominators, a unit of Q[x], to integer coefficient
+    lists."""
+    out = []
+    for row in m:
+        scale = lcm(*(c.denominator for e in row for c in e.coeffs))
+        out.append([[int(c * scale) for c in e.coeffs] for e in row])
+    return out
+
+
+def _primitive(f: UniPoly) -> list[int]:
+    """The factor smith_normal_form returns for f: its primitive integer
+    list, [] for 0."""
+    return _integer_primitive(f) if f.coeffs else []
+
+
 def test_skew_linear_block():
-    lam0 = Fraction(4)
-    entry = UniPoly.linear(lam0).scale(-1)  # lam0 - lam
-    m = [[ZERO, entry], [-entry, ZERO]]
-    assert smith_normal_form(m) == [UniPoly.linear(lam0), UniPoly.linear(lam0)]
+    # lam0 - lam with lam0 = 4; the factors are lam - 4, twice
+    m = [[[], [4, -1]], [[-4, 1], []]]
+    assert smith_normal_form(m) == [[-4, 1], [-4, 1]]
 
 
 def test_identity_matrix():
-    ident = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
-    assert smith_normal_form(ident) == [ONE, ONE, ONE]
+    ident = [[[1] if i == j else [] for j in range(3)] for i in range(3)]
+    assert smith_normal_form(ident) == [[1], [1], [1]]
 
 
 def test_rank_deficient_matrix_pads_zeros():
-    m = [[X, ZERO], [ZERO, ZERO]]
-    assert smith_normal_form(m) == [X.monic(), ZERO]
+    m = [[[0, 1], []], [[], []]]
+    assert smith_normal_form(m) == [[0, 1], []]
 
 
 def test_rectangular_matrices():
-    wide = [[ONE, X, X * X]]
-    assert smith_normal_form(wide) == [ONE]
-    tall = [[X], [X * X]]
-    assert smith_normal_form(tall) == [X]
+    wide = [[[1], [0, 1], [0, 0, 1]]]
+    assert smith_normal_form(wide) == [[1]]
+    tall = [[[0, 1]], [[0, 0, 1]]]
+    assert smith_normal_form(tall) == [[0, 1]]
 
 
 def test_empty_or_ragged_matrix_rejected():
-    for m in ([], [[ONE, X], [ONE]]):
-        with pytest.raises(ValidationError):
+    for m in ([], [[[1], [0, 1]], [[1]]]):
+        with pytest.raises(ValidationError, match="rectangular nonempty"):
             smith_normal_form(m)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [X, Fraction(1, 2), 3, [Fraction(1, 2), 1], [1, 0], (1, 2), [True]],
+    ids=["unipoly", "fraction", "int", "fraction-coefficient", "trailing-zero", "tuple", "bool"],
+)
+def test_entries_must_be_integer_coefficient_lists(entry):
+    m = [[[1], entry], [[], [0, 1]]]
+    with pytest.raises(ValidationError, match=r"integer coefficient lists, lowest degree first"):
+        smith_normal_form(m)
 
 
 def _apply_random_unimodular_ops(m, rng):
@@ -78,7 +105,7 @@ def test_recovers_known_invariant_factors():
         diag = [ONE, f, f * g]
         m = [[diag[i] if i == j else ZERO for j in range(3)] for i in range(3)]
         scrambled = _apply_random_unimodular_ops([row[:] for row in m], rng)
-        assert smith_normal_form(scrambled) == [d.monic() for d in diag]
+        assert smith_normal_form(_int_rows(scrambled)) == [_primitive(d) for d in diag]
 
 
 def test_divisibility_chain_on_random_matrices():
@@ -92,14 +119,14 @@ def test_divisibility_chain_on_random_matrices():
             ]
             for _ in range(n)
         ]
-        factors = smith_normal_form(m)
+        factors = smith_normal_form(_int_rows(m))
         for a, b in zip(factors, factors[1:]):
-            if a.is_zero:
-                assert b.is_zero
-            elif not b.is_zero:
-                assert (b % a).is_zero
+            if not a:
+                assert not b
+            elif b:
+                assert (UniPoly(b) % UniPoly(a)).is_zero
         for f in factors:
-            assert f.is_zero or f.leading == 1
+            assert not f or (gcd(*f) == 1 and f[-1] > 0)
 
 
 def _integer_det(work) -> int:
@@ -141,7 +168,9 @@ def _assert_factors_match_minor_gcds(m, factors):
     is evaluated at each point once, and each minor's value there is an
     integer determinant over the product of its rows' scales.  The scan
     of the minors stops once their gcd is 1, which no further minor
-    lowers."""
+    lowers.  m holds UniPoly or integer coefficient lists, and factors
+    are integer coefficient lists."""
+    m = [[e if isinstance(e, UniPoly) else UniPoly(e) for e in row] for row in m]
     nrows, ncols = len(m), len(m[0])
     deg = max(0, *(e.degree for row in m for e in row))
     points = range(deg * min(nrows, ncols) + 1)
@@ -164,7 +193,7 @@ def _assert_factors_match_minor_gcds(m, factors):
                 break
         product = ONE
         for f in factors[:k]:
-            product = product * f
+            product = product * UniPoly(f)
         if minor_gcd.is_zero:
             assert product.is_zero
         else:
@@ -179,7 +208,7 @@ def test_factor_products_equal_minor_gcds():
             [UniPoly([rng.randint(-2, 2), rng.randint(-1, 1)]) for _ in range(n)]
             for _ in range(n)
         ]
-        _assert_factors_match_minor_gcds(m, smith_normal_form(m))
+        _assert_factors_match_minor_gcds(m, smith_normal_form(_int_rows(m)))
 
 
 def _diagonal(entries):
@@ -190,15 +219,14 @@ def test_non_chain_diagonals_become_chains():
     # the diagonalisation leaves these as they are; the gcd/lcm pass makes
     # the chain
     xm1 = UniPoly.linear(1)
-    assert smith_normal_form(_diagonal([xm1, X, xm1])) == [ONE, xm1, X * xm1]
-    assert smith_normal_form(_diagonal([X, xm1])) == [ONE, X * xm1]
-    assert smith_normal_form(_diagonal([X * X, X, ONE])) == [ONE, X, X * X]
-    assert smith_normal_form(_diagonal([xm1 * xm1, X * xm1, X * X])) == [
-        ONE,
-        X * xm1,
-        X * X * xm1 * xm1,
-    ]
-    assert smith_normal_form(_diagonal([xm1, ZERO, X.scale(3)])) == [ONE, X * xm1, ZERO]
+    for entries, chain in [
+        ([xm1, X, xm1], [ONE, xm1, X * xm1]),
+        ([X, xm1], [ONE, X * xm1]),
+        ([X * X, X, ONE], [ONE, X, X * X]),
+        ([xm1 * xm1, X * xm1, X * X], [ONE, X * xm1, X * X * xm1 * xm1]),
+        ([xm1, ZERO, X.scale(3)], [ONE, X * xm1, ZERO]),
+    ]:
+        assert smith_normal_form(_int_rows(_diagonal(entries))) == [_primitive(f) for f in chain]
 
 
 def test_scrambled_non_chain_diagonals_match_minor_gcds(monkeypatch):
@@ -223,13 +251,14 @@ def test_scrambled_non_chain_diagonals_match_minor_gcds(monkeypatch):
                 e = e * UniPoly.linear(rng.randint(-2, 2))
             entries.append(e.scale(rng.choice([1, -2, Fraction(1, 3)])))
         m = _apply_random_unimodular_ops(_diagonal(entries), rng)
-        _assert_factors_match_minor_gcds(m, smith_normal_form(m))
+        _assert_factors_match_minor_gcds(m, smith_normal_form(_int_rows(m)))
     assert gcd_steps  # the gcd/lcm pass was reached
 
 
-
 def test_rational_and_plain_entries_match_minor_gcds():
-    # rows are scaled to integer coefficients before the elimination
+    # a matrix over Q[x] is given with its rows scaled to integer
+    # coefficients; its own entries are refused, and the scaled rows have
+    # the invariant factors of the rational matrix
     rng = random.Random(61)
     for _ in range(10):
         m = [
@@ -239,10 +268,19 @@ def test_rational_and_plain_entries_match_minor_gcds():
             ]
             for _ in range(3)
         ]
-        _assert_factors_match_minor_gcds(m, smith_normal_form(m))
-    plain = [[2, Fraction(1, 2)], [Fraction(-3, 4), 0]]
-    assert smith_normal_form(plain) == [ONE, ONE]
-    assert smith_normal_form([[0, 0], [0, Fraction(5, 3)]]) == [ONE, ZERO]
+        with pytest.raises(ValidationError, match="integer coefficient lists"):
+            smith_normal_form(m)
+        _assert_factors_match_minor_gcds(m, smith_normal_form(_int_rows(m)))
+    for plain, factors in [
+        ([[2, Fraction(1, 2)], [Fraction(-3, 4), 0]], [[1], [1]]),
+        ([[0, 0], [0, Fraction(5, 3)]], [[1], []]),
+    ]:
+        with pytest.raises(ValidationError, match="integer coefficient lists"):
+            smith_normal_form(plain)
+        m = [[UniPoly.constant(c) for c in row] for row in plain]
+        assert smith_normal_form(_int_rows(m)) == factors
+        _assert_factors_match_minor_gcds(m, factors)
+
 
 def test_first_factor_is_gcd_of_entries():
     rng = random.Random(37)
@@ -251,15 +289,12 @@ def test_first_factor_is_gcd_of_entries():
             [UniPoly([rng.randint(-3, 3), rng.randint(-2, 2)]) for _ in range(3)]
             for _ in range(3)
         ]
-        factors = smith_normal_form(m)
+        factors = smith_normal_form(_int_rows(m))
         g = UniPoly.zero()
         for row in m:
             for e in row:
                 g = poly_gcd(g, e)
-        if factors[0].is_zero:
-            assert g.is_zero
-        else:
-            assert factors[0] == g.monic() or (g.degree == 0 and factors[0] == ONE)
+        assert factors[0] == _primitive(g)
 
 
 def test_top_row_remainders_search_again(monkeypatch):
@@ -277,8 +312,8 @@ def test_top_row_remainders_search_again(monkeypatch):
         return line
 
     monkeypatch.setattr(jkpencil.smith, "_column_pass", column_pass)
-    m = [[X, X + ONE], [ZERO, X]]
-    assert smith_normal_form(m) == [ONE, X * X]
+    m = [[[0, 1], [1, 1]], [[], [0, 1]]]
+    assert smith_normal_form(m) == [[1], [0, 0, 1]]
     assert passes[0] == [[0, 1], [1]]
     _assert_factors_match_minor_gcds(m, smith_normal_form(m))
 
@@ -310,7 +345,7 @@ def test_unit_pivot_comes_before_a_larger_constant(monkeypatch):
         [UniPoly.constant(2), X * X, X.scale(2)],
         [X - ONE, UniPoly.constant(-1), UniPoly.constant(2)],
     ]
-    factors = smith_normal_form(m)
+    factors = smith_normal_form(_int_rows(m))
     assert pivots[0] == [-1]
     _assert_factors_match_minor_gcds(m, factors)
 
@@ -330,7 +365,8 @@ def _unimodular(n, rng):
 
 
 def _integer_linear_pencil(n, rng, kind):
-    """A - x*B for integer n x n matrices A and B, as rows of UniPoly.
+    """A - x*B for integer n x n matrices A and B, as integer coefficient
+    lists.
 
     "random" draws small entries, so the factors are generically 1, ..., 1
     and the determinant.  The others are P(D - x*E)Q for unimodular P, Q,
@@ -350,7 +386,7 @@ def _integer_linear_pencil(n, rng, kind):
             d[-1][-1] = e[-1][-1] = 0
         p, q = _unimodular(n, rng), _unimodular(n, rng)
         a, b = (_mat_mul(_mat_mul(p, m), q) for m in (d, e))
-    return [[UniPoly([x, -y]) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[[x, -y] if y else [x] if x else [] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 @pytest.mark.parametrize("kind", ["random", "repeated", "singular"])
@@ -362,6 +398,6 @@ def test_integer_linear_pencils_match_minor_gcds(kind):
         factors = smith_normal_form(m)
         _assert_factors_match_minor_gcds(m, factors)
         if kind == "repeated":
-            assert not factors[-2].is_constant
+            assert len(factors[-2]) > 1
         if kind == "singular":
-            assert factors[-1].is_zero and not factors[-2].is_zero
+            assert not factors[-1] and factors[-2]

@@ -270,7 +270,12 @@ def test_integer_factor_kernels_match_fraction_oracles():
     for _ in range(25):
         common = _random_factored_inputs(rng)
         polys = [common * _random_factored_inputs(rng) for _ in range(rng.randint(1, 3))]
-        assert refined_factors([_integer_primitive(f) for f in polys]) == fraction_refined_factors(polys), polys
+        # primitive lists in no particular order, each factor once
+        refined = refined_factors([_integer_primitive(f) for f in polys])
+        expected = fraction_refined_factors(polys)
+        assert all(_integer_primitive(_to_unipoly(q)) == q for q, _ in refined), polys
+        assert len(refined) == len(expected), polys
+        assert {(_to_unipoly(q), m) for q, m in refined} == set(expected), polys
     # past the divisor cap too, where both routes miss a root (see below)
     far = (X - UniPoly.constant(10000019)) * (X * X + X + UniPoly.constant(10000079 * 10000103))
     assert rational_roots(far) == fraction_rational_roots(far)
